@@ -7,6 +7,15 @@ operators with exact unitary evolution, and representative phase-space
 operators under three gauge choices.
 """
 
+import os
+
+# QPS_THREADS caps the BLAS/OpenMP pools, which read their variables once,
+# when numpy loads: so it is applied before any submodule imports numpy.
+if os.environ.get("QPS_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["QPS_THREADS"])
+
 from .errors import (
     CoverageError,
     GaugeMismatchError,

@@ -11,21 +11,16 @@ combination.  QPS_THREADS caps the BLAS/OpenMP thread pools.
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-_threads = os.environ.get("QPS_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import numpy as np
 
 from .errors import CoverageError, InvalidInputError, QpsError, UnsupportedError
 from .grids import CoordinateGrid, GridAxis, moments, read_wavefunction, write_wavefunction
+from .io import write_json
 from .metric import Signature, check_saturation
 from .phasespace import (
     PhaseGrid,
@@ -55,11 +50,11 @@ class RunConfig:
     family_x: float | None = None
 
     def __post_init__(self):
-        if self.hbar <= 0.0:
-            raise InvalidInputError("hbar must be positive")
-        for name, val in self.tols.items():
-            if val <= 0.0:
-                raise InvalidInputError(f"tolerance {name} must be positive")
+        checked = [("hbar", self.hbar), ("family_x", self.family_x)]
+        checked += [(f"tolerance {name}", val) for name, val in self.tols.items()]
+        for name, val in checked:
+            if val is not None and not (math.isfinite(val) and val > 0.0):
+                raise InvalidInputError(f"{name} must be positive and finite")
 
     def coordinate_grid(self, ndim: int) -> CoordinateGrid:
         axes = self.grid
@@ -137,19 +132,11 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _atomic_json(path, payload):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
     d = psi.grid.ndim
     d_plus = sum(1 for s in psi.signs if s > 0)
     sig = Signature(d_plus, d - d_plus)
-    width = cfg.family_x if cfg.family_x else psi.hbar / 2.0
+    width = cfg.family_x if cfg.family_x is not None else psi.hbar / 2.0
     return JointStateSpec.from_covariance(
         X=np.diag([width] * d), signature=sig, gauge=cfg.gauge, hbar=psi.hbar
     )
@@ -177,7 +164,7 @@ def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
         saturation_residual=residual,
         norm=psi.norm(),
     )
-    _atomic_json(cfg.out / "moments.json", report)
+    write_json(cfg.out / "moments.json", report)
     print(f"wavefunction -> {wf_csv}")
     print(f"norm {_FMT.format(psi.norm())}")
     print(f"saturation_residual {_FMT.format(residual)}")
@@ -190,35 +177,30 @@ def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
         raise UnsupportedError("the Wigner fixture supports one pair only")
     family = _analyzing_family(cfg, psi)
     pgrid = cfg.phase_grid(psi.grid.ndim)
+    gauge_label = family.gauge.label
     if kind == "husimi":
         dist = husimi_distribution(psi, family, pgrid)
-        out = cfg.out / "husimi.csv"
-        write_distribution(dist, out, gauge_label=family.gauge.label)
-        print(f"distribution -> {out}")
-        print(f"normalization {_FMT.format(dist.integral())}")
-        print(f"minimum {_FMT.format(dist.minimum())}")
     elif kind == "wigner":
-        dist = wigner_distribution(psi, pgrid)
-        out = cfg.out / "wigner.csv"
-        write_distribution(dist, out)
-        print(f"distribution -> {out}")
-        print(f"normalization {_FMT.format(dist.integral())}")
-        print(f"minimum {_FMT.format(dist.minimum())}")
+        dist, gauge_label = wigner_distribution(psi, pgrid), None
     elif kind == "phasewave":
-        pw = phase_wavefunction(psi, family, pgrid)
-        out = cfg.out / "phasewave.csv"
-        write_distribution(pw, out, gauge_label=family.gauge.label)
-        print(f"distribution -> {out}")
-        print(f"normalization {_FMT.format(pw.norm_squared())}")
+        dist = phase_wavefunction(psi, family, pgrid)
     else:
         raise InvalidInputError(f"unknown distribution kind {kind!r}")
+    out = cfg.out / f"{kind}.csv"
+    write_distribution(dist, out, gauge_label=gauge_label)
+    print(f"distribution -> {out}")
+    if kind == "phasewave":
+        print(f"normalization {_FMT.format(dist.norm_squared())}")
+    else:
+        print(f"normalization {_FMT.format(dist.integral())}")
+        print(f"minimum {_FMT.format(dist.minimum())}")
     return 0
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     report = verify_mod.run_suite(suite, hbar=cfg.hbar, tols=cfg.tols)
     path = cfg.out / f"report_{suite}.json"
-    _atomic_json(path, report)
+    write_json(path, report)
     if suite in ("fock", "all"):
         _export_fock_matrices(cfg)
     all_ok = True

@@ -164,13 +164,8 @@ def number_hamiltonian(basis: TruncatedBasis, omega: float, hbar: float = 1.0) -
 
 def write_density(rho: DensityMatrix, csv_path, json_path=None):
     """CSV rows (row, col, re, im) plus JSON metadata with the basis spec."""
-    meta = {
-        "basis": {
-            "n_max": list(rho.basis.n_max),
-            "reference": rho.basis.reference.to_dict(),
-        }
-    }
-    write_matrix(rho.matrix, csv_path, json_path or f"{csv_path}.json", meta)
+    basis = {"n_max": list(rho.basis.n_max), "reference": rho.basis.reference.to_dict()}
+    write_matrix(rho.matrix, csv_path, json_path or f"{csv_path}.json", {"basis": basis})
 
 
 def read_density(csv_path, json_path=None) -> DensityMatrix:
@@ -184,5 +179,8 @@ def read_density(csv_path, json_path=None) -> DensityMatrix:
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot read density metadata: {exc}") from exc
     matrix = read_matrix(csv_path)
+    if matrix.shape != (basis.dim,) * 2:
+        raise InvalidInputError(f"density CSV is {matrix.shape}, n_max "
+                                f"{list(basis.n_max)} needs {(basis.dim,) * 2}")
     return DensityMatrix(basis, matrix)
 

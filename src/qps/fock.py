@@ -13,14 +13,13 @@ family.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError, InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, inner_product
+from .io import write_grid_csv, write_json
 from .metric import decompose_covariance
 from .states import JointStateSpec, apply_z, apply_z_dagger, coordinate_wavefunction
 
@@ -320,35 +319,29 @@ def momentum_matrix(basis: TruncatedBasis, axis: int = 0) -> np.ndarray:
 def write_matrix(matrix: np.ndarray, csv_path, json_path=None, meta: dict | None = None):
     """Matrix export as CSV rows (row, col, re, im) with a JSON sidecar."""
     matrix = np.asarray(matrix, dtype=complex)
-    rows, cols = np.indices(matrix.shape)
-    table = np.column_stack([
-        rows.reshape(-1), cols.reshape(-1),
-        matrix.real.reshape(-1), matrix.imag.reshape(-1),
-    ])
-    tmp = f"{csv_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt=("%d", "%d", "%.12g", "%.12g"), delimiter=",",
-                   header="row,col,re,im", comments="")
-    os.replace(tmp, csv_path)
+    write_grid_csv(csv_path, ["row", "col", "re", "im"],
+                   [range(n) for n in matrix.shape], [matrix.real, matrix.imag],
+                   label_fmt="%d")
     if json_path or meta:
-        payload = {"schema": 1, "shape": list(matrix.shape)}
-        payload.update(meta or {})
-        target = json_path or f"{csv_path}.json"
-        tmp = f"{target}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, target)
+        write_json(json_path or f"{csv_path}.json",
+                   {"schema": 1, "shape": list(matrix.shape), **(meta or {})})
 
 
 def read_matrix(csv_path) -> np.ndarray:
-    """Re-import a matrix written by :func:`write_matrix`."""
+    """Re-import a matrix written by :func:`write_matrix`; every (row, col)
+    entry of the index range must appear exactly once."""
     try:
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        nr = int(data[:, 0].max()) + 1
-        nc = int(data[:, 1].max()) + 1
-        out = np.zeros((nr, nc), dtype=complex)
-        out[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2] + 1j * data[:, 3]
-    except (OSError, ValueError, IndexError) as exc:
+        pos = data[:, :2]
+        if data.shape[1] != 4 or not np.all(np.isfinite(pos) & (pos == np.round(pos))):
+            raise ValueError("columns must be integer row, col, then re, im")
+        idx = pos.astype(int)
+        shape = tuple(idx.max(axis=0) + 1)
+        flat = np.ravel_multi_index(idx.T, shape)  # ValueError on negative indices
+        if not np.unique(flat).size == flat.size == np.prod(shape):
+            raise ValueError(f"missing or repeated entries for a {shape} matrix")
+        out = np.zeros(shape, dtype=complex)
+        out.flat[flat] = data[:, 2] + 1j * data[:, 3]
+    except (OSError, ValueError) as exc:
         raise InvalidInputError(f"cannot read matrix: {exc}") from exc
     return out

@@ -12,12 +12,12 @@ grid (discrete Parseval).
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import CoverageError, InvalidInputError
+from .io import write_grid_csv, write_json
 from .metric import StatMoments
 
 
@@ -293,35 +293,14 @@ def moments(psi: GridWavefunction) -> StatMoments:
     return StatMoments(mean_p=mean_p, mean_x=mean_x, P=P, X=X, rho=rho)
 
 
-def _atomic_write(path, text: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_wavefunction(psi: GridWavefunction, csv_path, json_path=None):
     """Export samples as CSV (coordinates, re, im) plus a JSON grid header."""
-    json_path = json_path or f"{csv_path}.json"
-    mesh = psi.grid.meshgrid()
-    flat = psi.values.reshape(-1)
-    columns = [m.reshape(-1) for m in mesh] + [flat.real, flat.imag]
     header = [f"x{i + 1}" for i in range(psi.grid.ndim)] + ["re", "im"]
-    tmp = f"{csv_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
-                   header=",".join(header), comments="")
-    os.replace(tmp, csv_path)
-    meta = {
-        "schema": 1,
-        "hbar": psi.hbar,
-        "signs": list(psi.signs),
-        "axes": [
-            {"x_min": ax.x_min, "x_max": ax.x_max, "n_points": ax.n_points}
-            for ax in psi.grid.axes
-        ],
-    }
-    _atomic_write(json_path, json.dumps(meta, indent=2) + "\n")
+    axes = [psi.grid.axis_points(mu) for mu in range(psi.grid.ndim)]
+    write_grid_csv(csv_path, header, axes, [psi.values.real, psi.values.imag])
+    meta = {"schema": 1, "hbar": psi.hbar, "signs": list(psi.signs),
+            "axes": [asdict(ax) for ax in psi.grid.axes]}
+    write_json(json_path or f"{csv_path}.json", meta)
 
 
 def read_wavefunction(csv_path, json_path=None) -> GridWavefunction:
@@ -335,7 +314,10 @@ def read_wavefunction(csv_path, json_path=None) -> GridWavefunction:
         )
         grid = CoordinateGrid(axes=axes)
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        need = (int(np.prod(grid.shape)), grid.ndim + 2)
+        if data.shape != need:
+            raise ValueError(f"table is {data.shape}, the grid needs {need}")
+        values = (data[:, -2] + 1j * data[:, -1]).reshape(grid.shape)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot read wavefunction: {exc}") from exc
-    values = (data[:, -2] + 1j * data[:, -1]).reshape(grid.shape)
     return GridWavefunction(grid, values, float(meta["hbar"]), tuple(meta["signs"]))

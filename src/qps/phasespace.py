@@ -16,15 +16,14 @@ times the cell area implement the midpoint rule.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import CoverageError, InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, moments
+from .io import write_grid_csv, write_json
 from .states import JointStateSpec
 
 
@@ -400,46 +399,14 @@ def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
 
 def write_distribution(dist, csv_path, json_path=None, gauge_label: str | None = None):
     """CSV export: columns p, x[, p2, x2], value[, im] plus JSON metadata."""
-    json_path = json_path or f"{csv_path}.json"
-    grid = dist.grid
-    complex_valued = np.iscomplexobj(dist.values)
-    coords = []
-    for pair in grid.pairs:
-        coords.append(pair.p_points())
-        coords.append(pair.x_points())
-    mesh = np.meshgrid(*coords, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    vals = dist.values.reshape(-1)
-    if grid.npairs == 1:
-        header = ["p", "x", "value"]
-    else:
-        header = ["p1", "x1", "p2", "x2", "value"]
-    columns = list(flat)
-    if complex_valued:
-        header.append("im")
-        columns += [vals.real, vals.imag]
-    else:
-        columns.append(vals)
-    tmp = f"{csv_path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
-                   header=",".join(header), comments="")
-    os.replace(tmp, csv_path)
-    hbar = dist.hbar if hasattr(dist, "hbar") else dist.family.hbar
-    meta = {
-        "schema": 1,
-        "hbar": hbar,
-        "kind": getattr(dist, "kind", "phasewave"),
-        "pairs": [
-            {"p_min": p.p_min, "p_max": p.p_max, "n_p": p.n_p,
-             "x_min": p.x_min, "x_max": p.x_max, "n_x": p.n_x}
-            for p in grid.pairs
-        ],
-    }
+    pairs = dist.grid.pairs
+    axes = [points for p in pairs for points in (p.p_points(), p.x_points())]
+    values = dist.values
+    columns = [values.real, values.imag] if np.iscomplexobj(values) else [values]
+    header = ["p", "x"] if len(pairs) == 1 else ["p1", "x1", "p2", "x2"]
+    write_grid_csv(csv_path, header + ["value", "im"][:len(columns)], axes, columns)
+    meta = {"schema": 1, "hbar": dist.hbar, "kind": getattr(dist, "kind", "phasewave"),
+            "pairs": [asdict(p) for p in pairs]}
     if gauge_label is not None:
         meta["gauge"] = gauge_label
-    tmp = f"{json_path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, json_path)
+    write_json(json_path or f"{csv_path}.json", meta)

@@ -230,3 +230,107 @@ class TestEvolve:
         code = main(["--out", str(tmp_path), "evolve", str(rho_path),
                      "--hamiltonian", "kerr:1.0", "--t", "1.0"])
         assert code == 2
+
+
+def write_rho(tmp_path, n_max=(4,)):
+    from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
+
+    spec = JointStateSpec.from_covariance(X=np.diag([0.5] * len(n_max)))
+    basis = TruncatedBasis(n_max, spec)
+    coeffs = np.arange(1.0, basis.dim + 1.0) * (1 - 0.5j)
+    rho = from_pure(FockVector(basis, coeffs / np.linalg.norm(coeffs)))
+    rho_path = tmp_path / "rho.csv"
+    write_density(rho, rho_path)
+    return rho_path
+
+
+class TestDamagedInputs:
+    """Damaged input files exit 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("damage", ["drop_last_row", "drop_column"])
+    def test_damaged_wavefunction_exit_2(self, tmp_path, synth_state, capsys, damage):
+        lines = synth_state.read_text().splitlines(keepends=True)
+        if damage == "drop_last_row":
+            lines = lines[:-1]
+        else:
+            lines = [line.rsplit(",", 1)[0] + "\n" for line in lines]
+        synth_state.write_text("".join(lines))
+        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot read wavefunction" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["drop", "duplicate", "replace_with_duplicate"])
+    def test_damaged_density_exit_2(self, tmp_path, capsys, damage):
+        rho_path = write_rho(tmp_path)
+        lines = rho_path.read_text().splitlines(keepends=True)
+        if damage == "drop":
+            del lines[7]
+        elif damage == "duplicate":
+            lines.append(lines[3])
+        else:
+            lines[7] = lines[3]
+        rho_path.write_text("".join(lines))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot read matrix" in err and "Traceback" not in err
+
+    def test_density_shape_checked_against_sidecar(self, tmp_path, capsys):
+        rho_path = write_rho(tmp_path)
+        sidecar = tmp_path / "rho.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta["basis"]["n_max"] = [5]
+        sidecar.write_text(json.dumps(meta))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        assert code == 2
+        assert "n_max [5] needs (5, 5)" in capsys.readouterr().err
+
+
+class TestGlobalOptions:
+    @pytest.mark.parametrize("option", [
+        ["--family-x", "0"], ["--family-x", "-0.5"], ["--family-x", "nan"],
+        ["--family-x", "inf"], ["--hbar", "nan"], ["--hbar", "inf"], ["--hbar", "0"],
+        ["--tol", "closure=nan"], ["--tol", "closure=inf"],
+    ])
+    def test_nonpositive_or_nonfinite_exit_2(self, tmp_path, synth_state, capsys, option):
+        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi",
+                     *option])
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_family_x_is_used(self, tmp_path, synth_state):
+        out = {}
+        for label, extra in (("default", []), ("wide", ["--family-x", "2.0"])):
+            assert main(["--out", str(tmp_path / label), "dist", str(synth_state),
+                         "--kind", "phasewave", *extra]) == 0
+            out[label] = (tmp_path / label / "phasewave.csv").read_bytes()
+        assert out["default"] != out["wide"]
+
+    def test_qps_threads_set_before_numpy_loads(self):
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import qps
+
+        probe = textwrap.dedent("""
+            import os, sys
+            seen = []
+            def hook(event, args):
+                if event == "import" and args[0] == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            sys.addaudithook(hook)
+            import qps.cli
+            print(seen[0] if seen else "numpy was not imported")
+        """)
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["QPS_THREADS"] = "1"
+        src = str(Path(qps.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "1"

@@ -1,0 +1,190 @@
+"""Byte identity of every qps CSV/JSON writer against np.savetxt / json.dump,
+a golden export, and atomic replacement."""
+
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qps import (
+    CoordinateGrid,
+    GridAxis,
+    GridWavefunction,
+    JointStateSpec,
+    PhaseDistribution,
+    PhaseGrid,
+    PhasePair,
+    PhaseWavefunction,
+    write_distribution,
+    write_wavefunction,
+)
+from qps.fock import write_matrix
+from qps.io import atomic_write, write_grid_csv, write_json
+
+GOLDEN = Path(__file__).parent / "data" / "golden_husimi_1pair.csv"
+SPECIALS = [-0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf]
+
+
+def savetxt_text(axes, columns, header, label_fmt="%.12g") -> str:
+    """The oracle: the full meshgrid table written by np.savetxt."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    table = np.column_stack([m.reshape(-1) for m in mesh]
+                            + [np.asarray(c, dtype=float).reshape(-1) for c in columns])
+    fmt = [label_fmt] * len(axes) + ["%.12g"] * len(columns)
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+    return buf.getvalue()
+
+
+def sampled_savetxt_lines(axes, columns, stride):
+    """savetxt lines of every `stride`-th row, for tables too large for the
+    full oracle to run quickly."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    table = np.column_stack([m.reshape(-1) for m in mesh]
+                            + [np.asarray(c).reshape(-1) for c in columns])
+    buf = io.StringIO()
+    np.savetxt(buf, table[::stride], fmt="%.12g", delimiter=",")
+    return buf.getvalue().splitlines()
+
+
+def pair_axes(grid):
+    axes = []
+    for pair in grid.pairs:
+        axes += [pair.p_points(), pair.x_points()]
+    return axes
+
+
+class TestGridCsv:
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4), (3, 1, 2, 5)])
+    @pytest.mark.parametrize("ncols", [1, 2])
+    def test_matches_savetxt(self, tmp_path, rng, shape, ncols):
+        axes = [rng.normal(size=n) * 10.0 ** rng.integers(-5, 5) for n in shape]
+        columns = [rng.normal(size=shape) for _ in range(ncols)]
+        header = [f"a{i}" for i in range(len(shape))] + [f"v{i}" for i in range(ncols)]
+        path = tmp_path / "t.csv"
+        write_grid_csv(path, header, axes, columns)
+        assert path.read_text() == savetxt_text(axes, columns, header)
+
+    def test_special_values(self, tmp_path):
+        axes = [np.array([-0.0, 1.0, 2.5]), np.array([1e-300, 1e300])]
+        values = np.array(SPECIALS).reshape(3, 2)
+        columns = [values, values[::-1]]
+        path = tmp_path / "t.csv"
+        write_grid_csv(path, ["a", "b", "re", "im"], axes, columns)
+        text = path.read_text()
+        assert text == savetxt_text(axes, columns, ["a", "b", "re", "im"])
+        assert text.splitlines()[1] == "-0,1e-300,-0,inf"
+        assert "1e+300,nan,nan" in text
+
+    def test_size_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_grid_csv(tmp_path / "t.csv", ["a", "v"], [np.arange(3.0)], [np.zeros(4)])
+        assert not (tmp_path / "t.csv").exists()
+
+
+class TestDistribution:
+    def test_golden_one_pair(self, tmp_path):
+        grid = PhaseGrid((PhasePair(-4.0, 4.0, 32, -3.0, 5.0, 32),))
+        p = grid.pairs[0].p_points()[:, None]
+        x = grid.pairs[0].x_points()[None, :]
+        values = 1.0 / (1.0 + p * p + 2.0 * (x - 1.0) * (x - 1.0))
+        path = tmp_path / "husimi.csv"
+        write_distribution(PhaseDistribution(grid, values, "husimi_like", 1.0), path)
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_one_pair_uneven_real_and_complex(self, tmp_path, rng, ground_spec):
+        grid = PhaseGrid((PhasePair(-6.0, 5.0, 33, -7.0, 7.5, 41),))
+        values = rng.normal(size=grid.shape)
+        values.flat[:len(SPECIALS)] = SPECIALS
+        dist = PhaseDistribution(grid, values, "wigner", 1.0)
+        write_distribution(dist, tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text() == savetxt_text(
+            pair_axes(grid), [values], ["p", "x", "value"])
+
+        pw = PhaseWavefunction(grid, values + 1j * rng.normal(size=grid.shape), ground_spec)
+        write_distribution(pw, tmp_path / "pw.csv")
+        assert (tmp_path / "pw.csv").read_text() == savetxt_text(
+            pair_axes(grid), [pw.values.real, pw.values.imag], ["p", "x", "value", "im"])
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_two_uneven_pairs(self, tmp_path, rng, complex_valued):
+        grid = PhaseGrid((PhasePair(-8.0, 8.0, 33, -7.0, 6.0, 34),
+                          PhasePair(-5.0, 6.0, 32, -8.0, 8.0, 35)))
+        values = rng.normal(size=grid.shape)
+        if complex_valued:
+            family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.7]))
+            dist = PhaseWavefunction(grid, values * (0.6 - 0.8j), family)
+            columns = [dist.values.real, dist.values.imag]
+        else:
+            dist = PhaseDistribution(grid, values, "husimi_like", 1.0)
+            columns = [values]
+        path = tmp_path / "d.csv"
+        write_distribution(dist, path)
+        lines = path.read_text().splitlines()
+        header = "p1,x1,p2,x2,value" + (",im" if complex_valued else "")
+        assert lines[0] == header
+        assert len(lines) == 1 + values.size
+        stride = 997
+        assert lines[1::stride] == sampled_savetxt_lines(pair_axes(grid), columns, stride)
+        meta = json.loads((tmp_path / "d.csv.json").read_text())
+        assert [p["n_x"] for p in meta["pairs"]] == [34, 35]
+
+
+class TestWavefunctionAndMatrix:
+    def test_wavefunction_one_axis(self, tmp_path, rng):
+        grid = CoordinateGrid((GridAxis(-3.0, 4.0, 64),))
+        values = rng.normal(size=64) + 1j * rng.normal(size=64)
+        values[:3] = [-0.0, 1e-300, 1e300]
+        write_wavefunction(GridWavefunction(grid, values), tmp_path / "psi.csv")
+        assert (tmp_path / "psi.csv").read_text() == savetxt_text(
+            [grid.axis_points(0)], [values.real, values.imag], ["x1", "re", "im"])
+
+    def test_wavefunction_two_axes(self, tmp_path, rng):
+        grid = CoordinateGrid((GridAxis(-3.0, 4.0, 8), GridAxis(-2.0, 2.5, 16)))
+        values = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
+        write_wavefunction(GridWavefunction(grid, values), tmp_path / "psi.csv")
+        assert (tmp_path / "psi.csv").read_text() == savetxt_text(
+            [grid.axis_points(0), grid.axis_points(1)], [values.real, values.imag],
+            ["x1", "x2", "re", "im"])
+
+    def test_matrix_index_columns(self, tmp_path, rng):
+        matrix = rng.normal(size=(3, 12)) + 1j * rng.normal(size=(3, 12))
+        matrix.flat[:len(SPECIALS)] = SPECIALS
+        write_matrix(matrix, tmp_path / "m.csv", meta={"kind": "test"})
+        assert (tmp_path / "m.csv").read_text() == savetxt_text(
+            [np.arange(3), np.arange(12)], [matrix.real, matrix.imag],
+            ["row", "col", "re", "im"], label_fmt="%d")
+        meta = json.loads((tmp_path / "m.csv.json").read_text())
+        assert meta == {"schema": 1, "shape": [3, 12], "kind": "test"}
+
+
+class TestAtomic:
+    def test_json_matches_json_dump(self, tmp_path):
+        payload = {"schema": 1, "hbar": 0.1, "pairs": [{"n_p": 32}], "gauge": "half"}
+        write_json(tmp_path / "a.json", payload)
+        buf = io.StringIO()
+        json.dump(payload, buf, indent=2)
+        assert (tmp_path / "a.json").read_text() == buf.getvalue() + "\n"
+
+    def test_failure_mid_stream_keeps_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old,contents\n1,2\n")
+
+        def chunks():
+            yield "new,header\n"
+            yield "3,4\n" * 1000
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write(target, chunks())
+        assert target.read_bytes() == b"old,contents\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_replace_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        atomic_write(target, ["new", " text"])
+        assert target.read_text() == "new text"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
