@@ -77,13 +77,22 @@ class RunConfig:
         return PhaseGrid(tuple(PhasePair(*p) for p in pairs))
 
 
+def _number(text: str, what: str, kind=float):
+    """One numeric field of an option value; malformed text is invalid input."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidInputError(f"{what} {text!r} is not a number") from None
+
+
 def _parse_grid(text: str) -> tuple:
     axes = []
     for part in text.split(";"):
         bits = part.split(":")
         if len(bits) != 3:
             raise InvalidInputError(f"--grid axis {part!r} is not min:max:n")
-        axes.append((float(bits[0]), float(bits[1]), int(bits[2])))
+        axes.append((_number(bits[0], "--grid min"), _number(bits[1], "--grid max"),
+                     _number(bits[2], "--grid n", int)))
     return tuple(axes)
 
 
@@ -98,7 +107,8 @@ def _parse_pgrid(text: str) -> tuple:
             bits = block.split(":")
             if len(bits) != 3:
                 raise InvalidInputError(f"--pgrid block {block!r} is not min:max:n")
-            vals += [float(bits[0]), float(bits[1]), int(bits[2])]
+            vals += [_number(bits[0], "--pgrid min"), _number(bits[1], "--pgrid max"),
+                     _number(bits[2], "--pgrid n", int)]
         pairs.append(tuple(vals))
     return tuple(pairs)
 
@@ -109,7 +119,7 @@ def _parse_tols(items) -> dict:
         if "=" not in item:
             raise InvalidInputError(f"--tol wants NAME=VALUE, got {item!r}")
         name, val = item.split("=", 1)
-        out[name] = float(val)
+        out[name] = _number(val, f"--tol {name}")
     return out
 
 
@@ -241,15 +251,20 @@ def _parse_hamiltonian(text: str):
         raise InvalidInputError(f"hamiltonian {text!r} is not name:omega")
     if name != "number_omega":
         raise InvalidInputError(f"unknown hamiltonian {name!r}")
-    return float(value)
+    omega = _number(value, "hamiltonian omega")
+    if not math.isfinite(omega):
+        raise InvalidInputError(f"hamiltonian omega {value!r} is not finite")
+    return omega
 
 
 def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
                snapshots: int, with_husimi: bool) -> int:
     if snapshots < 1:
         raise InvalidInputError("need at least one snapshot")
-    rho = density_mod.read_density(density_file)
+    if not math.isfinite(t):
+        raise InvalidInputError(f"--t must be finite, got {t!r}")
     omega = _parse_hamiltonian(hamiltonian)
+    rho = density_mod.read_density(density_file)
     hbar = rho.basis.reference.hbar
     H = density_mod.number_hamiltonian(rho.basis, omega, hbar)
     times = [t * (i + 1) / snapshots for i in range(snapshots)]

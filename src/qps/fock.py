@@ -13,6 +13,7 @@ family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +213,12 @@ def grid_number_states(basis: TruncatedBasis, grid: CoordinateGrid) -> list:
     """All basis states on the grid, built incrementally (row-major order)."""
     if any(m > 16 for m in basis.n_max):
         raise UnsupportedError("grid work is limited to n_max <= 16 per axis")
+    samples = basis.dim * math.prod(grid.shape)
+    if samples > grid.budget:
+        raise InvalidInputError(
+            f"{basis.dim} number states on the grid are {samples} samples, "
+            f"budget is {grid.budget}"
+        )
     spec = basis.reference
     top = tuple(m - 1 for m in basis.n_max)
     _check_fock_coverage(spec, grid, top)

@@ -12,6 +12,7 @@ grid (discrete Parseval).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class GridAxis:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise InvalidInputError("axis needs x_max > x_min")
+        if not 0.0 < self.x_max - self.x_min < math.inf:
+            raise InvalidInputError("axis needs finite x_min < x_max")
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
             raise InvalidInputError(f"n_points must be a power of two, got {n}")
@@ -57,7 +58,7 @@ class CoordinateGrid:
         )
         if not 1 <= len(axes) <= 2:
             raise InvalidInputError("grid oracle supports D = 1 or 2 axes")
-        total = int(np.prod([ax.n_points for ax in axes]))
+        total = math.prod(ax.n_points for ax in axes)
         if total > self.budget:
             raise InvalidInputError(f"grid has {total} points, budget is {self.budget}")
         object.__setattr__(self, "axes", axes)

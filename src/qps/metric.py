@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, SaturationError
 
@@ -327,6 +326,8 @@ def decompose_covariance(moments: StatMoments, sig: Signature, hbar: float = 1.0
         raise SaturationError(
             f"moments do not saturate: residual {residual:.3e} > {saturation_tol:.1e}"
         )
+    import scipy.linalg  # imported here: loading scipy dominates CLI start-up
+
     eta = sig.matrix()
     a = scipy.linalg.sqrtm(eta @ moments.X).astype(complex)
     b = (hbar / 2.0) * np.linalg.inv(a)

@@ -16,10 +16,10 @@ times the cell area implement the midpoint rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CoverageError, InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, moments
@@ -39,8 +39,9 @@ class PhasePair:
     n_x: int
 
     def __post_init__(self):
-        if not (self.p_max > self.p_min and self.x_max > self.x_min):
-            raise InvalidInputError("phase ranges must be increasing")
+        if not (0.0 < self.p_max - self.p_min < math.inf
+                and 0.0 < self.x_max - self.x_min < math.inf):
+            raise InvalidInputError("phase ranges must be finite and increasing")
         if self.n_p < 32 or self.n_x < 32:
             raise InvalidInputError("phase grids need at least 32 points per axis")
 
@@ -77,7 +78,7 @@ class PhaseGrid:
         )
         if not 1 <= len(pairs) <= 2:
             raise InvalidInputError("phase grids support 1 or 2 pairs")
-        total = int(np.prod([p.n_p * p.n_x for p in pairs]))
+        total = math.prod(p.n_p * p.n_x for p in pairs)
         if total > self.budget:
             raise InvalidInputError(
                 f"phase grid has {total} samples, budget is {self.budget}"
@@ -280,13 +281,17 @@ def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: fl
             )
 
 
-def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
-                       pgrid: PhaseGrid, check_coverage: bool = True) -> PhaseWavefunction:
-    """psi~(q, y) = <family state at each phase point | state>."""
+def _check_analyzable(state: GridWavefunction, pgrid: PhaseGrid, check_coverage: bool = True):
     if not state.is_normalized(1e-6):
         raise InvalidInputError("phase analysis needs a normalized state")
     if check_coverage:
         _check_phase_coverage(state, pgrid, 6.0)
+
+
+def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
+                       pgrid: PhaseGrid, check_coverage: bool = True) -> PhaseWavefunction:
+    """psi~(q, y) = <family state at each phase point | state>."""
+    _check_analyzable(state, pgrid, check_coverage)
     analyzer = PhaseAnalyzer(family, pgrid, state.grid)
     return PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
 
@@ -295,35 +300,44 @@ def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
                         grid: CoordinateGrid | None = None) -> PhaseDistribution:
     """Positive phase-space density of a pure state, a mixture, or a density matrix.
 
-    Pure state: |psi~|^2.  Mixture (sequence of (weight, GridWavefunction)):
-    the weighted sum of pure densities.  Density matrix: the quadratic form
-    of psi~ over its truncated basis realized on `grid`.
+    Every source is an eigenvalue-weighted sum of pure Husimi functions,
+    sum_k w_k |psi~_k|^2, transformed with one analyzer.  Pure state: one
+    term of weight 1.  Mixture (sequence of (weight, GridWavefunction) on one
+    grid): its components.  Density matrix: the eigenvectors of rho realized
+    on `grid` as sums of number states, keeping only eigenvalues above
+    round-off; that drops the tolerated round-off negatives too, so the
+    result is >= 0 by construction and costs rank(rho) transforms.
     """
-    if isinstance(source, GridWavefunction):
-        pw = phase_wavefunction(source, family, pgrid)
-        values = np.abs(pw.values) ** 2
-    elif hasattr(source, "basis") and hasattr(source, "matrix"):
+    if hasattr(source, "basis") and hasattr(source, "matrix"):
         if grid is None:
             raise InvalidInputError("a coordinate grid is needed for density sources")
         from .fock import grid_number_states
 
-        states = grid_number_states(source.basis, grid)
-        analyzer = PhaseAnalyzer(family, pgrid, grid)
-        tilde = np.stack([analyzer.transform(s.values) for s in states])
-        values = np.real(np.einsum("n...,nm,m...->...", tilde, source.matrix,
-                                   np.conj(tilde)))
+        lam, V = np.linalg.eigh(source.matrix)
+        keep = lam > lam.size * np.finfo(float).eps * lam.max()
+        weights = lam[keep]
+        states = np.stack([s.values for s in grid_number_states(source.basis, grid)])
+        psis = np.tensordot(V[:, keep].T, states, axes=1)
     else:
+        if isinstance(source, GridWavefunction):
+            source = [(1.0, source)]
         try:
             components = [(float(w), s) for w, s in source]
         except (TypeError, ValueError) as exc:
             raise InvalidInputError("unsupported husimi source") from exc
         weights = np.array([w for w, _ in components])
-        if weights.min() < 0.0 or abs(weights.sum() - 1.0) > 1e-12:
+        if not components or weights.min() < 0.0 or abs(weights.sum() - 1.0) > 1e-12:
             raise InvalidInputError("mixture weights must be >= 0 and sum to 1")
-        values = 0.0
-        for w, s in components:
-            pw = phase_wavefunction(s, family, pgrid)
-            values = values + w * np.abs(pw.values) ** 2
+        for _, s in components:
+            if not (isinstance(s, GridWavefunction) and s.grid == components[0][1].grid):
+                raise InvalidInputError("mixture components must be wavefunctions on one grid")
+            _check_analyzable(s, pgrid)
+        grid = components[0][1].grid
+        psis = [s.values for _, s in components]
+    analyzer = PhaseAnalyzer(family, pgrid, grid)
+    values = 0.0
+    for w, psi in zip(weights, psis):
+        values = values + w * np.abs(analyzer.transform(psi)) ** 2
     return PhaseDistribution(pgrid, values, "husimi_like", family.hbar)
 
 
@@ -336,6 +350,8 @@ def wigner_distribution(state: GridWavefunction, pgrid: PhaseGrid) -> PhaseDistr
     """
     if state.grid.ndim != 1 or pgrid.npairs != 1:
         raise UnsupportedError("the Wigner fixture is one-pair only")
+    from scipy.interpolate import CubicSpline
+
     _check_phase_coverage(state, pgrid, 6.0)
     hbar = state.hbar
     pair = pgrid.pairs[0]

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qps.cli import main
 
@@ -276,6 +284,41 @@ class TestDamagedInputs:
         assert code == 2
         assert "cannot read matrix" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("option", [
+        ["--grid", "a:b:c"], ["--grid=-12:12:1e3"],
+        ["--pgrid=-8:8:x,-8:8:128"], ["--pgrid=-8:8:128,nan:8:128"],
+        ["--tol", "closure=abc"],
+    ])
+    def test_malformed_grid_or_tol_exit_2(self, tmp_path, synth_state, capsys, option):
+        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi",
+                     *option])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [
+        ["--hamiltonian", "number_omega:abc"], ["--hamiltonian", "number_omega:nan"],
+        ["--t", "nan"], ["--t", "inf"], ["--t=-inf"], ["--grid=-inf:12:1024"],
+    ])
+    def test_bad_evolve_parameters_exit_2(self, tmp_path, capsys, option):
+        rho_path = write_rho(tmp_path)
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0",
+                     *option])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "evo" / "rho_0000.csv").exists()
+
+    def test_number_states_over_grid_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        import qps.fock
+
+        rho_path = write_rho(tmp_path, n_max=(16,))
+        monkeypatch.setattr(qps.fock, "coordinate_wavefunction", None)  # nothing is built
+        code = main(["--out", str(tmp_path / "evo"), "--grid=-12:12:2097152", "evolve",
+                     str(rho_path), "--t", "1.0", "--husimi"])
+        assert code == 2
+        assert "16 number states on the grid are 33554432 samples" in capsys.readouterr().err
+
     def test_density_shape_checked_against_sidecar(self, tmp_path, capsys):
         rho_path = write_rho(tmp_path)
         sidecar = tmp_path / "rho.csv.json"
@@ -308,14 +351,6 @@ class TestGlobalOptions:
         assert out["default"] != out["wide"]
 
     def test_qps_threads_set_before_numpy_loads(self):
-        import os
-        import subprocess
-        import sys
-        import textwrap
-        from pathlib import Path
-
-        import qps
-
         probe = textwrap.dedent("""
             import os, sys
             seen = []
@@ -326,11 +361,66 @@ class TestGlobalOptions:
             import qps.cli
             print(seen[0] if seen else "numpy was not imported")
         """)
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        env["QPS_THREADS"] = "1"
-        src = str(Path(qps.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
-        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, timeout=60)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "1"
+        assert run_python(probe, QPS_THREADS="1") == "1"
+
+    def test_cli_import_loads_no_scipy(self):
+        probe = "import sys, qps.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        assert run_python(probe) == "[]"
+
+
+def run_python(probe, **env_vars):
+    """Stdout of `python -c probe` with this checkout's qps on the path and
+    no inherited thread caps."""
+    import qps
+
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(env_vars)
+    src = str(Path(qps.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+def _joined(sep, parts):
+    return st.lists(parts, min_size=1, max_size=3).map(sep.join)
+
+
+# arbitrary text, plus text shaped like each option so that its number
+# fields (malformed, non-finite, huge) reach the parser
+_FIELD = st.one_of(st.text(max_size=6), st.sampled_from(["nan", "-inf", "1e999", "0", "32"]),
+                   st.from_regex(r"-?[0-9]{1,5}(\.[0-9]*)?(e-?[0-9]{1,3})?", fullmatch=True))
+OPTION_TEXT = {
+    "--grid": _joined(";", _joined(":", _FIELD)),
+    "--pgrid": _joined(";", st.tuples(*[_joined(":", _FIELD)] * 2).map(",".join)),
+    "--tol": st.tuples(st.text(max_size=8), _FIELD).map("=".join),
+    "--hamiltonian": st.tuples(st.sampled_from(["number_omega", "kerr", ""]),
+                               st.sampled_from([":", "(", ""]), _FIELD).map("".join),
+}
+
+
+class TestOptionFuzz:
+    """Arbitrary option text never escapes the exit-code contract.  The
+    input file is missing, so every example stops right after parsing."""
+
+    @pytest.mark.parametrize("option", sorted(OPTION_TEXT))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_option_text(self, fuzz_out, option, data):
+        text = data.draw(st.one_of(st.text(), OPTION_TEXT[option]), label=option)
+        command = (["evolve", "missing.csv", "--t", "1.0"] if option == "--hamiltonian"
+                   else ["dist", "missing.csv", "--kind", "husimi"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(["--out", fuzz_out, *command, f"{option}={text}"])
+            except SystemExit as exc:   # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()

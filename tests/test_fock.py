@@ -219,6 +219,14 @@ class TestOrthonormality:
         with pytest.raises(UnsupportedError):
             grid_number_states(basis, fine_grid)
 
+    def test_grid_budget_checked_before_building(self, ground_spec_module, monkeypatch):
+        import qps.fock
+
+        monkeypatch.setattr(qps.fock, "coordinate_wavefunction", None)  # nothing is built
+        basis = TruncatedBasis((16,), ground_spec_module)
+        with pytest.raises(InvalidInputError, match="budget is 16777216"):
+            grid_number_states(basis, CoordinateGrid.line(-12.0, 12.0, 2**21))
+
 
 class TestOperatorMatrix:
     def test_identity_operator(self, fine_grid, ground_spec_module):

@@ -238,3 +238,23 @@ class TestIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError):
             read_wavefunction(tmp_path / "nope.csv")
+
+
+class TestGridBudgets:
+    def test_axis_product_does_not_overflow(self):
+        from qps import PhaseGrid
+
+        with pytest.raises(InvalidInputError, match="budget"):
+            CoordinateGrid(((0.0, 1.0, 2**40), (0.0, 1.0, 2**40)))
+        with pytest.raises(InvalidInputError, match="budget"):
+            PhaseGrid(((0.0, 1.0, 2**31, 0.0, 1.0, 2**31),) * 2)
+
+    @pytest.mark.parametrize("bounds", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0),
+                                        (-1e308, 1e308)])
+    def test_non_finite_ranges_rejected(self, bounds):
+        from qps import PhasePair
+
+        with pytest.raises(InvalidInputError):
+            GridAxis(*bounds, 64)
+        with pytest.raises(InvalidInputError):
+            PhasePair(*bounds, 32, -1.0, 1.0, 32)

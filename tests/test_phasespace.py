@@ -281,3 +281,103 @@ class TestExport:
         meta = json.loads((tmp_path / "dist.csv.json").read_text())
         assert meta["kind"] == "husimi_like"
         assert meta["gauge"] == "zero"
+
+
+DENSITY_CASES = {
+    "16@1024": ((16,), CoordinateGrid.line(), PhaseGrid.symmetric(8.0, 128)),
+    "3x3@256^2": ((3, 3), CoordinateGrid.square(), PhaseGrid.symmetric(8.0, 32, npairs=2)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DENSITY_CASES))
+def density_case(request):
+    """Basis, grids, family and the transformed basis-state stack of the
+    full quadratic form, which is the reference the rank-streamed path must match."""
+    from qps.phasespace import PhaseAnalyzer
+
+    n_max, grid, pgrid = DENSITY_CASES[request.param]
+    family = JointStateSpec.from_covariance(X=np.diag([0.5] * len(n_max)))
+    basis = TruncatedBasis(n_max, family)
+    analyzer = PhaseAnalyzer(family, pgrid, grid)
+    tilde = np.stack([analyzer.transform(s.values) for s in grid_number_states(basis, grid)])
+    return basis, family, grid, pgrid, tilde
+
+
+def random_density(basis, eigenvalues, seed):
+    """rho = Q diag(eigenvalues) Q^H with a random unitary Q."""
+    from qps import DensityMatrix
+
+    rng = np.random.default_rng(seed)
+    d = basis.dim
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lam = np.zeros(d)
+    lam[:len(eigenvalues)] = eigenvalues
+    m = (Q * lam) @ Q.conj().T
+    return DensityMatrix(basis, 0.5 * (m + m.conj().T))
+
+
+def quadratic_form_husimi(tilde, rho):
+    return np.real(np.einsum("n...,nm,m...->...", tilde, rho.matrix, np.conj(tilde)))
+
+
+class TestDensityHusimi:
+    @pytest.mark.parametrize("rank", [1, 2, 3, "full"])
+    def test_matches_quadratic_form(self, density_case, rank, monkeypatch):
+        from qps.phasespace import PhaseAnalyzer
+
+        basis, family, grid, pgrid, tilde = density_case
+        r = basis.dim if rank == "full" else rank
+        weights = np.random.default_rng(r).uniform(0.2, 1.0, r)
+        rho = random_density(basis, weights / weights.sum(), seed=r)
+        calls = []
+        transform = PhaseAnalyzer.transform
+        monkeypatch.setattr(PhaseAnalyzer, "transform",
+                            lambda self, v: calls.append(1) or transform(self, v))
+        dist = husimi_distribution(rho, family, pgrid, grid)
+        expected = quadratic_form_husimi(tilde, rho)
+        assert len(calls) == r
+        assert np.abs(dist.values - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert dist.minimum() >= 0.0
+
+    def test_round_off_negative_eigenvalue_is_dropped(self, density_case):
+        # the tolerated negative weight sits on the widest number state, so the
+        # full quadratic form dips below zero in the tails (to -1.4e-16 on (16,))
+        from qps import DensityMatrix
+
+        basis, family, grid, pgrid, tilde = density_case
+        lam = np.zeros(basis.dim)
+        lam[[0, 1, -1]] = [0.6, 0.4 + 5e-11, -5e-11]
+        rho = DensityMatrix(basis, np.diag(lam))
+        dist = husimi_distribution(rho, family, pgrid, grid)
+        assert dist.minimum() >= 0.0
+        expected = quadratic_form_husimi(tilde, rho)
+        assert np.abs(dist.values - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+class TestMixtureHusimi:
+    def test_weighted_sum_of_pure_densities(self, spec, grid, pgrid):
+        a = coordinate_wavefunction(spec.displaced([0.5], [1.0]), grid)
+        b = number_state(2, TruncatedBasis((3,), spec), grid)
+        dist = husimi_distribution([(0.25, a), (0.75, b)], spec, pgrid)
+        pure = [husimi_distribution(s, spec, pgrid).values for s in (a, b)]
+        assert np.array_equal(dist.values, 0.25 * pure[0] + 0.75 * pure[1])
+
+    def test_components_checked_like_pure_states(self, spec, grid, pgrid):
+        psi = coordinate_wavefunction(spec, grid)
+        far = coordinate_wavefunction(spec.displaced([0.0], [7.0]), grid)
+        with pytest.raises(InvalidInputError, match="normalized"):
+            husimi_distribution([(0.5, psi), (0.5, psi.with_values(2.0 * psi.values))],
+                                spec, pgrid)
+        with pytest.raises(CoverageError):
+            husimi_distribution([(0.5, psi), (0.5, far)], spec, pgrid)
+
+    @pytest.mark.parametrize("other", ["grid", "type", "empty"])
+    def test_components_must_share_one_grid(self, spec, grid, pgrid, other):
+        psi = coordinate_wavefunction(spec, grid)
+        source = {
+            "grid": [(0.5, psi), (0.5, coordinate_wavefunction(spec, CoordinateGrid.line()))],
+            "type": [(0.5, psi), (0.5, psi.values)],
+            "empty": [],
+        }[other]
+        with pytest.raises(InvalidInputError):
+            husimi_distribution(source, spec, pgrid)
