@@ -32,7 +32,6 @@ from .metric import (
     StatMoments,
     UncertaintyCheck,
     block_covariance,
-    build_metric,
     build_shape,
     check_saturation,
     decompose_covariance,

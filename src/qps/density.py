@@ -176,7 +176,7 @@ def read_density(csv_path, json_path=None) -> DensityMatrix:
             meta = json.load(fh)
         ref = JointStateSpec.from_dict(meta["basis"]["reference"])
         basis = TruncatedBasis(tuple(meta["basis"]["n_max"]), ref)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"cannot read density metadata: {exc}") from exc
     matrix = read_matrix(csv_path)
     if matrix.shape != (basis.dim,) * 2:

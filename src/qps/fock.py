@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InvalidInputError, UnsupportedError
-from .grids import CoordinateGrid, GridWavefunction, inner_product
+from .errors import InvalidInputError, UnsupportedError
+from .grids import CoordinateGrid, GridWavefunction, check_coverage, inner_product
 from .io import write_grid_csv, write_json
 from .metric import decompose_covariance
 from .states import JointStateSpec, apply_z, apply_z_dagger, coordinate_wavefunction
@@ -125,12 +125,8 @@ def _check_fock_coverage(spec: JointStateSpec, grid: CoordinateGrid, n):
     for mu, ax in enumerate(grid.axes):
         X = spec.moments.X[mu, mu]
         reach = np.sqrt((2 * n[mu] + 1) * 2.0 * X) + 6.0 * np.sqrt(X)
-        lo = spec.moments.mean_x[mu] - reach
-        hi = spec.moments.mean_x[mu] + reach
-        if ax.x_min > lo or ax.x_max < hi:
-            raise CoverageError(
-                f"grid axis {mu} too narrow for n={n[mu]}: needs [{lo:.3g}, {hi:.3g}]"
-            )
+        check_coverage(f"grid axis {mu} for n={n[mu]}", ax.x_min, ax.x_max,
+                       spec.moments.mean_x[mu], reach)
 
 
 class _GridLadder:

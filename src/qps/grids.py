@@ -198,7 +198,9 @@ def momentum_transform(psi: GridWavefunction) -> GridWavefunction:
         values = ft * phase * ax.spacing / np.sqrt(2.0 * np.pi * hbar)
         values = np.fft.fftshift(values, axes=axis)
     out = GridWavefunction(psi.grid.dual(hbar), values, hbar, psi.signs)
-    _check_momentum_coverage(out)
+    for axis, ax in enumerate(out.grid.axes):  # ax is [-Nyquist, Nyquist]
+        mean, std = _axis_mean_std(out.values, out.grid, axis)
+        check_coverage(f"momentum axis {axis}", ax.x_min, ax.x_max, mean, 6.0 * std)
     return out
 
 
@@ -238,15 +240,11 @@ def _axis_mean_std(values: np.ndarray, grid: CoordinateGrid, axis: int):
     return mean, np.sqrt(max(var, 0.0))
 
 
-def _check_momentum_coverage(phi: GridWavefunction):
-    for axis, ax in enumerate(phi.grid.axes):
-        mean, std = _axis_mean_std(phi.values, phi.grid, axis)
-        nyquist = ax.x_max
-        if nyquist < abs(mean) + 6.0 * std:
-            raise CoverageError(
-                f"momentum axis {axis} too coarse: Nyquist {nyquist:.3g} < "
-                f"|mean| + 6 sigma = {abs(mean) + 6 * std:.3g}"
-            )
+def check_coverage(what: str, lo: float, hi: float, center: float, reach: float):
+    """Raise CoverageError unless [lo, hi] contains center +- reach."""
+    if lo > center - reach or hi < center + reach:
+        raise CoverageError(f"{what} [{lo:.6g}, {hi:.6g}] does not cover "
+                            f"[{center - reach:.3g}, {center + reach:.3g}]")
 
 
 def moments(psi: GridWavefunction) -> StatMoments:
@@ -319,6 +317,6 @@ def read_wavefunction(csv_path, json_path=None) -> GridWavefunction:
         if data.shape != need:
             raise ValueError(f"table is {data.shape}, the grid needs {need}")
         values = (data[:, -2] + 1j * data[:, -1]).reshape(grid.shape)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        return GridWavefunction(grid, values, float(meta["hbar"]), tuple(meta["signs"]))
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"cannot read wavefunction: {exc}") from exc
-    return GridWavefunction(grid, values, float(meta["hbar"]), tuple(meta["signs"]))

@@ -56,17 +56,13 @@ class Signature:
         return _frozen([1.0] * self.d_plus + [-1.0] * self.d_minus)
 
     def matrix(self) -> np.ndarray:
+        """Diagonal +-1 matrix of the signature, +1 axes first."""
         return np.diag(self.signs)
 
     @classmethod
     def spatial(cls, dim: int = 1) -> "Signature":
         """All-minus signature of an ordinary D-dimensional quantum system."""
         return cls(0, dim)
-
-
-def build_metric(sig: Signature) -> np.ndarray:
-    """Diagonal +-1 matrix of the signature, +1 axes first."""
-    return sig.matrix()
 
 
 def raise_lower(components, metric) -> np.ndarray:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import CoverageError, InvalidInputError, UnsupportedError
-from .grids import CoordinateGrid, GridWavefunction, moments
+from .errors import InvalidInputError, UnsupportedError
+from .grids import CoordinateGrid, GridWavefunction, check_coverage, moments
 from .io import write_grid_csv, write_json
 from .states import JointStateSpec
 
@@ -179,21 +180,23 @@ class PhaseDistribution:
 
 
 class PhaseAnalyzer:
-    """Precomputed contraction tables mapping grid samples to psi~ samples.
+    """Precomputed per-pair tables mapping grid samples to psi~ samples.
 
     For each pair the family state factorizes into a Gaussian window around
-    y and a momentum phase in q, so psi~ is a windowed Fourier sum; both the
-    transform and its adjoint (synthesis) are plain matrix contractions.
-    Requires the family shape matrix to be diagonal when there are two pairs.
+    y and a momentum phase in q, so psi~ is one windowed Fourier sum per
+    pair: grid axis m maps to phase axes (j, k) through E[j, m] W[m, k].
+    The transform applies that map pair by pair and then the gauge phase
+    exp(-i sum K); synthesis is its adjoint.  Requires the family shape
+    matrix to be diagonal, so that the window factorizes by pair.
     """
 
     def __init__(self, family: JointStateSpec, pgrid: PhaseGrid, grid: CoordinateGrid):
         if family.dim != pgrid.npairs or grid.ndim != family.dim:
             raise InvalidInputError("family, phase grid and grid dimensions differ")
         expo = family.shape.exponent
-        if family.dim > 1 and np.abs(expo - np.diag(np.diag(expo))).max() > 0.0:
+        if np.abs(expo - np.diag(np.diag(expo))).max() > 0.0:
             raise UnsupportedError(
-                "two-pair analysis needs an axis-factorized analyzing family"
+                "multi-pair analysis needs an axis-factorized analyzing family"
             )
         self.family = family
         self.pgrid = pgrid
@@ -220,65 +223,56 @@ class PhaseAnalyzer:
                 family.gauge.phase(q[:, None], y[None, :], signs[mu], hbar)
             )
 
+    # Each pass below contracts one pair through either of two intermediates
+    # of equal multiply-add count, the window-weighted samples or the
+    # (j, k, m) table E W, and builds the smaller: the first while the other
+    # pairs' axes hold at most n_p samples.  One pair is thus E @ (v * W).
+
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """Grid samples -> psi~ samples, axis order (p1, x1[, p2, x2])."""
-        if self.family.dim == 1:
-            E, W, K = self.kernels[0], self.windows[0], self.kphases[0]
-            out = E @ (values[:, None] * W)
-            return self.norm * np.exp(-1j * K) * out
-        E1, W1, K1 = self.kernels[0], self.windows[0], self.kphases[0]
-        E2, W2, K2 = self.kernels[1], self.windows[1], self.kphases[1]
-        # contract x1 then x2: A1[j1, k1, m1] = E1[j1, m1] W1[m1, k1]
-        A1 = E1[:, None, :] * W1.T[None, :, :]
-        T = np.tensordot(A1, values, axes=([2], [0]))          # (j1, k1, m2)
-        A2 = E2[:, None, :] * W2.T[None, :, :]
-        out = np.tensordot(T, A2, axes=([2], [2]))             # (j1, k1, j2, k2)
-        phase = np.exp(-1j * (K1[:, :, None, None] + K2[None, None, :, :]))
-        return self.norm * phase * out
+        """Grid samples -> psi~ samples, axis order (p1, x1, p2, x2, ...).
+
+        Each pass contracts the leading grid axis m and appends (j, k).
+        """
+        out = values
+        for E, W in zip(self.kernels, self.windows):
+            if out.size // len(W) <= len(E):
+                weighted = out[..., None] * np.expand_dims(W, tuple(range(1, out.ndim)))
+                out = np.moveaxis(np.tensordot(E, weighted, axes=1), 0, -2)
+            else:
+                out = np.tensordot(out, E[:, None, :] * W.T[None, :, :], axes=([0], [2]))
+        return self.norm * np.exp(-1j * reduce(np.add.outer, self.kphases)) * out
 
     def synthesize(self, pw_values: np.ndarray) -> np.ndarray:
-        """Adjoint map: sum_z psi~(z) (family state at z) dq dy / h."""
-        hbar = self.family.hbar
-        if self.family.dim == 1:
-            E, W, K = self.kernels[0], self.windows[0], self.kphases[0]
-            dx = self.grid.axes[0].spacing
-            weighted = np.exp(1j * K) * pw_values
-            # family state at (q, y): norm conj(W[:, k]) conj(E[j, :])/dx e^{iK}
-            acc = np.conj(E.T) @ weighted / dx                 # (m, k)
-            out = self.norm * np.sum(np.conj(W) * acc, axis=1)
-            return out * self.pgrid.measure(hbar)
-        E1, W1, K1 = self.kernels[0], self.windows[0], self.kphases[0]
-        E2, W2, K2 = self.kernels[1], self.windows[1], self.kphases[1]
-        dx1 = self.grid.axes[0].spacing
-        dx2 = self.grid.axes[1].spacing
-        phase = np.exp(1j * (K1[:, :, None, None] + K2[None, None, :, :]))
-        weighted = phase * pw_values
-        B1 = np.conj(E1[:, None, :] * W1.T[None, :, :]) / dx1  # (j1, k1, m1)
-        B2 = np.conj(E2[:, None, :] * W2.T[None, :, :]) / dx2  # (j2, k2, m2)
-        T = np.tensordot(weighted, B2, axes=([2, 3], [0, 1]))  # (j1, k1, m2)
-        out = np.tensordot(B1, T, axes=([0, 1], [0, 1]))       # (m1, m2)
-        return self.norm * out * self.pgrid.measure(hbar)
+        """Adjoint map: sum_z psi~(z) (family state at z) dq dy / h.
 
-    def family_state(self, jp: int, kx: int) -> np.ndarray:
-        """Sampled family state at one phase point (single pair only)."""
-        E, W, K = self.kernels[0], self.windows[0], self.kphases[0]
-        dx = self.grid.axes[0].spacing
-        return self.norm * np.conj(E[jp, :]) / dx * np.conj(W[:, kx]) \
-            * np.exp(1j * K[jp, kx])
+        Each pass contracts the leading (j, k) with the conjugated tables and
+        appends m.
+        """
+        out = np.exp(1j * reduce(np.add.outer, self.kphases)) * pw_values
+        for E, W in zip(self.kernels, self.windows):
+            if out.size // (len(E) * W.shape[1]) <= len(E):
+                acc = np.tensordot(E.conj(), out, axes=([0], [0]))        # (m, k, ...)
+                out = np.moveaxis(np.einsum("mk...,mk->m...", acc, W.conj()), 0, -1)
+            else:
+                table = np.conj(E[:, None, :] * W.T[None, :, :])        # (j, k, m)
+                out = np.tensordot(out, table, axes=([0, 1], [0, 1]))
+        return out * (self.norm / self.grid.cell_volume * self.pgrid.measure(self.family.hbar))
+
+    def family_state(self, *index: int) -> np.ndarray:
+        """Sampled family state at phase point (j1, k1, j2, k2, ...): the
+        synthesis of a unit sample there, without the measure."""
+        unit = np.zeros(self.pgrid.shape)
+        unit[index] = 1.0
+        return self.synthesize(unit) / self.pgrid.measure(self.family.hbar)
 
 
 def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: float):
     stats = moments(state)
     for mu, pair in enumerate(pgrid.pairs):
-        sp = np.sqrt(stats.P[mu, mu])
-        sx = np.sqrt(stats.X[mu, mu])
-        if (pair.p_min > stats.mean_p[mu] - n_sigma * sp
-                or pair.p_max < stats.mean_p[mu] + n_sigma * sp
-                or pair.x_min > stats.mean_x[mu] - n_sigma * sx
-                or pair.x_max < stats.mean_x[mu] + n_sigma * sx):
-            raise CoverageError(
-                f"phase grid pair {mu} does not cover the state by {n_sigma} sigma"
-            )
+        check_coverage(f"phase grid pair {mu} momenta", pair.p_min, pair.p_max,
+                       stats.mean_p[mu], n_sigma * np.sqrt(stats.P[mu, mu]))
+        check_coverage(f"phase grid pair {mu} coordinates", pair.x_min, pair.x_max,
+                       stats.mean_x[mu], n_sigma * np.sqrt(stats.X[mu, mu]))
 
 
 def _check_analyzable(state: GridWavefunction, pgrid: PhaseGrid, check_coverage: bool = True):

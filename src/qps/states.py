@@ -25,8 +25,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoverageError, GaugeMismatchError, InvalidInputError, SaturationError
-from .grids import CoordinateGrid, GridWavefunction, apply_momentum, apply_position
+from .errors import GaugeMismatchError, InvalidInputError, SaturationError
+from .grids import (
+    CoordinateGrid,
+    GridWavefunction,
+    apply_momentum,
+    apply_position,
+    check_coverage,
+)
 from .metric import (
     Signature,
     StatMoments,
@@ -193,38 +199,21 @@ class JointStateSpec:
         return cls(moments=StatMoments.from_dict(d), signature=sig, gauge=gauge, hbar=hbar)
 
 
-def _check_x_coverage(spec: JointStateSpec, grid: CoordinateGrid, widen: float = 0.0):
-    for mu, ax in enumerate(grid.axes):
-        sigma = np.sqrt(spec.moments.X[mu, mu])
-        reach = 6.0 * sigma + widen * np.sqrt(2.0 * spec.moments.X[mu, mu])
-        lo = spec.moments.mean_x[mu] - reach
-        hi = spec.moments.mean_x[mu] + reach
-        if ax.x_min > lo or ax.x_max < hi:
-            raise CoverageError(
-                f"grid axis {mu} [{ax.x_min}, {ax.x_max}] does not cover "
-                f"[{lo:.3g}, {hi:.3g}]"
-            )
-
-
 def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWavefunction:
     """Sample the joint-state Gaussian on a coordinate grid (unit norm)."""
     if grid.ndim != spec.dim:
         raise InvalidInputError("grid dimension does not match the state")
-    _check_x_coverage(spec, grid)
+    for mu, ax in enumerate(grid.axes):
+        check_coverage(f"grid axis {mu}", ax.x_min, ax.x_max,
+                       spec.moments.mean_x[mu], 6.0 * np.sqrt(spec.moments.X[mu, mu]))
     signs = spec.signature.signs
     hbar = spec.hbar
     norm = ((2.0 * np.pi) ** spec.dim * abs(np.linalg.det(spec.moments.X))) ** -0.25
-    mesh = grid.meshgrid()
-    xi = [mesh[mu] - spec.moments.mean_x[mu] for mu in range(spec.dim)]
+    mesh = np.stack(grid.meshgrid())
+    xi = mesh - spec.moments.mean_x.reshape((-1,) + (1,) * spec.dim)
     expo = spec.shape.exponent  # symmetrized eta B eta
-    quad = np.zeros(grid.shape, dtype=complex)
-    for mu in range(spec.dim):
-        for nu in range(spec.dim):
-            if expo[mu, nu] != 0.0:
-                quad += expo[mu, nu] * xi[mu] * xi[nu]
-    phase = np.zeros(grid.shape)
-    for mu in range(spec.dim):
-        phase -= signs[mu] * spec.moments.mean_p[mu] * mesh[mu] / hbar
+    quad = np.einsum("i...,ij,j...->...", xi, expo, xi)
+    phase = -np.einsum("i,i...->...", signs * spec.moments.mean_p, mesh) / hbar
     values = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
     return GridWavefunction(grid, values, hbar, tuple(signs))
 
@@ -240,26 +229,17 @@ def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWav
     signs = spec.signature.signs
     hbar = spec.hbar
     for mu, ax in enumerate(grid.axes):
-        sigma_p = np.sqrt(spec.moments.P[mu, mu])
-        lo = spec.moments.mean_p[mu] - 6.0 * sigma_p
-        hi = spec.moments.mean_p[mu] + 6.0 * sigma_p
-        if ax.x_min > lo or ax.x_max < hi:
-            raise CoverageError(f"momentum grid axis {mu} does not cover 6 sigma")
+        check_coverage(f"momentum grid axis {mu}", ax.x_min, ax.x_max,
+                       spec.moments.mean_p[mu], 6.0 * np.sqrt(spec.moments.P[mu, mu]))
     M = spec.shape.exponent / hbar**2
     M_inv = np.linalg.inv(M)
     norm_x = ((2.0 * np.pi) ** spec.dim * abs(np.linalg.det(spec.moments.X))) ** -0.25
     pref = norm_x * (2.0 * np.pi * hbar) ** (-spec.dim / 2.0) \
         * np.sqrt(np.pi**spec.dim / np.linalg.det(M))
-    mesh = grid.meshgrid()
-    dp = [signs[mu] * (mesh[mu] - spec.moments.mean_p[mu]) for mu in range(spec.dim)]
-    quad = np.zeros(grid.shape, dtype=complex)
-    for mu in range(spec.dim):
-        for nu in range(spec.dim):
-            if M_inv[mu, nu] != 0.0:
-                quad += M_inv[mu, nu] * dp[mu] * dp[nu]
-    phase = np.zeros(grid.shape)
-    for mu in range(spec.dim):
-        phase += dp[mu] * spec.moments.mean_x[mu] / hbar
+    axes = (-1,) + (1,) * spec.dim
+    dp = signs.reshape(axes) * (np.stack(grid.meshgrid()) - spec.moments.mean_p.reshape(axes))
+    quad = np.einsum("i...,ij,j...->...", dp, M_inv, dp)
+    phase = np.einsum("i,i...->...", spec.moments.mean_x, dp) / hbar
     values = pref * np.exp(-quad / (4.0 * hbar**2) + 1j * (phase + spec.gauge_phase()))
     return GridWavefunction(grid, values, hbar, tuple(signs))
 

@@ -329,6 +329,38 @@ class TestDamagedInputs:
         assert code == 2
         assert "n_max [5] needs (5, 5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [
+        ("axes", 0, "n_points", 1024.0), ("axes", 0, "x_min", "a"), ("signs", 1), ("hbar", None),
+    ])
+    def test_mistyped_wavefunction_sidecar_exit_2(self, tmp_path, synth_state, capsys, damage):
+        sidecar = tmp_path / "wavefunction.csv.json"
+        meta = json.loads(sidecar.read_text())
+        *path, key, value = damage
+        target = meta
+        for step in path:
+            target = target[step]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        sidecar.write_text(json.dumps(meta))
+        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot read wavefunction" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_max", [16, [float("inf")], None])
+    def test_mistyped_density_sidecar_exit_2(self, tmp_path, capsys, n_max):
+        rho_path = write_rho(tmp_path)
+        sidecar = tmp_path / "rho.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta["basis"]["n_max"] = n_max
+        sidecar.write_text(json.dumps(meta))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestGlobalOptions:
     @pytest.mark.parametrize("option", [

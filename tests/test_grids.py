@@ -87,6 +87,14 @@ class TestMomentumTransform:
         with pytest.raises(CoverageError):
             momentum_transform(psi)
 
+    def test_coverage_edges_are_inclusive(self):
+        from qps.grids import check_coverage
+
+        check_coverage("axis", -2.0, 4.0, 1.0, 3.0)  # exactly [-2, 4]: covered
+        for lo, hi in [(-1.5, 4.0), (-2.0, 3.5)]:
+            with pytest.raises(CoverageError, match=r"axis \[.*\] does not cover \[-2, 4\]"):
+                check_coverage("axis", lo, hi, 1.0, 3.0)
+
 
 class TestOperators:
     def test_momentum_mean_of_modulated_gaussian(self, line_grid):

@@ -9,7 +9,6 @@ from qps import (
     Signature,
     StatMoments,
     block_covariance,
-    build_metric,
     build_shape,
     check_saturation,
     decompose_covariance,
@@ -24,14 +23,14 @@ from qps import (
 
 class TestMetric:
     def test_minkowski_signature(self):
-        m = build_metric(Signature(1, 3))
+        m = Signature(1, 3).matrix()
         assert np.array_equal(m, np.diag([1.0, -1.0, -1.0, -1.0]))
 
     def test_single_spatial_axis(self):
-        assert np.array_equal(build_metric(Signature(0, 1)), np.array([[-1.0]]))
+        assert np.array_equal(Signature(0, 1).matrix(), np.array([[-1.0]]))
 
     def test_two_plus_axes(self):
-        assert np.array_equal(build_metric(Signature(2, 0)), np.eye(2))
+        assert np.array_equal(Signature(2, 0).matrix(), np.eye(2))
 
     def test_dimension_validation(self):
         with pytest.raises(InvalidInputError):
@@ -42,15 +41,15 @@ class TestMetric:
 
 class TestRaiseLower:
     def test_flips_sign_on_minus_axis(self):
-        assert raise_lower([2.0], build_metric(Signature(0, 1)))[0] == -2.0
+        assert raise_lower([2.0], Signature(0, 1).matrix())[0] == -2.0
 
     def test_zero_vector(self):
-        out = raise_lower(np.zeros(3), build_metric(Signature(1, 2)))
+        out = raise_lower(np.zeros(3), Signature(1, 2).matrix())
         assert np.array_equal(out, np.zeros(3))
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidInputError):
-            raise_lower([1.0, 2.0], build_metric(Signature(0, 1)))
+            raise_lower([1.0, 2.0], Signature(0, 1).matrix())
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -60,7 +59,7 @@ class TestRaiseLower:
     def test_involution(self, comps, data):
         d = len(comps)
         d_plus = data.draw(st.integers(0, d))
-        metric = build_metric(Signature(d_plus, d - d_plus))
+        metric = Signature(d_plus, d - d_plus).matrix()
         once = raise_lower(comps, metric)
         assert np.array_equal(raise_lower(once, metric), np.asarray(comps))
 

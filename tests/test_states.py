@@ -287,3 +287,52 @@ class TestAnalyticOverlap:
         assert abs(ov) <= 1.0 + 1e-12
         assert analytic_overlap(a, a) == pytest.approx(1.0)
         assert analytic_overlap(b, a) == pytest.approx(np.conj(ov), abs=1e-14)
+
+
+def loop_wavefunctions(spec, grid, dual):
+    """The double-loop quadratic forms and phase sums the einsums replaced."""
+    signs, hbar, d = spec.signature.signs, spec.hbar, spec.dim
+    mesh = grid.meshgrid()
+    norm = ((2.0 * np.pi) ** d * abs(np.linalg.det(spec.moments.X))) ** -0.25
+    xi = [mesh[mu] - spec.moments.mean_x[mu] for mu in range(d)]
+    quad = np.zeros(grid.shape, dtype=complex)
+    for mu in range(d):
+        for nu in range(d):
+            quad += spec.shape.exponent[mu, nu] * xi[mu] * xi[nu]
+    phase = np.zeros(grid.shape)
+    for mu in range(d):
+        phase -= signs[mu] * spec.moments.mean_p[mu] * mesh[mu] / hbar
+    coord = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
+    mesh = dual.meshgrid()
+    M = spec.shape.exponent / hbar**2
+    M_inv = np.linalg.inv(M)
+    pref = norm * (2.0 * np.pi * hbar) ** (-d / 2.0) * np.sqrt(np.pi**d / np.linalg.det(M))
+    dp = [signs[mu] * (mesh[mu] - spec.moments.mean_p[mu]) for mu in range(d)]
+    quad = np.zeros(dual.shape, dtype=complex)
+    for mu in range(d):
+        for nu in range(d):
+            quad += M_inv[mu, nu] * dp[mu] * dp[nu]
+    phase = np.zeros(dual.shape)
+    for mu in range(d):
+        phase += dp[mu] * spec.moments.mean_x[mu] / hbar
+    mom = pref * np.exp(-quad / (4.0 * hbar**2) + 1j * (phase + spec.gauge_phase()))
+    return coord, mom
+
+
+class TestQuadraticForms:
+    @pytest.mark.parametrize("spec", [
+        JointStateSpec.from_covariance(X=[[0.6]], rho=[[0.3]], mean_p=[0.4], mean_x=[-0.7],
+                                       gauge=GaugeChoice.full(), hbar=0.8),
+        JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.4]],
+                                       rho=[[0.2, 0.05], [0.05, -0.1]],
+                                       mean_p=[0.4, -0.3], mean_x=[-0.7, 0.5],
+                                       gauge=GaugeChoice.half(), hbar=0.8),
+    ], ids=["one-axis", "two-axis-correlated"])
+    def test_match_the_double_loops(self, spec):
+        grid = CoordinateGrid.line() if spec.dim == 1 else CoordinateGrid.square()
+        dual = grid.dual(spec.hbar)
+        coord, mom = loop_wavefunctions(spec, grid, dual)
+        # same products, summed in the same order: equal to a few ulps of the peak
+        for got, want in [(coordinate_wavefunction(spec, grid).values, coord),
+                          (momentum_wavefunction(spec, dual).values, mom)]:
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
