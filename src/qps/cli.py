@@ -85,15 +85,17 @@ def _number(text: str, what: str, kind=float):
         raise InvalidInputError(f"{what} {text!r} is not a number") from None
 
 
+def _parse_range(text: str, option: str, what: str) -> tuple:
+    """One min:max:n field of --grid or --pgrid."""
+    bits = text.split(":")
+    if len(bits) != 3:
+        raise InvalidInputError(f"{option} {what} {text!r} is not min:max:n")
+    return (_number(bits[0], f"{option} min"), _number(bits[1], f"{option} max"),
+            _number(bits[2], f"{option} n", int))
+
+
 def _parse_grid(text: str) -> tuple:
-    axes = []
-    for part in text.split(";"):
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise InvalidInputError(f"--grid axis {part!r} is not min:max:n")
-        axes.append((_number(bits[0], "--grid min"), _number(bits[1], "--grid max"),
-                     _number(bits[2], "--grid n", int)))
-    return tuple(axes)
+    return tuple(_parse_range(part, "--grid", "axis") for part in text.split(";"))
 
 
 def _parse_pgrid(text: str) -> tuple:
@@ -102,14 +104,8 @@ def _parse_pgrid(text: str) -> tuple:
         blocks = part.split(",")
         if len(blocks) != 2:
             raise InvalidInputError(f"--pgrid pair {part!r} is not pspec,xspec")
-        vals = []
-        for block in blocks:
-            bits = block.split(":")
-            if len(bits) != 3:
-                raise InvalidInputError(f"--pgrid block {block!r} is not min:max:n")
-            vals += [_number(bits[0], "--pgrid min"), _number(bits[1], "--pgrid max"),
-                     _number(bits[2], "--pgrid n", int)]
-        pairs.append(tuple(vals))
+        pspec, xspec = (_parse_range(block, "--pgrid", "block") for block in blocks)
+        pairs.append(pspec + xspec)
     return tuple(pairs)
 
 
@@ -242,12 +238,8 @@ def _export_fock_matrices(cfg: RunConfig):
 
 def _parse_hamiltonian(text: str):
     text = text.strip()
-    for sep in (":", "("):
-        if sep in text:
-            name, _, rest = text.partition(sep)
-            value = rest.rstrip(")")
-            break
-    else:
+    name, sep, value = text.partition(":")
+    if not sep:
         raise InvalidInputError(f"hamiltonian {text!r} is not name:omega")
     if name != "number_omega":
         raise InvalidInputError(f"unknown hamiltonian {name!r}")

@@ -175,7 +175,10 @@ def read_density(csv_path, json_path=None) -> DensityMatrix:
         with open(json_path) as fh:
             meta = json.load(fh)
         ref = JointStateSpec.from_dict(meta["basis"]["reference"])
-        basis = TruncatedBasis(tuple(meta["basis"]["n_max"]), ref)
+        n_max = meta["basis"]["n_max"]
+        if not (isinstance(n_max, list) and all(type(n) is int for n in n_max)):
+            raise ValueError(f"n_max must be a list of integers, got {n_max!r}")
+        basis = TruncatedBasis(tuple(n_max), ref)
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"cannot read density metadata: {exc}") from exc
     matrix = read_matrix(csv_path)

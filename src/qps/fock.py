@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
-from .grids import CoordinateGrid, GridWavefunction, check_coverage, inner_product
+from .grids import CoordinateGrid, GridWavefunction, along, check_coverage
 from .io import write_grid_csv, write_json
 from .metric import decompose_covariance
-from .states import JointStateSpec, apply_z, apply_z_dagger, coordinate_wavefunction
+from .states import JointStateSpec, apply_z, coordinate_wavefunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,31 +155,30 @@ class _GridLadder:
     def _dealias(self, psi: GridWavefunction) -> GridWavefunction:
         values = psi.values
         for axis, mask in enumerate(self.masks):
-            shape = [1] * values.ndim
-            shape[axis] = -1
             ft = np.fft.fft(values, axis=axis)
-            values = np.fft.ifft(ft * mask.reshape(shape), axis=axis)
+            values = np.fft.ifft(ft * along(mask, axis, values.ndim), axis=axis)
         return psi.with_values(values)
 
-    def raise_axis(self, spec, psi: GridWavefunction, mu: int) -> GridWavefunction:
+    def _step(self, psi: GridWavefunction, mu: int, adjoint: bool) -> GridWavefunction:
+        """ladder_mu, or its adjoint, applied to psi and dealiased."""
+        spec = self.basis.reference
         out = np.zeros_like(psi.values)
         for nu in range(spec.dim):
-            coeff = np.conj(self.a[mu, nu]) / spec.hbar
+            a, mean_z = self.a[mu, nu], spec.mean_z[nu]
+            if adjoint:
+                a, mean_z = np.conj(a), np.conj(mean_z)
+            coeff = a / spec.hbar
             if coeff == 0.0:
                 continue
-            zd = apply_z_dagger(spec, psi, nu).values
-            out += coeff * (zd - np.conj(spec.mean_z[nu]) * psi.values)
+            z = apply_z(spec, psi, nu, adjoint).values
+            out += coeff * (z - mean_z * psi.values)
         return self._dealias(psi.with_values(out))
 
-    def lower_axis(self, spec, psi: GridWavefunction, mu: int) -> GridWavefunction:
-        out = np.zeros_like(psi.values)
-        for nu in range(spec.dim):
-            coeff = self.a[mu, nu] / spec.hbar
-            if coeff == 0.0:
-                continue
-            z = apply_z(spec, psi, nu).values
-            out += coeff * (z - spec.mean_z[nu] * psi.values)
-        return self._dealias(psi.with_values(out))
+    def raise_axis(self, psi: GridWavefunction, mu: int) -> GridWavefunction:
+        return self._step(psi, mu, adjoint=True)
+
+    def lower_axis(self, psi: GridWavefunction, mu: int) -> GridWavefunction:
+        return self._step(psi, mu, adjoint=False)
 
 
 def number_state(n, basis: TruncatedBasis, grid: CoordinateGrid) -> GridWavefunction:
@@ -200,7 +199,7 @@ def number_state(n, basis: TruncatedBasis, grid: CoordinateGrid) -> GridWavefunc
     psi = coordinate_wavefunction(spec, grid)
     for mu, reps in enumerate(n):
         for k in range(1, reps + 1):
-            psi = ladder.raise_axis(spec, psi, mu)
+            psi = ladder.raise_axis(psi, mu)
             psi = psi.with_values(psi.values / np.sqrt(k))
     return psi
 
@@ -230,33 +229,24 @@ def grid_number_states(basis: TruncatedBasis, grid: CoordinateGrid) -> list:
         prev = list(idx)
         prev[mu] -= 1
         prev = tuple(prev)
-        stepped = ladder.raise_axis(spec, states[prev], mu)
+        stepped = ladder.raise_axis(states[prev], mu)
         states[idx] = stepped.with_values(stepped.values / np.sqrt(idx[mu]))
     return [states[idx] for idx in basis.indices()]
 
 
 def orthonormality_check(basis: TruncatedBasis, grid: CoordinateGrid) -> float:
     """Max-norm deviation of the grid Gram matrix from the identity."""
-    states = grid_number_states(basis, grid)
-    dim = len(states)
-    gram = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(i, dim):
-            gram[i, j] = inner_product(states[i], states[j])
-            gram[j, i] = np.conj(gram[i, j])
-    return float(np.abs(gram - np.eye(dim)).max())
+    gram = operator_matrix(lambda psi: psi, basis, grid)
+    return float(np.abs(gram - np.eye(basis.dim)).max())
 
 
 def operator_matrix(op, basis: TruncatedBasis, grid: CoordinateGrid) -> np.ndarray:
-    """Matrix elements <n|A|n'> of a grid operator in the number basis."""
+    """Matrix elements <n|A|n'> of a grid operator in the number basis: one
+    product S^H (A S) dV of the stacked states S and their images A S."""
     states = grid_number_states(basis, grid)
-    images = [op(s) for s in states]
-    dim = len(states)
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = inner_product(states[i], images[j])
-    return out
+    S = np.stack([s.values.reshape(-1) for s in states], axis=1)
+    AS = np.stack([op(s).values.reshape(-1) for s in states], axis=1)
+    return S.conj().T @ AS * grid.cell_volume
 
 
 @dataclass(frozen=True)

@@ -149,29 +149,35 @@ def inner_product(psi: GridWavefunction, phi: GridWavefunction) -> complex:
     return complex(np.sum(np.conj(psi.values) * phi.values) * psi.grid.cell_volume)
 
 
-def _wavenumbers(ax: GridAxis) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(ax.n_points, d=ax.spacing)
+def _wavenumbers(n: int, step: float) -> np.ndarray:
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=step)
+
+
+def along(table: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """View a 1-D table as an ndim array that broadcasts along `axis`."""
+    shape = [1] * ndim
+    shape[axis] = -1
+    return table.reshape(shape)
+
+
+def spectral_derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
+    """d/dx of periodic samples with spacing `step` along `axis`, by FFT."""
+    k = along(_wavenumbers(values.shape[axis], step), axis, values.ndim)
+    return np.fft.ifft(1j * k * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def apply_position(psi: GridWavefunction, axis: int = 0) -> GridWavefunction:
     """Pointwise multiplication by the coordinate of the given axis."""
     if not 0 <= axis < psi.grid.ndim:
         raise InvalidInputError(f"axis {axis} out of range")
-    x = psi.grid.axis_points(axis)
-    shape = [1] * psi.grid.ndim
-    shape[axis] = -1
-    return psi.with_values(psi.values * x.reshape(shape))
+    return psi.with_values(psi.values * along(psi.grid.axis_points(axis), axis, psi.grid.ndim))
 
 
 def apply_momentum(psi: GridWavefunction, axis: int = 0) -> GridWavefunction:
     """Spectral application of p = i hbar s d/dx along the given axis."""
     if not 0 <= axis < psi.grid.ndim:
         raise InvalidInputError(f"axis {axis} out of range")
-    k = _wavenumbers(psi.grid.axes[axis])
-    shape = [1] * psi.grid.ndim
-    shape[axis] = -1
-    ft = np.fft.fft(psi.values, axis=axis)
-    dpsi = np.fft.ifft(1j * k.reshape(shape) * ft, axis=axis)
+    dpsi = spectral_derivative(psi.values, psi.grid.axes[axis].spacing, axis)
     return psi.with_values(1j * psi.hbar * psi.signs[axis] * dpsi)
 
 
@@ -186,16 +192,14 @@ def momentum_transform(psi: GridWavefunction) -> GridWavefunction:
     values = psi.values
     hbar = psi.hbar
     for axis, ax in enumerate(psi.grid.axes):
-        k = _wavenumbers(ax)
-        shape = [1] * psi.grid.ndim
-        shape[axis] = -1
+        k = _wavenumbers(ax.n_points, ax.spacing)
         if psi.signs[axis] < 0:
             ft = np.fft.fft(values, axis=axis)
-            phase = np.exp(-1j * (k * ax.x_min)).reshape(shape)
+            phase = np.exp(-1j * (k * ax.x_min))
         else:
             ft = np.fft.ifft(values, axis=axis) * ax.n_points
-            phase = np.exp(+1j * (k * ax.x_min)).reshape(shape)
-        values = ft * phase * ax.spacing / np.sqrt(2.0 * np.pi * hbar)
+            phase = np.exp(+1j * (k * ax.x_min))
+        values = ft * along(phase, axis, values.ndim) * ax.spacing / np.sqrt(2.0 * np.pi * hbar)
         values = np.fft.fftshift(values, axes=axis)
     out = GridWavefunction(psi.grid.dual(hbar), values, hbar, psi.signs)
     for axis, ax in enumerate(out.grid.axes):  # ax is [-Nyquist, Nyquist]
@@ -214,15 +218,13 @@ def inverse_momentum_transform(phi: GridWavefunction, grid: CoordinateGrid) -> G
             raise InvalidInputError("input does not live on the dual of the target grid")
     values = phi.values
     for axis, ax in enumerate(grid.axes):
-        k = _wavenumbers(ax)
-        shape = [1] * grid.ndim
-        shape[axis] = -1
+        k = _wavenumbers(ax.n_points, ax.spacing)
         v = np.fft.ifftshift(values, axes=axis)
         if phi.signs[axis] < 0:
-            v = v * np.exp(+1j * (k * ax.x_min)).reshape(shape)
+            v = v * along(np.exp(+1j * (k * ax.x_min)), axis, grid.ndim)
             v = np.fft.ifft(v, axis=axis)
         else:
-            v = v * np.exp(-1j * (k * ax.x_min)).reshape(shape)
+            v = v * along(np.exp(-1j * (k * ax.x_min)), axis, grid.ndim)
             v = np.fft.fft(v, axis=axis) / ax.n_points
         values = v * np.sqrt(2.0 * np.pi * phi.hbar) / ax.spacing
     return GridWavefunction(grid, values, phi.hbar, phi.signs)
@@ -231,10 +233,7 @@ def inverse_momentum_transform(phi: GridWavefunction, grid: CoordinateGrid) -> G
 def _axis_mean_std(values: np.ndarray, grid: CoordinateGrid, axis: int):
     prob = np.abs(values) ** 2 * grid.cell_volume
     mass = prob.sum()
-    x = grid.axis_points(axis)
-    shape = [1] * grid.ndim
-    shape[axis] = -1
-    xg = x.reshape(shape)
+    xg = along(grid.axis_points(axis), axis, grid.ndim)
     mean = float((xg * prob).sum() / mass)
     var = float(((xg - mean) ** 2 * prob).sum() / mass)
     return mean, np.sqrt(max(var, 0.0))
@@ -259,19 +258,9 @@ def moments(psi: GridWavefunction) -> StatMoments:
     dvol = psi.grid.cell_volume
     prob = np.abs(psi.values) ** 2 * dvol
 
-    mean_x = np.zeros(d)
-    for mu in range(d):
-        x = psi.grid.axis_points(mu)
-        shape = [1] * d
-        shape[mu] = -1
-        mean_x[mu] = float((x.reshape(shape) * prob).sum())
-
-    centered_x = []
-    for mu in range(d):
-        x = psi.grid.axis_points(mu)
-        shape = [1] * d
-        shape[mu] = -1
-        centered_x.append((x.reshape(shape) - mean_x[mu]) * psi.values)
+    xs = [along(psi.grid.axis_points(mu), mu, d) for mu in range(d)]
+    mean_x = np.array([float((x * prob).sum()) for x in xs])
+    centered_x = [(x - m) * psi.values for x, m in zip(xs, mean_x)]
 
     p_psi = [apply_momentum(psi, mu).values for mu in range(d)]
     mean_p = np.array(

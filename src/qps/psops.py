@@ -26,17 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaugeMismatchError, InvalidInputError
-from .grids import CoordinateGrid, GridWavefunction, apply_momentum, apply_position
+from .grids import (
+    CoordinateGrid,
+    GridWavefunction,
+    along,
+    apply_momentum,
+    apply_position,
+    spectral_derivative,
+)
 from .phasespace import PhaseAnalyzer, PhaseGrid, PhaseWavefunction, phase_wavefunction
 from .states import GaugeChoice, JointStateSpec
-
-
-def _spectral_derivative(values: np.ndarray, points: np.ndarray, axis: int) -> np.ndarray:
-    step = points[1] - points[0]
-    k = 2.0 * np.pi * np.fft.fftfreq(points.size, d=step)
-    shape = [1] * values.ndim
-    shape[axis] = -1
-    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def _resolve_gauge(pw: PhaseWavefunction, gauge):
@@ -48,45 +47,43 @@ def _resolve_gauge(pw: PhaseWavefunction, gauge):
     return gauge, family
 
 
-def apply_ptilde(pw: PhaseWavefunction, axis: int = 0,
-                 gauge: GaugeChoice | None = None) -> PhaseWavefunction:
-    """Representative momentum operator along one pair."""
+def _apply_representative(pw: PhaseWavefunction, axis: int, gauge,
+                          momentum: bool) -> PhaseWavefunction:
+    """ptilde (momentum) or xtilde along one pair.
+
+    ptilde differentiates along y and multiplies by functions of q; xtilde
+    does the reverse with the opposite sign and no mean term.
+    """
     gauge, family = _resolve_gauge(pw, gauge)
     if not 0 <= axis < pw.grid.npairs:
         raise InvalidInputError(f"axis {axis} out of range")
     hbar = pw.hbar
     s = family.signature.signs[axis]
     pair = pw.grid.pairs[axis]
-    q = pair.p_points()
-    qshape = [1] * pw.values.ndim
-    qshape[2 * axis] = -1
-    dmu = _spectral_derivative(pw.values, pair.x_points(), 2 * axis + 1)
-    out = 1j * hbar * s * dmu
-    out += q.reshape(qshape) * pw.values
-    dk = gauge.d_phase_dx(q, s, hbar)  # dK/dy as a function of q on this axis
+    sign = 1.0 if momentum else -1.0
+    d_axis, m_axis = (2 * axis + 1, 2 * axis) if momentum else (2 * axis, 2 * axis + 1)
+    d_points, m_points = ((pair.x_points(), pair.p_points()) if momentum
+                          else (pair.p_points(), pair.x_points()))
+    dmu = spectral_derivative(pw.values, d_points[1] - d_points[0], d_axis)
+    out = sign * 1j * hbar * s * dmu
+    if momentum:
+        out += along(m_points, m_axis, pw.values.ndim) * pw.values
+    dk = gauge.phase_slope(m_points, s, hbar)
     if np.any(dk != 0.0):
-        out -= s * hbar * dk.reshape(qshape) * pw.values
+        out -= sign * s * hbar * along(dk, m_axis, pw.values.ndim) * pw.values
     return PhaseWavefunction(pw.grid, out, family)
+
+
+def apply_ptilde(pw: PhaseWavefunction, axis: int = 0,
+                 gauge: GaugeChoice | None = None) -> PhaseWavefunction:
+    """Representative momentum operator along one pair."""
+    return _apply_representative(pw, axis, gauge, momentum=True)
 
 
 def apply_xtilde(pw: PhaseWavefunction, axis: int = 0,
                  gauge: GaugeChoice | None = None) -> PhaseWavefunction:
     """Representative coordinate operator along one pair."""
-    gauge, family = _resolve_gauge(pw, gauge)
-    if not 0 <= axis < pw.grid.npairs:
-        raise InvalidInputError(f"axis {axis} out of range")
-    hbar = pw.hbar
-    s = family.signature.signs[axis]
-    pair = pw.grid.pairs[axis]
-    y = pair.x_points()
-    yshape = [1] * pw.values.ndim
-    yshape[2 * axis + 1] = -1
-    dmu = _spectral_derivative(pw.values, pair.p_points(), 2 * axis)
-    out = -1j * hbar * s * dmu
-    dk = gauge.d_phase_dp(y, s, hbar)  # dK/dq as a function of y on this axis
-    if np.any(dk != 0.0):
-        out += s * hbar * dk.reshape(yshape) * pw.values
-    return PhaseWavefunction(pw.grid, out, family)
+    return _apply_representative(pw, axis, gauge, momentum=False)
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,9 @@ class PhaseOperator:
     def apply(self, pw: PhaseWavefunction) -> PhaseWavefunction:
         out = pw
         for kind, axis in reversed(self.kinds):
-            if kind == "ptilde":
-                out = apply_ptilde(out, axis, self.gauge)
-            elif kind == "xtilde":
-                out = apply_xtilde(out, axis, self.gauge)
-            else:
+            if kind not in ("ptilde", "xtilde"):
                 raise InvalidInputError(f"unknown operator kind {kind!r}")
+            out = _apply_representative(out, axis, self.gauge, kind == "ptilde")
         return out
 
 
@@ -148,9 +142,12 @@ def continuous_kernel(op, family: JointStateSpec, pgrid: PhaseGrid,
     """Quadrature matrix <z|A|z'> over all pairs of phase points (one pair)."""
     if pgrid.npairs != 1 or family.dim != 1:
         raise InvalidInputError("continuous kernels are built for one pair")
-    analyzer = PhaseAnalyzer(family, pgrid, grid)
     pair = pgrid.pairs[0]
     n_phase = pair.n_p * pair.n_x
+    if n_phase**2 > pgrid.budget:
+        raise InvalidInputError(f"kernel over {n_phase} phase points has {n_phase**2} "
+                                f"entries, budget is {pgrid.budget}")
+    analyzer = PhaseAnalyzer(family, pgrid, grid)
     out = np.zeros((n_phase, n_phase), dtype=complex)
     col = 0
     for jp in range(pair.n_p):

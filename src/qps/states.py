@@ -97,21 +97,14 @@ class GaugeChoice:
         scale = 1.0 if self.kind == "full" else 0.5
         return (scale / hbar) * np.asarray(signs) * mean_p * mean_x
 
-    def d_phase_dx(self, mean_p, signs, hbar: float):
-        """Closed form dK/d<x_mu> used by the representative operators."""
-        mean_p = np.asarray(mean_p, dtype=float)
+    def phase_slope(self, mean, signs, hbar: float):
+        """Closed form dK/d<x_mu> as a function of <p_mu>, which is the same
+        formula as dK/d<p_mu> as a function of <x_mu>."""
+        mean = np.asarray(mean, dtype=float)
         if self.kind in ("zero", "const"):
-            return np.zeros_like(mean_p)
+            return np.zeros_like(mean)
         scale = 1.0 if self.kind == "full" else 0.5
-        return (scale / hbar) * np.asarray(signs) * mean_p
-
-    def d_phase_dp(self, mean_x, signs, hbar: float):
-        """Closed form dK/d<p_mu>."""
-        mean_x = np.asarray(mean_x, dtype=float)
-        if self.kind in ("zero", "const"):
-            return np.zeros_like(mean_x)
-        scale = 1.0 if self.kind == "full" else 0.5
-        return (scale / hbar) * np.asarray(signs) * mean_x
+        return (scale / hbar) * np.asarray(signs) * mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,23 +237,16 @@ def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWav
     return GridWavefunction(grid, values, hbar, tuple(signs))
 
 
-def apply_z(spec: JointStateSpec, psi: GridWavefunction, mu: int) -> GridWavefunction:
-    """Grid realization of z_mu = p_mu + (2i/hbar) sum_nu s_nu B[mu,nu] x_nu."""
+def apply_z(spec: JointStateSpec, psi: GridWavefunction, mu: int,
+            adjoint: bool = False) -> GridWavefunction:
+    """Grid realization of z_mu = p_mu + (2i/hbar) sum_nu s_nu B[mu,nu] x_nu,
+    or of its adjoint z_mu^dagger (conjugated shape coefficients)."""
     signs = spec.signature.signs
+    shape = np.conj(spec.shape.matrix) if adjoint else spec.shape.matrix
+    scale = (-2j if adjoint else 2j) / spec.hbar
     out = apply_momentum(psi, mu).values.copy()
     for nu in range(spec.dim):
-        coeff = (2j / spec.hbar) * spec.shape.matrix[mu, nu] * signs[nu]
-        if coeff != 0.0:
-            out += coeff * apply_position(psi, nu).values
-    return psi.with_values(out)
-
-
-def apply_z_dagger(spec: JointStateSpec, psi: GridWavefunction, mu: int) -> GridWavefunction:
-    """Adjoint of :func:`apply_z` (conjugated shape coefficients)."""
-    signs = spec.signature.signs
-    out = apply_momentum(psi, mu).values.copy()
-    for nu in range(spec.dim):
-        coeff = -(2j / spec.hbar) * np.conj(spec.shape.matrix[mu, nu]) * signs[nu]
+        coeff = scale * shape[mu, nu] * signs[nu]
         if coeff != 0.0:
             out += coeff * apply_position(psi, nu).values
     return psi.with_values(out)

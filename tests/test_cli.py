@@ -299,6 +299,7 @@ class TestDamagedInputs:
     @pytest.mark.parametrize("option", [
         ["--hamiltonian", "number_omega:abc"], ["--hamiltonian", "number_omega:nan"],
         ["--t", "nan"], ["--t", "inf"], ["--t=-inf"], ["--grid=-inf:12:1024"],
+        ["--hamiltonian", "number_omega(1.0)"],
     ])
     def test_bad_evolve_parameters_exit_2(self, tmp_path, capsys, option):
         rho_path = write_rho(tmp_path)
@@ -349,7 +350,7 @@ class TestDamagedInputs:
         assert code == 2
         assert "cannot read wavefunction" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("n_max", [16, [float("inf")], None])
+    @pytest.mark.parametrize("n_max", [16, [float("inf")], None, "4", [4.5]])
     def test_mistyped_density_sidecar_exit_2(self, tmp_path, capsys, n_max):
         rho_path = write_rho(tmp_path)
         sidecar = tmp_path / "rho.csv.json"

@@ -129,11 +129,10 @@ class TestNumberState:
         # quadratic with eigenvalue n
         from qps.fock import _GridLadder
 
-        spec = basis.reference
         lad = _GridLadder(basis, fine_grid)
         for n in (1, 3):
             psi = number_state(n, basis, fine_grid)
-            npsi = lad.raise_axis(spec, lad.lower_axis(spec, psi, 0), 0)
+            npsi = lad.raise_axis(lad.lower_axis(psi, 0), 0)
             res = np.sqrt(
                 np.sum(np.abs(npsi.values - n * psi.values) ** 2) * fine_grid.cell_volume
             )
@@ -168,7 +167,7 @@ class TestNumberState:
         assert orthonormality_check(basis, fine_grid) < 1e-6
         lad = _GridLadder(basis, fine_grid)
         psi = number_state(2, basis, fine_grid)
-        npsi = lad.raise_axis(spec, lad.lower_axis(spec, psi, 0), 0)
+        npsi = lad.raise_axis(lad.lower_axis(psi, 0), 0)
         res = np.sqrt(
             np.sum(np.abs(npsi.values - 2.0 * psi.values) ** 2) * fine_grid.cell_volume
         )
@@ -186,7 +185,7 @@ class TestNumberState:
         psi = number_state((1, 2), basis, grid)
         total = np.zeros_like(psi.values)
         for mu in range(2):
-            total += lad.raise_axis(spec, lad.lower_axis(spec, psi, mu), mu).values
+            total += lad.raise_axis(lad.lower_axis(psi, mu), mu).values
         res = np.sqrt(np.sum(np.abs(total - 3.0 * psi.values) ** 2) * grid.cell_volume)
         assert res < 1e-7
 
@@ -229,6 +228,20 @@ class TestOrthonormality:
 
 
 class TestOperatorMatrix:
+    def test_matches_inner_product_loop(self):
+        # the stacked product S^H (A S) dV against the pairwise quadrature
+        # it replaced: the same sums in another order, so equal to round-off
+        grid = CoordinateGrid.square(-12.0, 12.0, 128)
+        spec = JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.8]])
+        basis = TruncatedBasis((3, 2), spec)
+        states = grid_number_states(basis, grid)
+        for op in (lambda s: s, lambda s: apply_position(s, 1)):
+            loop = np.array([[inner_product(a, op(b)) for b in states] for a in states])
+            assert np.abs(operator_matrix(op, basis, grid) - loop).max() < 1e-14
+        gram = np.array([[inner_product(a, b) for b in states] for a in states])
+        assert orthonormality_check(basis, grid) == pytest.approx(
+            np.abs(gram - np.eye(basis.dim)).max(), abs=1e-14)
+
     def test_identity_operator(self, fine_grid, ground_spec_module):
         basis = TruncatedBasis((4,), ground_spec_module)
         mat = operator_matrix(lambda s: s, basis, fine_grid)
@@ -245,10 +258,9 @@ class TestOperatorMatrix:
 
         basis = TruncatedBasis((4,), ground_spec_module)
         lad = _GridLadder(basis, fine_grid)
-        spec = basis.reference
 
         def num_op(s):
-            return lad.raise_axis(spec, lad.lower_axis(spec, s, 0), 0)
+            return lad.raise_axis(lad.lower_axis(s, 0), 0)
 
         mat = operator_matrix(num_op, basis, fine_grid)
         assert np.abs(mat - np.diag([0.0, 1.0, 2.0, 3.0])).max() < 1e-7

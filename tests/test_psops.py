@@ -7,6 +7,7 @@ from qps import (
     CoordinateGrid,
     GaugeChoice,
     GaugeMismatchError,
+    InvalidInputError,
     JointStateSpec,
     PhaseGrid,
     PhaseOperator,
@@ -23,8 +24,8 @@ from qps import (
     number_state,
     phase_wavefunction,
 )
+from qps.grids import spectral_derivative
 from qps.phasespace import PhasePair
-from qps.psops import _spectral_derivative
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +53,15 @@ class TestGaugeBlocks:
     def test_zero_gauge_xtilde_is_bare_derivative(self, pw):
         # spatial axis: xtilde = +i hbar d/dq with no additive term
         out = apply_xtilde(pw, 0, GaugeChoice.zero())
-        bare = 1j * _spectral_derivative(pw.values, pw.grid.pairs[0].p_points(), 0)
+        q = pw.grid.pairs[0].p_points()
+        bare = 1j * spectral_derivative(pw.values, q[1] - q[0], 0)
         assert np.abs(out.values - bare).max() < 1e-12
 
     def test_full_gauge_ptilde_is_bare_derivative(self, pw):
         # spatial axis: ptilde = -i hbar d/dy with no additive term
         out = apply_ptilde(pw, 0, GaugeChoice.full())
-        bare = -1j * _spectral_derivative(pw.values, pw.grid.pairs[0].x_points(), 1)
+        y = pw.grid.pairs[0].x_points()
+        bare = -1j * spectral_derivative(pw.values, y[1] - y[0], 1)
         assert np.abs(out.values - bare).max() < 1e-12
 
     def test_half_gauge_carries_half_means(self, pw):
@@ -127,6 +130,27 @@ def small(spec):
 
 
 class TestContinuousKernel:
+    def test_budget_checked_before_building(self, spec):
+        # 128x128 phase points would need a 16384^2 complex kernel (4.3 GB)
+        def op(_):
+            raise AssertionError("the operator must not be applied")
+
+        grid = CoordinateGrid.line(-12.0, 12.0, 512)
+        with pytest.raises(InvalidInputError, match="budget"):
+            continuous_kernel(op, spec, PhaseGrid.symmetric(6.0, 128), grid)
+
+    def test_budget_edge_is_allowed(self, spec):
+        # 64x64 phase points give exactly 2^24 kernel entries, the budget
+        class Reached(Exception):
+            pass
+
+        def op(_):
+            raise Reached
+
+        grid = CoordinateGrid.line(-12.0, 12.0, 512)
+        with pytest.raises(Reached):
+            continuous_kernel(op, spec, PhaseGrid.symmetric(6.0, 64), grid)
+
     def test_identity_kernel_is_overlap_function(self, small):
         spec, grid, pgrid = small
         kernel = continuous_kernel(lambda s: s, spec, pgrid, grid)

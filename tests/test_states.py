@@ -27,6 +27,7 @@ from qps import (
     z_eigencheck,
 )
 from qps.metric import StatMoments
+from qps.states import apply_z
 from conftest import random_correlated_spec
 
 
@@ -191,6 +192,31 @@ class TestZEigencheck:
         assert np.allclose(m.rho, spec.moments.rho, atol=1e-8)
         assert check_saturation(m, spec.signature) < 1e-8
         assert z_eigencheck(spec, grid) <= 1e-7
+
+
+class TestZAdjoint:
+    """<phi, z psi> = <z^dagger phi, psi> on the grid, for shape matrices
+    with complex entries (so z^dagger is not z)."""
+
+    @pytest.mark.parametrize("spec, grid", [
+        (JointStateSpec.from_covariance(X=[[0.7]], rho=[[0.35]], mean_p=[0.6], mean_x=[-0.8]),
+         CoordinateGrid.line(-12.0, 12.0, 1024)),
+        (JointStateSpec.from_covariance(
+            X=[[0.6, 0.15], [0.15, 0.9]], rho=np.diag([0.2, -0.3]),
+            mean_p=[0.3, -0.1], mean_x=[0.2, 0.4], signature=Signature(1, 1)),
+         CoordinateGrid.square(-12.0, 12.0, 128)),
+    ], ids=["correlated_one_axis", "mixed_signature_two_axis"])
+    def test_adjoint_identity(self, spec, grid):
+        assert np.abs(spec.shape.matrix.imag).min() > 0.0
+        psi = coordinate_wavefunction(spec, grid)
+        phi = coordinate_wavefunction(
+            spec.displaced(spec.moments.mean_p + 0.5, spec.moments.mean_x - 0.7), grid)
+        for mu in range(spec.dim):
+            lhs = inner_product(phi, apply_z(spec, psi, mu))
+            assert lhs == pytest.approx(
+                inner_product(apply_z(spec, phi, mu, adjoint=True), psi), abs=1e-12)
+            # and the adjoint differs from z itself
+            assert abs(lhs - inner_product(apply_z(spec, phi, mu), psi)) > 0.1
 
 
 class TestAnalyticOverlap:
