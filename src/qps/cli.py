@@ -32,6 +32,7 @@ from .phasespace import (
 )
 from .states import GaugeChoice, JointStateSpec, coordinate_wavefunction
 from . import density as density_mod
+from . import fock
 from . import verify as verify_mod
 
 _FMT = "{:.12g}"
@@ -224,16 +225,14 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
 def _export_fock_matrices(cfg: RunConfig):
     """Ladder matrices accompanying the fock report, as CSV."""
-    from .fock import TruncatedBasis, build_ladder, write_matrix
-
     spec = JointStateSpec.from_covariance(X=[[cfg.hbar / 2.0]], hbar=cfg.hbar)
-    basis = TruncatedBasis((4,), spec)
-    lad = build_ladder(basis)
+    basis = fock.TruncatedBasis((4,), spec)
+    lad = fock.build_ladder(basis)
     meta = {"n_max": list(basis.n_max), "hbar": cfg.hbar}
     for name, matrix in (("lowering", lad.lowering[0]),
                          ("raising", lad.raising[0]),
                          ("number", lad.number)):
-        write_matrix(matrix, cfg.out / f"fock_{name}.csv", meta=dict(meta, kind=name))
+        fock.write_matrix(matrix, cfg.out / f"fock_{name}.csv", meta=dict(meta, kind=name))
 
 
 def _parse_hamiltonian(text: str):
@@ -264,14 +263,17 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
     drift = 0.0
     family = rho.basis.reference
     grid = cfg.coordinate_grid(family.dim)
+    if with_husimi:
+        # every snapshot expands rho_t in the same number states: build them once
+        pgrid = cfg.phase_grid(family.dim)
+        states = fock.grid_number_states(rho.basis, grid)
     for i, ti in enumerate(times):
         rho_t = density_mod.evolve_lvn(rho, H, ti, hbar)
         out = cfg.out / f"rho_{i:04d}.csv"
         density_mod.write_density(rho_t, out)
         drift = max(drift, abs(density_mod.purity(rho_t) - purity0))
         if with_husimi:
-            pgrid = cfg.phase_grid(family.dim)
-            hus = husimi_distribution(rho_t, family, pgrid, grid)
+            hus = husimi_distribution(rho_t, family, pgrid, states)
             write_distribution(hus, cfg.out / f"husimi_{i:04d}.csv",
                                gauge_label=family.gauge.label)
     print(f"snapshots {snapshots} -> {cfg.out}")

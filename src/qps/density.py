@@ -33,6 +33,9 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise InvalidInputError("density matrix shape does not match basis")
+        # NaN fails no `defect > tol` test below, so reject it first
+        if not np.all(np.isfinite(m)):
+            raise InvalidInputError("density matrix has non-finite entries")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
             raise InvalidInputError("density matrix must be Hermitian")
@@ -162,17 +165,16 @@ def number_hamiltonian(basis: TruncatedBasis, omega: float, hbar: float = 1.0) -
     return hbar * omega * (lad.number + 0.5 * np.eye(basis.dim))
 
 
-def write_density(rho: DensityMatrix, csv_path, json_path=None):
+def write_density(rho: DensityMatrix, csv_path):
     """CSV rows (row, col, re, im) plus JSON metadata with the basis spec."""
     basis = {"n_max": list(rho.basis.n_max), "reference": rho.basis.reference.to_dict()}
-    write_matrix(rho.matrix, csv_path, json_path or f"{csv_path}.json", {"basis": basis})
+    write_matrix(rho.matrix, csv_path, {"basis": basis})
 
 
-def read_density(csv_path, json_path=None) -> DensityMatrix:
+def read_density(csv_path) -> DensityMatrix:
     """Re-import a density matrix written by :func:`write_density`."""
-    json_path = json_path or f"{csv_path}.json"
     try:
-        with open(json_path) as fh:
+        with open(f"{csv_path}.json") as fh:
             meta = json.load(fh)
         ref = JointStateSpec.from_dict(meta["basis"]["reference"])
         n_max = meta["basis"]["n_max"]

@@ -181,31 +181,41 @@ class _GridLadder:
         return self._step(psi, mu, adjoint=False)
 
 
-def number_state(n, basis: TruncatedBasis, grid: CoordinateGrid) -> GridWavefunction:
-    """Grid realization of the number state |n, <z>> (unit norm within 1e-8).
+def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
+    """Number states m <= top per axis on the grid, in row-major order.
 
-    Applies the raising operator n_mu times per axis to the anchoring
-    Gaussian, renormalizing by sqrt(k) at step k (equivalent to the
-    sqrt(n!) factor, with no overflow at large n).
+    The one raising loop: each m is the raising operator along its first
+    nonzero axis mu applied to the state one rung below, divided by
+    sqrt(m_mu) (the sqrt(n!) factor, accumulated without overflow).
     """
+    spec = basis.reference
+    _check_fock_coverage(spec, grid, top)
+    ladder = _GridLadder(basis, grid)
+    states = {}
+    for m in np.ndindex(*(t + 1 for t in top)):
+        mu = next((k for k, v in enumerate(m) if v > 0), None)
+        if mu is None:
+            states[m] = coordinate_wavefunction(spec, grid)
+            continue
+        below = m[:mu] + (m[mu] - 1,) + m[mu + 1:]
+        raised = ladder.raise_axis(states[below], mu)
+        states[m] = raised.with_values(raised.values / np.sqrt(m[mu]))
+    return list(states.values())
+
+
+def number_state(n, basis: TruncatedBasis, grid: CoordinateGrid) -> GridWavefunction:
+    """Grid realization of the number state |n, <z>> (unit norm within 1e-8),
+    the last state of the family raised up to n."""
     n = (n,) if np.isscalar(n) else tuple(int(v) for v in n)
     if len(n) != basis.naxes:
         raise InvalidInputError("multi-index length does not match basis")
     if any(v < 0 or v >= m for v, m in zip(n, basis.n_max)):
         raise InvalidInputError(f"multi-index {n} outside cutoff {basis.n_max}")
-    spec = basis.reference
-    _check_fock_coverage(spec, grid, n)
-    ladder = _GridLadder(basis, grid)
-    psi = coordinate_wavefunction(spec, grid)
-    for mu, reps in enumerate(n):
-        for k in range(1, reps + 1):
-            psi = ladder.raise_axis(psi, mu)
-            psi = psi.with_values(psi.values / np.sqrt(k))
-    return psi
+    return _raised_family(basis, grid, n)[-1]
 
 
 def grid_number_states(basis: TruncatedBasis, grid: CoordinateGrid) -> list:
-    """All basis states on the grid, built incrementally (row-major order)."""
+    """All basis states on the grid, in the row-major order of the basis."""
     if any(m > 16 for m in basis.n_max):
         raise UnsupportedError("grid work is limited to n_max <= 16 per axis")
     samples = basis.dim * math.prod(grid.shape)
@@ -214,39 +224,22 @@ def grid_number_states(basis: TruncatedBasis, grid: CoordinateGrid) -> list:
             f"{basis.dim} number states on the grid are {samples} samples, "
             f"budget is {grid.budget}"
         )
-    spec = basis.reference
-    top = tuple(m - 1 for m in basis.n_max)
-    _check_fock_coverage(spec, grid, top)
-    ladder = _GridLadder(basis, grid)
-    ground = coordinate_wavefunction(spec, grid)
-    # build the full family by raising from the ground state along each axis
-    states = {(0,) * basis.naxes: ground}
-    for idx in basis.indices():
-        if idx in states:
-            continue
-        # find the axis to step down along
-        mu = next(k for k in range(basis.naxes) if idx[k] > 0)
-        prev = list(idx)
-        prev[mu] -= 1
-        prev = tuple(prev)
-        stepped = ladder.raise_axis(states[prev], mu)
-        states[idx] = stepped.with_values(stepped.values / np.sqrt(idx[mu]))
-    return [states[idx] for idx in basis.indices()]
+    return _raised_family(basis, grid, tuple(m - 1 for m in basis.n_max))
 
 
-def orthonormality_check(basis: TruncatedBasis, grid: CoordinateGrid) -> float:
-    """Max-norm deviation of the grid Gram matrix from the identity."""
-    gram = operator_matrix(lambda psi: psi, basis, grid)
-    return float(np.abs(gram - np.eye(basis.dim)).max())
+def orthonormality_check(states: list) -> float:
+    """Max-norm deviation of the Gram matrix of built states from the identity."""
+    gram = operator_matrix(lambda psi: psi, states)
+    return float(np.abs(gram - np.eye(len(states))).max())
 
 
-def operator_matrix(op, basis: TruncatedBasis, grid: CoordinateGrid) -> np.ndarray:
-    """Matrix elements <n|A|n'> of a grid operator in the number basis: one
-    product S^H (A S) dV of the stacked states S and their images A S."""
-    states = grid_number_states(basis, grid)
+def operator_matrix(op, states: list) -> np.ndarray:
+    """Matrix elements <n|A|n'> of a grid operator between built number
+    states: one product S^H (A S) dV of the stacked states S and their
+    images A S."""
     S = np.stack([s.values.reshape(-1) for s in states], axis=1)
     AS = np.stack([op(s).values.reshape(-1) for s in states], axis=1)
-    return S.conj().T @ AS * grid.cell_volume
+    return S.conj().T @ AS * states[0].grid.cell_volume
 
 
 @dataclass(frozen=True)
@@ -309,15 +302,13 @@ def momentum_matrix(basis: TruncatedBasis, axis: int = 0) -> np.ndarray:
     )
 
 
-def write_matrix(matrix: np.ndarray, csv_path, json_path=None, meta: dict | None = None):
+def write_matrix(matrix: np.ndarray, csv_path, meta: dict | None = None):
     """Matrix export as CSV rows (row, col, re, im) with a JSON sidecar."""
     matrix = np.asarray(matrix, dtype=complex)
     write_grid_csv(csv_path, ["row", "col", "re", "im"],
                    [range(n) for n in matrix.shape], [matrix.real, matrix.imag],
                    label_fmt="%d")
-    if json_path or meta:
-        write_json(json_path or f"{csv_path}.json",
-                   {"schema": 1, "shape": list(matrix.shape), **(meta or {})})
+    write_json(f"{csv_path}.json", {"schema": 1, "shape": list(matrix.shape), **(meta or {})})
 
 
 def read_matrix(csv_path) -> np.ndarray:

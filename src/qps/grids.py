@@ -281,21 +281,20 @@ def moments(psi: GridWavefunction) -> StatMoments:
     return StatMoments(mean_p=mean_p, mean_x=mean_x, P=P, X=X, rho=rho)
 
 
-def write_wavefunction(psi: GridWavefunction, csv_path, json_path=None):
+def write_wavefunction(psi: GridWavefunction, csv_path):
     """Export samples as CSV (coordinates, re, im) plus a JSON grid header."""
     header = [f"x{i + 1}" for i in range(psi.grid.ndim)] + ["re", "im"]
     axes = [psi.grid.axis_points(mu) for mu in range(psi.grid.ndim)]
     write_grid_csv(csv_path, header, axes, [psi.values.real, psi.values.imag])
     meta = {"schema": 1, "hbar": psi.hbar, "signs": list(psi.signs),
             "axes": [asdict(ax) for ax in psi.grid.axes]}
-    write_json(json_path or f"{csv_path}.json", meta)
+    write_json(f"{csv_path}.json", meta)
 
 
-def read_wavefunction(csv_path, json_path=None) -> GridWavefunction:
+def read_wavefunction(csv_path) -> GridWavefunction:
     """Re-import a wavefunction written by :func:`write_wavefunction`."""
-    json_path = json_path or f"{csv_path}.json"
     try:
-        with open(json_path) as fh:
+        with open(f"{csv_path}.json") as fh:
             meta = json.load(fh)
         axes = tuple(
             GridAxis(a["x_min"], a["x_max"], a["n_points"]) for a in meta["axes"]

@@ -261,10 +261,15 @@ def uncertainty_determinant(P11: float, X11: float, rho11: float,
 
 
 def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) -> float:
-    """Relative Frobenius residual of the matrix saturation identity.
+    """Relative Frobenius residual of the conditions for a joint state.
 
-    Returns ||P - (hbar^2/4) eta X^-1 eta - rho X^-1 rho^T||_F / ||P||_F,
-    which vanishes exactly when the moments describe a joint state.
+    Returns the larger of ||P - (hbar^2/4) eta X^-1 eta - rho X^-1 rho^T||_F
+    / ||P||_F and ||A - A^T||_F / (hbar ||X^-1||_F) with A = eta rho X^-1.
+    The first is the matrix saturation identity; the second asks for a
+    symmetric Gaussian exponent, whose imaginary part (hbar/2) A is measured
+    against its real part (hbar^2/4) X^-1.  Both vanish exactly when the
+    moments describe a pure Gaussian; the second is identically 0 for one
+    pair and for diagonal X and rho.
     """
     eta = sig.matrix()
     try:
@@ -273,7 +278,9 @@ def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) ->
         raise InvalidInputError("X block is singular") from exc
     target = (hbar**2 / 4.0) * (eta @ x_inv @ eta) + moments.rho @ x_inv @ moments.rho.T
     res = moments.P - target
-    return float(np.linalg.norm(res) / np.linalg.norm(moments.P))
+    A = eta @ moments.rho @ x_inv
+    skew = np.linalg.norm(A - A.T) / (hbar * np.linalg.norm(x_inv))
+    return float(max(np.linalg.norm(res) / np.linalg.norm(moments.P), skew))
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,10 +60,6 @@ class PhasePair:
     def x_points(self) -> np.ndarray:
         return self.x_min + self.dx * (np.arange(self.n_x) + 0.5)
 
-    def refined(self, factor: int = 2) -> "PhasePair":
-        return PhasePair(self.p_min, self.p_max, self.n_p * factor,
-                         self.x_min, self.x_max, self.n_x * factor)
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -105,9 +101,6 @@ class PhaseGrid:
     def measure(self, hbar: float) -> float:
         """Midpoint weight per sample against the dq dy / h measure."""
         return self.cell / (2.0 * np.pi * hbar) ** self.npairs
-
-    def refined(self, factor: int = 2) -> "PhaseGrid":
-        return PhaseGrid(tuple(p.refined(factor) for p in self.pairs))
 
     @classmethod
     def symmetric(cls, extent: float = 8.0, n: int = 128, npairs: int = 1):
@@ -275,43 +268,42 @@ def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: fl
                        stats.mean_x[mu], n_sigma * np.sqrt(stats.X[mu, mu]))
 
 
-def _check_analyzable(state: GridWavefunction, pgrid: PhaseGrid, check_coverage: bool = True):
+def _check_analyzable(state: GridWavefunction, pgrid: PhaseGrid):
     if not state.is_normalized(1e-6):
         raise InvalidInputError("phase analysis needs a normalized state")
-    if check_coverage:
-        _check_phase_coverage(state, pgrid, 6.0)
+    _check_phase_coverage(state, pgrid, 6.0)
 
 
 def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
-                       pgrid: PhaseGrid, check_coverage: bool = True) -> PhaseWavefunction:
+                       pgrid: PhaseGrid) -> PhaseWavefunction:
     """psi~(q, y) = <family state at each phase point | state>."""
-    _check_analyzable(state, pgrid, check_coverage)
+    _check_analyzable(state, pgrid)
     analyzer = PhaseAnalyzer(family, pgrid, state.grid)
     return PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
 
 
 def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
-                        grid: CoordinateGrid | None = None) -> PhaseDistribution:
+                        states: list | None = None) -> PhaseDistribution:
     """Positive phase-space density of a pure state, a mixture, or a density matrix.
 
     Every source is an eigenvalue-weighted sum of pure Husimi functions,
     sum_k w_k |psi~_k|^2, transformed with one analyzer.  Pure state: one
     term of weight 1.  Mixture (sequence of (weight, GridWavefunction) on one
     grid): its components.  Density matrix: the eigenvectors of rho realized
-    on `grid` as sums of number states, keeping only eigenvalues above
+    as sums of its built basis `states` (as from `fock.grid_number_states`,
+    so many snapshots share one build), keeping only eigenvalues above
     round-off; that drops the tolerated round-off negatives too, so the
     result is >= 0 by construction and costs rank(rho) transforms.
     """
     if hasattr(source, "basis") and hasattr(source, "matrix"):
-        if grid is None:
-            raise InvalidInputError("a coordinate grid is needed for density sources")
-        from .fock import grid_number_states
-
+        if states is None or len(states) != source.dim:
+            raise InvalidInputError(
+                f"a density source needs its {source.dim} grid number states")
         lam, V = np.linalg.eigh(source.matrix)
         keep = lam > lam.size * np.finfo(float).eps * lam.max()
         weights = lam[keep]
-        states = np.stack([s.values for s in grid_number_states(source.basis, grid)])
-        psis = np.tensordot(V[:, keep].T, states, axes=1)
+        grid = states[0].grid
+        psis = np.tensordot(V[:, keep].T, np.stack([s.values for s in states]), axes=1)
     else:
         if isinstance(source, GridWavefunction):
             source = [(1.0, source)]
@@ -407,7 +399,7 @@ def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
     return float(np.sum(np.abs(pw.values) ** 2) * pgrid.cell)
 
 
-def write_distribution(dist, csv_path, json_path=None, gauge_label: str | None = None):
+def write_distribution(dist, csv_path, gauge_label: str | None = None):
     """CSV export: columns p, x[, p2, x2], value[, im] plus JSON metadata."""
     pairs = dist.grid.pairs
     axes = [points for p in pairs for points in (p.p_points(), p.x_points())]
@@ -419,4 +411,4 @@ def write_distribution(dist, csv_path, json_path=None, gauge_label: str | None =
             "pairs": [asdict(p) for p in pairs]}
     if gauge_label is not None:
         meta["gauge"] = gauge_label
-    write_json(json_path or f"{csv_path}.json", meta)
+    write_json(f"{csv_path}.json", meta)

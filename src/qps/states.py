@@ -183,8 +183,13 @@ class JointStateSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "JointStateSpec":
         try:
-            sig = Signature(int(d["signature"]["d_plus"]), int(d["signature"]["d_minus"]))
+            counts = (d["signature"]["d_plus"], d["signature"]["d_minus"])
+            if not all(type(n) is int for n in counts):
+                raise ValueError(f"signature counts must be integers, got {counts!r}")
+            sig = Signature(*counts)
             g = d.get("gauge", {"kind": "zero", "value": 0.0})
+            if not isinstance(g, dict):
+                raise ValueError(f"gauge must be an object, got {g!r}")
             gauge = GaugeChoice(g.get("kind", "zero"), float(g.get("value", 0.0)))
             hbar = float(d.get("hbar", 1.0))
         except (KeyError, TypeError, ValueError) as exc:

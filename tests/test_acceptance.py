@@ -220,7 +220,8 @@ def test_07_ladder_algebra(ground):
         np.diag(lad.lowering[0], k=1).real, np.sqrt(np.arange(1.0, 4.0))
     )
     eig_dev = np.abs(np.diag(lad.number) - np.arange(4)).max()
-    gram = orthonormality_check(basis, CoordinateGrid.line(-12.0, 12.0, 2048))
+    gram = orthonormality_check(
+        grid_number_states(basis, CoordinateGrid.line(-12.0, 12.0, 2048)))
     ok = sub_exact and eig_dev <= 1e-12 and gram <= 1e-6
     report(7, "ladder-algebra",
            f"subdiagonals exact {sub_exact}, number eig dev {eig_dev:.1e}, "
@@ -249,7 +250,8 @@ def test_09_liouville_von_neumann(ground):
     grid = CoordinateGrid.line()
     basis = TruncatedBasis((14,), ground)
     coh = coordinate_wavefunction(ground.displaced([0.0], [1.0]), grid)
-    coeffs = np.array([inner_product(s, coh) for s in grid_number_states(basis, grid)])
+    states = grid_number_states(basis, grid)
+    coeffs = np.array([inner_product(s, coh) for s in states])
     rho0 = from_pure(FockVector(basis, coeffs / np.linalg.norm(coeffs)))
     Hmat = number_hamiltonian(basis, omega=1.0)
 
@@ -272,7 +274,7 @@ def test_09_liouville_von_neumann(ground):
     x_q = expectation(rho_q, position_matrix(basis)).real
     p_q = expectation(rho_q, momentum_matrix(basis)).real
     pg = PhaseGrid.symmetric(8.0, 128)
-    peak = husimi_distribution(rho_q, ground, pg, grid).argmax_point()
+    peak = husimi_distribution(rho_q, ground, pg, states).argmax_point()
     cell = np.hypot(pg.pairs[0].dp, pg.pairs[0].dx)
     peak_dev = np.hypot(peak[0] - p_q, peak[1] - x_q)
     rho_T = evolve_lvn(rho0, Hmat, 2.0 * np.pi)

@@ -69,6 +69,28 @@ class TestStateSynth:
         header = (tmp_path / "wavefunction.csv").read_text().splitlines()[0]
         assert header == "x1,x2,re,im"
 
+    def test_asymmetric_exponent_spec_exit_2(self, tmp_path, capsys):
+        # P saturates, but eta rho X^-1 is not symmetric: not a pure Gaussian
+        from qps.metric import saturating_moments
+
+        m = saturating_moments(X=[[0.5, 0.1], [0.1, 0.8]], rho=np.diag([0.2, 0.0]))
+        spec = write_spec(tmp_path, signature={"d_plus": 0, "d_minus": 2},
+                          **m.to_dict())
+        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        assert code == 2
+        assert "saturation violated: residual 2.96" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"gauge": "zero"}, {"signature": {"d_plus": 0, "d_minus": 1.7}},
+        {"signature": {"d_plus": False, "d_minus": 1}},
+    ])
+    def test_mistyped_spec_exit_2(self, tmp_path, capsys, override):
+        spec = write_spec(tmp_path, **override)
+        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "malformed state spec" in err and "Traceback" not in err
+
     def test_coverage_exit_3(self, tmp_path):
         spec = write_spec(tmp_path, mean_x=[11.0])
         code = main(["--out", str(tmp_path), "--grid=-12:12:1024", "state", "synth", spec])
@@ -228,6 +250,19 @@ class TestEvolve:
         final = read_density(tmp_path / "evo" / "rho_0001.csv")
         assert np.abs(final.matrix - rho.matrix).max() < 1e-8
 
+    def test_number_states_built_once(self, tmp_path, monkeypatch):
+        import qps.fock
+
+        calls = []
+        build = qps.fock.grid_number_states
+        monkeypatch.setattr(qps.fock, "grid_number_states",
+                            lambda *a: calls.append(1) or build(*a))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--snapshots", "4", "--husimi"])
+        assert code == 0
+        assert len(calls) == 1
+        assert (tmp_path / "evo" / "husimi_0003.csv").exists()
+
     def test_unknown_hamiltonian_exit_2(self, tmp_path):
         from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
 
@@ -319,6 +354,30 @@ class TestDamagedInputs:
                      str(rho_path), "--t", "1.0", "--husimi"])
         assert code == 2
         assert "16 number states on the grid are 33554432 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, value", [(2, "nan"), (5, "nan"), (2, "inf")])
+    def test_nonfinite_density_entry_exit_2(self, tmp_path, capsys, line, value):
+        # CSV line 2 is entry (0, 1) and line 5 is (1, 0) of the 4 x 4 matrix
+        rho_path = write_rho(tmp_path)
+        lines = rho_path.read_text().splitlines(keepends=True)
+        row, col, _, im = lines[line].split(",")
+        lines[line] = ",".join([row, col, value, im])
+        rho_path.write_text("".join(lines))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "non-finite" in err and "Traceback" not in err
+
+    def test_mistyped_reference_gauge_exit_2(self, tmp_path, capsys):
+        rho_path = write_rho(tmp_path)
+        sidecar = tmp_path / "rho.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta["basis"]["reference"]["gauge"] = "zero"
+        sidecar.write_text(json.dumps(meta))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "gauge must be an object" in err and "Traceback" not in err
 
     def test_density_shape_checked_against_sidecar(self, tmp_path, capsys):
         rho_path = write_rho(tmp_path)

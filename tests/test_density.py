@@ -107,6 +107,14 @@ class TestConstructors:
         with pytest.raises(InvalidInputError):
             DensityMatrix(basis, bad)  # not Hermitian
 
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_nan_entry_rejected(self, basis, entry):
+        # NaN passes every `defect > tol` check, so it is rejected up front
+        m = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
+        m[entry] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            DensityMatrix(basis, m)
+
     def test_unnormalized_pure_rejected(self, basis):
         with pytest.raises(InvalidInputError):
             from_pure(FockVector(basis, np.ones(6)))

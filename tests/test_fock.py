@@ -153,7 +153,7 @@ class TestNumberState:
         # the ladder construction works for any saturating covariance
         spec = JointStateSpec.from_covariance(X=[[0.5]], rho=[[0.3]])
         basis = TruncatedBasis((4,), spec)
-        assert orthonormality_check(basis, fine_grid) < 1e-6
+        assert orthonormality_check(grid_number_states(basis, fine_grid)) < 1e-6
 
     def test_displaced_correlated_anchor(self, fine_grid):
         # raising from a displaced, momentum-correlated anchor still builds
@@ -164,7 +164,7 @@ class TestNumberState:
             X=[[0.7]], rho=[[0.35]], mean_p=[0.6], mean_x=[-0.8]
         )
         basis = TruncatedBasis((4,), spec)
-        assert orthonormality_check(basis, fine_grid) < 1e-6
+        assert orthonormality_check(grid_number_states(basis, fine_grid)) < 1e-6
         lad = _GridLadder(basis, fine_grid)
         psi = number_state(2, basis, fine_grid)
         npsi = lad.raise_axis(lad.lower_axis(psi, 0), 0)
@@ -179,7 +179,7 @@ class TestNumberState:
         grid = CoordinateGrid.square(-12.0, 12.0, 256)
         spec = JointStateSpec.from_covariance(X=np.diag([0.5, 0.8]))
         basis = TruncatedBasis((3, 3), spec)
-        assert orthonormality_check(basis, grid) < 1e-6
+        assert orthonormality_check(grid_number_states(basis, grid)) < 1e-6
         # grid realization of the total number operator has eigenvalue n0+n1
         lad = _GridLadder(basis, grid)
         psi = number_state((1, 2), basis, grid)
@@ -188,12 +188,15 @@ class TestNumberState:
             total += lad.raise_axis(lad.lower_axis(psi, mu), mu).values
         res = np.sqrt(np.sum(np.abs(total - 3.0 * psi.values) ** 2) * grid.cell_volume)
         assert res < 1e-7
+        # number_state walks the same ladder as grid_number_states
+        family = grid_number_states(basis, grid)[basis.flat_index((1, 2))]
+        assert np.abs(psi.values - family.values).max() <= 1e-12 * np.abs(psi.values).max()
 
 
 class TestOrthonormality:
     def test_gram_identity(self, fine_grid, ground_spec_module):
         basis = TruncatedBasis((4,), ground_spec_module)
-        assert orthonormality_check(basis, fine_grid) < 1e-6
+        assert orthonormality_check(grid_number_states(basis, fine_grid)) < 1e-6
 
     def test_diagonal_normalization(self, fine_grid, ground_spec_module):
         basis = TruncatedBasis((4,), ground_spec_module)
@@ -209,7 +212,7 @@ class TestOrthonormality:
     def test_gram_identity_n8(self, ground_spec_module):
         grid = CoordinateGrid.line(-12.0, 12.0, 2048)
         basis = TruncatedBasis((8,), ground_spec_module)
-        assert orthonormality_check(basis, grid) < 1e-6
+        assert orthonormality_check(grid_number_states(basis, grid)) < 1e-6
 
     def test_grid_work_cutoff_guard(self, fine_grid, ground_spec_module):
         from qps.errors import UnsupportedError
@@ -237,19 +240,20 @@ class TestOperatorMatrix:
         states = grid_number_states(basis, grid)
         for op in (lambda s: s, lambda s: apply_position(s, 1)):
             loop = np.array([[inner_product(a, op(b)) for b in states] for a in states])
-            assert np.abs(operator_matrix(op, basis, grid) - loop).max() < 1e-14
+            assert np.abs(operator_matrix(op, states) - loop).max() < 1e-14
         gram = np.array([[inner_product(a, b) for b in states] for a in states])
-        assert orthonormality_check(basis, grid) == pytest.approx(
+        assert orthonormality_check(states) == pytest.approx(
             np.abs(gram - np.eye(basis.dim)).max(), abs=1e-14)
 
     def test_identity_operator(self, fine_grid, ground_spec_module):
         basis = TruncatedBasis((4,), ground_spec_module)
-        mat = operator_matrix(lambda s: s, basis, fine_grid)
+        mat = operator_matrix(lambda s: s, grid_number_states(basis, fine_grid))
         assert np.abs(mat - np.eye(4)).max() < 1e-8
 
     def test_position_element(self, fine_grid, ground_spec_module):
         basis = TruncatedBasis((4,), ground_spec_module)
-        mat = operator_matrix(lambda s: apply_position(s, 0), basis, fine_grid)
+        states = grid_number_states(basis, fine_grid)
+        mat = operator_matrix(lambda s: apply_position(s, 0), states)
         assert mat[0, 1] == pytest.approx(np.sqrt(0.5), abs=1e-6)
         assert np.abs(mat - mat.conj().T).max() < 1e-8
 
@@ -262,15 +266,16 @@ class TestOperatorMatrix:
         def num_op(s):
             return lad.raise_axis(lad.lower_axis(s, 0), 0)
 
-        mat = operator_matrix(num_op, basis, fine_grid)
+        mat = operator_matrix(num_op, grid_number_states(basis, fine_grid))
         assert np.abs(mat - np.diag([0.0, 1.0, 2.0, 3.0])).max() < 1e-7
 
     def test_closed_form_matrices_match_quadrature(self, fine_grid, ground_spec_module):
         basis = TruncatedBasis((5,), ground_spec_module)
         from qps import apply_momentum
 
-        xq = operator_matrix(lambda s: apply_position(s, 0), basis, fine_grid)
-        pq = operator_matrix(lambda s: apply_momentum(s, 0), basis, fine_grid)
+        states = grid_number_states(basis, fine_grid)
+        xq = operator_matrix(lambda s: apply_position(s, 0), states)
+        pq = operator_matrix(lambda s: apply_momentum(s, 0), states)
         assert np.abs(xq - position_matrix(basis)).max() < 1e-8
         assert np.abs(pq - momentum_matrix(basis)).max() < 1e-8
 

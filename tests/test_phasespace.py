@@ -142,12 +142,22 @@ class TestHusimi:
 
         basis = TruncatedBasis((4,), spec)
         rho = from_pure(FockVector.unit(basis, 1))
-        dist = husimi_distribution(rho, spec, pgrid, grid)
+        dist = husimi_distribution(rho, spec, pgrid, grid_number_states(basis, grid))
         assert dist.minimum() >= -1e-12
         assert dist.integral() == pytest.approx(1.0, abs=1e-3)
         # agrees with the pure-state route
         direct = husimi_distribution(number_state(1, basis, grid), spec, pgrid)
         assert np.abs(dist.values - direct.values).max() < 1e-8
+
+    def test_density_source_needs_its_states(self, spec, grid, pgrid):
+        from qps import FockVector, from_pure
+
+        basis = TruncatedBasis((4,), spec)
+        rho = from_pure(FockVector.unit(basis, 1))
+        states = grid_number_states(TruncatedBasis((3,), spec), grid)
+        for wrong in (None, [], states):
+            with pytest.raises(InvalidInputError, match="needs its 4 grid number states"):
+                husimi_distribution(rho, spec, pgrid, wrong)
 
     def test_bad_weights_rejected(self, spec, grid, pgrid):
         psi = coordinate_wavefunction(spec, grid)
@@ -291,16 +301,18 @@ DENSITY_CASES = {
 
 @pytest.fixture(scope="module", params=sorted(DENSITY_CASES))
 def density_case(request):
-    """Basis, grids, family and the transformed basis-state stack of the
-    full quadratic form, which is the reference the rank-streamed path must match."""
+    """Basis, family, grid number states, phase grid and the transformed
+    basis-state stack of the full quadratic form, which is the reference the
+    rank-streamed path must match."""
     from qps.phasespace import PhaseAnalyzer
 
     n_max, grid, pgrid = DENSITY_CASES[request.param]
     family = JointStateSpec.from_covariance(X=np.diag([0.5] * len(n_max)))
     basis = TruncatedBasis(n_max, family)
+    states = grid_number_states(basis, grid)
     analyzer = PhaseAnalyzer(family, pgrid, grid)
-    tilde = np.stack([analyzer.transform(s.values) for s in grid_number_states(basis, grid)])
-    return basis, family, grid, pgrid, tilde
+    tilde = np.stack([analyzer.transform(s.values) for s in states])
+    return basis, family, states, pgrid, tilde
 
 
 def random_density(basis, eigenvalues, seed):
@@ -325,7 +337,7 @@ class TestDensityHusimi:
     def test_matches_quadratic_form(self, density_case, rank, monkeypatch):
         from qps.phasespace import PhaseAnalyzer
 
-        basis, family, grid, pgrid, tilde = density_case
+        basis, family, states, pgrid, tilde = density_case
         r = basis.dim if rank == "full" else rank
         weights = np.random.default_rng(r).uniform(0.2, 1.0, r)
         rho = random_density(basis, weights / weights.sum(), seed=r)
@@ -333,7 +345,7 @@ class TestDensityHusimi:
         transform = PhaseAnalyzer.transform
         monkeypatch.setattr(PhaseAnalyzer, "transform",
                             lambda self, v: calls.append(1) or transform(self, v))
-        dist = husimi_distribution(rho, family, pgrid, grid)
+        dist = husimi_distribution(rho, family, pgrid, states)
         expected = quadratic_form_husimi(tilde, rho)
         assert len(calls) == r
         assert np.abs(dist.values - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -344,11 +356,11 @@ class TestDensityHusimi:
         # full quadratic form dips below zero in the tails (to -1.4e-16 on (16,))
         from qps import DensityMatrix
 
-        basis, family, grid, pgrid, tilde = density_case
+        basis, family, states, pgrid, tilde = density_case
         lam = np.zeros(basis.dim)
         lam[[0, 1, -1]] = [0.6, 0.4 + 5e-11, -5e-11]
         rho = DensityMatrix(basis, np.diag(lam))
-        dist = husimi_distribution(rho, family, pgrid, grid)
+        dist = husimi_distribution(rho, family, pgrid, states)
         assert dist.minimum() >= 0.0
         expected = quadratic_form_husimi(tilde, rho)
         assert np.abs(dist.values - expected).max() <= 1e-9 * np.abs(expected).max()

@@ -175,7 +175,7 @@ class TestContinuousKernel:
     def test_contraction_reproduces_direct_action(self, small):
         spec, grid, pgrid = small
         psi = coordinate_wavefunction(spec.displaced([0.3], [-0.4]), grid)
-        pw = phase_wavefunction(psi, spec, pgrid, check_coverage=False)
+        pw = phase_wavefunction(psi, spec, pgrid)
         kernel = continuous_kernel(lambda s: apply_position(s, 0), spec, pgrid, grid)
         via_kernel = kernel.contract(pw)
         from qps.phasespace import PhaseAnalyzer

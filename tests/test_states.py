@@ -46,6 +46,21 @@ class TestSpecValidation:
         assert back.gauge == spec.gauge
         assert back.signature == spec.signature
 
+    def test_rho_eta_s_x_is_a_pure_gaussian(self):
+        # eta rho X^-1 = S is symmetric, so the exponent is symmetric and the
+        # sampled state is an eigenstate of z
+        X = np.array([[0.5, 0.1], [0.1, 0.8]])
+        S = np.array([[0.3, 0.1], [0.1, -0.25]])
+        spec = JointStateSpec.from_covariance(X=X, rho=-S @ X)
+        assert check_saturation(spec.moments, spec.signature) < 1e-15
+        assert z_eigencheck(spec, CoordinateGrid.square(-12.0, 12.0, 256)) < 1e-7
+
+    def test_rejects_asymmetric_exponent(self):
+        # saturates P, but eta rho X^-1 is not symmetric: no pure Gaussian has
+        # these moments (one symplectic eigenvalue is below hbar/2)
+        with pytest.raises(SaturationError, match="2.96"):
+            JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.8]], rho=np.diag([0.2, 0.0]))
+
     def test_mean_z_is_the_eigenvalue_label(self, ground_spec):
         spec = ground_spec.displaced([0.25], [1.5])
         # spatial axis: <z> = <p> - (2i/hbar) B <x>
@@ -201,8 +216,11 @@ class TestZAdjoint:
     @pytest.mark.parametrize("spec, grid", [
         (JointStateSpec.from_covariance(X=[[0.7]], rho=[[0.35]], mean_p=[0.6], mean_x=[-0.8]),
          CoordinateGrid.line(-12.0, 12.0, 1024)),
+        # rho = eta S X with S symmetric, so that eta rho X^-1 is symmetric
         (JointStateSpec.from_covariance(
-            X=[[0.6, 0.15], [0.15, 0.9]], rho=np.diag([0.2, -0.3]),
+            X=[[0.6, 0.15], [0.15, 0.9]],
+            rho=np.diag([1.0, -1.0]) @ np.array([[0.3, 0.1], [0.1, -0.25]])
+            @ [[0.6, 0.15], [0.15, 0.9]],
             mean_p=[0.3, -0.1], mean_x=[0.2, 0.4], signature=Signature(1, 1)),
          CoordinateGrid.square(-12.0, 12.0, 128)),
     ], ids=["correlated_one_axis", "mixed_signature_two_axis"])
@@ -349,8 +367,10 @@ class TestQuadraticForms:
     @pytest.mark.parametrize("spec", [
         JointStateSpec.from_covariance(X=[[0.6]], rho=[[0.3]], mean_p=[0.4], mean_x=[-0.7],
                                        gauge=GaugeChoice.full(), hbar=0.8),
+        # rho = eta S X with S symmetric and eta = -1
         JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.4]],
-                                       rho=[[0.2, 0.05], [0.05, -0.1]],
+                                       rho=-np.array([[0.3, 0.08], [0.08, -0.2]])
+                                       @ [[0.5, 0.1], [0.1, 0.4]],
                                        mean_p=[0.4, -0.3], mean_x=[-0.7, 0.5],
                                        gauge=GaugeChoice.half(), hbar=0.8),
     ], ids=["one-axis", "two-axis-correlated"])
