@@ -36,6 +36,7 @@ from . import fock
 from . import verify as verify_mod
 
 _FMT = "{:.12g}"
+_MAX_SNAPSHOTS = 1000  # each snapshot writes files
 
 
 @dataclass
@@ -250,8 +251,8 @@ def _parse_hamiltonian(text: str):
 
 def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
                snapshots: int, with_husimi: bool) -> int:
-    if snapshots < 1:
-        raise InvalidInputError("need at least one snapshot")
+    if not 1 <= snapshots <= _MAX_SNAPSHOTS:
+        raise InvalidInputError(f"need 1 to {_MAX_SNAPSHOTS} snapshots, got {snapshots}")
     if not math.isfinite(t):
         raise InvalidInputError(f"--t must be finite, got {t!r}")
     omega = _parse_hamiltonian(hamiltonian)

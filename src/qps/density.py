@@ -91,7 +91,7 @@ class MicrostateCount:
 
 def from_pure(state: FockVector) -> DensityMatrix:
     """Rank-one projector of a normalized vector."""
-    if not state.is_normalized(1e-9):
+    if not state.is_normalized():
         raise InvalidInputError("pure state must be normalized")
     return DensityMatrix(state.basis, np.outer(state.coeffs, np.conj(state.coeffs)))
 
@@ -101,7 +101,7 @@ def from_mixture(mix: MixtureSpec) -> DensityMatrix:
     basis = mix.components[0][1].basis
     m = np.zeros((basis.dim, basis.dim), dtype=complex)
     for w, s in mix.components:
-        if not s.is_normalized(1e-9):
+        if not s.is_normalized():
             raise InvalidInputError("mixture components must be normalized")
         m += w * np.outer(s.coeffs, np.conj(s.coeffs))
     return DensityMatrix(basis, m)

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
-from .grids import CoordinateGrid, GridWavefunction, along, check_coverage
+from .grids import SAMPLE_BUDGET, CoordinateGrid, GridWavefunction, along, check_coverage
 from .io import write_grid_csv, write_json
 from .metric import decompose_covariance
 from .states import JointStateSpec, apply_z, coordinate_wavefunction
+
+# largest truncated basis dimension
+_BASIS_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +34,6 @@ class TruncatedBasis:
 
     n_max: tuple
     reference: JointStateSpec
-    budget: int = 4096
 
     def __post_init__(self):
         n_max = tuple(int(n) for n in (
@@ -41,9 +43,9 @@ class TruncatedBasis:
             raise InvalidInputError("n_max needs one cutoff per axis")
         if any(n < 2 for n in n_max):
             raise InvalidInputError("each n_max must be at least 2")
-        if int(np.prod(n_max)) > self.budget:
+        if int(np.prod(n_max)) > _BASIS_BUDGET:
             raise InvalidInputError(
-                f"truncated dimension {int(np.prod(n_max))} exceeds budget {self.budget}"
+                f"truncated dimension {int(np.prod(n_max))} exceeds budget {_BASIS_BUDGET}"
             )
         object.__setattr__(self, "n_max", n_max)
 
@@ -81,8 +83,8 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= 1e-9
 
     def normalized(self) -> "FockVector":
         return FockVector(self.basis, self.coeffs / self.norm())
@@ -219,10 +221,10 @@ def grid_number_states(basis: TruncatedBasis, grid: CoordinateGrid) -> list:
     if any(m > 16 for m in basis.n_max):
         raise UnsupportedError("grid work is limited to n_max <= 16 per axis")
     samples = basis.dim * math.prod(grid.shape)
-    if samples > grid.budget:
+    if samples > SAMPLE_BUDGET:
         raise InvalidInputError(
             f"{basis.dim} number states on the grid are {samples} samples, "
-            f"budget is {grid.budget}"
+            f"budget is {SAMPLE_BUDGET}"
         )
     return _raised_family(basis, grid, tuple(m - 1 for m in basis.n_max))
 
@@ -249,8 +251,7 @@ class RobertsonCheck:
     holds: bool
 
 
-def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector,
-                    tol: float = 1e-8) -> RobertsonCheck:
+def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector) -> RobertsonCheck:
     """sigma_A sigma_B >= |<[A, B]>|/2 for a normalized basis vector."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -262,7 +263,7 @@ def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector,
         if np.abs(M - M.conj().T).max() > 1e-10 * max(1.0, np.abs(M).max()):
             raise InvalidInputError(f"{name} must be Hermitian")
     v = state.coeffs
-    if not state.is_normalized(1e-9):
+    if not state.is_normalized():
         raise InvalidInputError("state must be normalized")
 
     def _sigma(M):
@@ -275,7 +276,7 @@ def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector,
     comm = A @ B - B @ A
     rhs = 0.5 * abs(np.vdot(v, comm @ v))
     lhs = float(sa * sb)
-    return RobertsonCheck(lhs=lhs, rhs=float(rhs), holds=lhs >= rhs - tol)
+    return RobertsonCheck(lhs=lhs, rhs=float(rhs), holds=lhs >= rhs - 1e-8)
 
 
 def position_matrix(basis: TruncatedBasis, axis: int = 0) -> np.ndarray:

@@ -21,6 +21,9 @@ from .errors import CoverageError, InvalidInputError
 from .io import write_grid_csv, write_json
 from .metric import StatMoments
 
+# most samples one array of a grid, phase grid or number family may hold
+SAMPLE_BUDGET = 2**24
+
 
 @dataclass(frozen=True)
 class GridAxis:
@@ -50,7 +53,6 @@ class CoordinateGrid:
     """Cartesian product of up to two uniform axes (cost grows as n^D)."""
 
     axes: tuple
-    budget: int = 2**24
 
     def __post_init__(self):
         axes = tuple(
@@ -59,8 +61,8 @@ class CoordinateGrid:
         if not 1 <= len(axes) <= 2:
             raise InvalidInputError("grid oracle supports D = 1 or 2 axes")
         total = math.prod(ax.n_points for ax in axes)
-        if total > self.budget:
-            raise InvalidInputError(f"grid has {total} points, budget is {self.budget}")
+        if total > SAMPLE_BUDGET:
+            raise InvalidInputError(f"grid has {total} points, budget is {SAMPLE_BUDGET}")
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -100,7 +102,7 @@ class CoordinateGrid:
         for ax in self.axes:
             p_max = np.pi * hbar / ax.spacing
             duals.append(GridAxis(-p_max, p_max, ax.n_points))
-        return CoordinateGrid(axes=tuple(duals), budget=self.budget)
+        return CoordinateGrid(axes=tuple(duals))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .errors import InvalidInputError, SaturationError
 
 # 2019 SI value, h = 6.62607015e-34 J s exactly
 HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)
+
+# largest saturation residual decompose_covariance factors
+_FACTOR_SATURATION_TOL = 1e-6
 
 
 def _frozen(a, dtype=float):
@@ -128,6 +132,19 @@ class StatMoments:
     def dim(self) -> int:
         return self.mean_p.shape[0]
 
+    @cached_property
+    def x_inv(self) -> np.ndarray:
+        """Inverse of the X block, computed once."""
+        try:
+            return _frozen(np.linalg.inv(self.X))
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInputError("X block is singular") from exc
+
+    @cached_property
+    def gaussian_norm(self) -> float:
+        """Amplitude ((2 pi)^D |det X|)^(-1/4) of the normalized Gaussian."""
+        return ((2.0 * np.pi) ** self.dim * abs(np.linalg.det(self.X))) ** -0.25
+
     def to_dict(self) -> dict:
         return {
             "mean_p": self.mean_p.tolist(),
@@ -172,7 +189,7 @@ def saturating_moments(X, rho=None, mean_p=None, mean_x=None,
 
 @dataclass(frozen=True, eq=False)
 class ShapeParams:
-    """Complex shape matrix of the Gaussian exponent, plus the inverse of X.
+    """Complex shape matrix of the Gaussian exponent.
 
     ``matrix`` stores the covariant shape parameters
     B[mu, nu] = (1/4) [hbar^2 eta + 2 i hbar rho] (eta X)^-1 evaluated
@@ -181,18 +198,11 @@ class ShapeParams:
     """
 
     matrix: np.ndarray
-    x_inv: np.ndarray
-    hbar: float
     signs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix, dtype=complex))
-        object.__setattr__(self, "x_inv", _frozen(self.x_inv))
         object.__setattr__(self, "signs", _frozen(self.signs))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def exponent(self) -> np.ndarray:
@@ -213,16 +223,12 @@ def build_shape(moments: StatMoments, sig: Signature, hbar: float = 1.0) -> Shap
     if sig.dim != moments.dim:
         raise InvalidInputError("signature dimension does not match moments")
     eta = sig.matrix()
-    try:
-        x_inv = np.linalg.inv(moments.X)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInputError("X block is singular") from exc
-    if not np.allclose(moments.X @ x_inv, np.eye(moments.dim), atol=1e-12):
+    if not np.allclose(moments.X @ moments.x_inv, np.eye(moments.dim), atol=1e-12):
         raise InvalidInputError("X inversion failed the 1e-12 identity check")
     # mixed-index inverse: (eta X)^-1 = X^-1 eta for the diagonal metric
-    mixed_inv = x_inv @ eta
+    mixed_inv = moments.x_inv @ eta
     B = 0.25 * (hbar**2 * eta + 2j * hbar * moments.rho) @ mixed_inv
-    shape = ShapeParams(matrix=B, x_inv=x_inv, hbar=hbar, signs=sig.signs)
+    shape = ShapeParams(matrix=B, signs=sig.signs)
     decay = np.linalg.eigvalsh(shape.exponent.real)
     if decay.min() <= 0.0:
         axis = int(np.argmin(np.diag(shape.exponent.real)))
@@ -272,10 +278,7 @@ def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) ->
     pair and for diagonal X and rho.
     """
     eta = sig.matrix()
-    try:
-        x_inv = np.linalg.inv(moments.X)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInputError("X block is singular") from exc
+    x_inv = moments.x_inv
     target = (hbar**2 / 4.0) * (eta @ x_inv @ eta) + moments.rho @ x_inv @ moments.rho.T
     res = moments.P - target
     A = eta @ moments.rho @ x_inv
@@ -315,26 +318,28 @@ def reconstruct_covariance(factors: CovarianceFactors, sig: Signature) -> np.nda
     return M.T @ eta2 @ M
 
 
-def decompose_covariance(moments: StatMoments, sig: Signature, hbar: float = 1.0,
-                         saturation_tol: float = 1e-6) -> CovarianceFactors:
+def decompose_covariance(moments: StatMoments, sig: Signature,
+                         hbar: float = 1.0) -> CovarianceFactors:
     """Factor a saturating block covariance into (a, b, c).
 
     a is the principal square root of eta X, b = (hbar/2) a^-1 and
     c = (1/hbar) X^-1 rho^T a; with these the reconstruction reproduces the
     block matrix identically whenever the moments saturate.  Non-saturating
     input is rejected.
+
+    eta X is similar to the symmetric X^1/2 eta X^1/2, so it is diagonalizable
+    with a real spectrum; rooting the real parts of its eigenvalues keeps
+    round-off off the -i branch (Higham, Functions of Matrices, ch. 1 and 6).
     """
     residual = check_saturation(moments, sig, hbar)
-    if residual > saturation_tol:
+    if residual > _FACTOR_SATURATION_TOL:
         raise SaturationError(
-            f"moments do not saturate: residual {residual:.3e} > {saturation_tol:.1e}"
+            f"moments do not saturate: residual {residual:.3e} > {_FACTOR_SATURATION_TOL:.1e}"
         )
-    import scipy.linalg  # imported here: loading scipy dominates CLI start-up
-
-    eta = sig.matrix()
-    a = scipy.linalg.sqrtm(eta @ moments.X).astype(complex)
+    lam, V = np.linalg.eig(sig.matrix() @ moments.X)
+    a = (V * np.sqrt(lam.real.astype(complex))) @ np.linalg.inv(V)
     b = (hbar / 2.0) * np.linalg.inv(a)
-    c = (1.0 / hbar) * np.linalg.inv(moments.X) @ moments.rho.T @ a
+    c = (1.0 / hbar) * moments.x_inv @ moments.rho.T @ a
     factors = CovarianceFactors(a=a, b=b, c=c)
     rebuilt = reconstruct_covariance(factors, sig)
     target = block_covariance(moments)

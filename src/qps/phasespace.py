@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
-from .grids import CoordinateGrid, GridWavefunction, check_coverage, moments
+from .grids import SAMPLE_BUDGET, CoordinateGrid, GridWavefunction, check_coverage, moments
 from .io import write_grid_csv, write_json
 from .states import JointStateSpec
 
@@ -67,7 +67,6 @@ class PhaseGrid:
     (p1, x1, p2, x2, ...)."""
 
     pairs: tuple
-    budget: int = 2**24
 
     def __post_init__(self):
         pairs = tuple(
@@ -76,9 +75,9 @@ class PhaseGrid:
         if not 1 <= len(pairs) <= 2:
             raise InvalidInputError("phase grids support 1 or 2 pairs")
         total = math.prod(p.n_p * p.n_x for p in pairs)
-        if total > self.budget:
+        if total > SAMPLE_BUDGET:
             raise InvalidInputError(
-                f"phase grid has {total} samples, budget is {self.budget}"
+                f"phase grid has {total} samples, budget is {SAMPLE_BUDGET}"
             )
         object.__setattr__(self, "pairs", pairs)
 
@@ -196,8 +195,7 @@ class PhaseAnalyzer:
         self.grid = grid
         hbar = family.hbar
         signs = family.signature.signs
-        self.norm = ((2.0 * np.pi) ** family.dim
-                     * abs(np.linalg.det(family.moments.X))) ** -0.25
+        self.norm = family.moments.gaussian_norm
         self.windows = []   # W[m, k] = exp(-conj(bp)(x_m - y_k)^2 / hbar^2)
         self.kernels = []   # E[j, m] = exp((i/hbar) s q_j x_m) dx
         self.kphases = []   # K(q_j, y_k) per pair

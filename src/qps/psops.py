@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import GaugeMismatchError, InvalidInputError
 from .grids import (
+    SAMPLE_BUDGET,
     CoordinateGrid,
     GridWavefunction,
     along,
@@ -144,9 +145,9 @@ def continuous_kernel(op, family: JointStateSpec, pgrid: PhaseGrid,
         raise InvalidInputError("continuous kernels are built for one pair")
     pair = pgrid.pairs[0]
     n_phase = pair.n_p * pair.n_x
-    if n_phase**2 > pgrid.budget:
+    if n_phase**2 > SAMPLE_BUDGET:
         raise InvalidInputError(f"kernel over {n_phase} phase points has {n_phase**2} "
-                                f"entries, budget is {pgrid.budget}")
+                                f"entries, budget is {SAMPLE_BUDGET}")
     analyzer = PhaseAnalyzer(family, pgrid, grid)
     out = np.zeros((n_phase, n_phase), dtype=complex)
     col = 0

@@ -43,6 +43,9 @@ from .metric import (
 
 _GAUGE_KINDS = ("zero", "full", "half", "const")
 
+# largest saturation residual a spec may carry
+_SATURATION_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GaugeChoice:
@@ -115,16 +118,15 @@ class JointStateSpec:
     signature: Signature
     gauge: GaugeChoice = GaugeChoice("zero")
     hbar: float = 1.0
-    saturation_tol: float = 1e-9
 
     def __post_init__(self):
         if self.signature.dim != self.moments.dim:
             raise InvalidInputError("signature and moments dimensions differ")
         residual = check_saturation(self.moments, self.signature, self.hbar)
-        if residual > self.saturation_tol:
+        if residual > _SATURATION_TOL:
             raise SaturationError(
                 f"uncertainty saturation violated: residual {residual:.3e} > "
-                f"{self.saturation_tol:.1e}"
+                f"{_SATURATION_TOL:.1e}"
             )
 
     @property
@@ -206,7 +208,7 @@ def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridW
                        spec.moments.mean_x[mu], 6.0 * np.sqrt(spec.moments.X[mu, mu]))
     signs = spec.signature.signs
     hbar = spec.hbar
-    norm = ((2.0 * np.pi) ** spec.dim * abs(np.linalg.det(spec.moments.X))) ** -0.25
+    norm = spec.moments.gaussian_norm
     mesh = np.stack(grid.meshgrid())
     xi = mesh - spec.moments.mean_x.reshape((-1,) + (1,) * spec.dim)
     expo = spec.shape.exponent  # symmetrized eta B eta
@@ -231,8 +233,7 @@ def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWav
                        spec.moments.mean_p[mu], 6.0 * np.sqrt(spec.moments.P[mu, mu]))
     M = spec.shape.exponent / hbar**2
     M_inv = np.linalg.inv(M)
-    norm_x = ((2.0 * np.pi) ** spec.dim * abs(np.linalg.det(spec.moments.X))) ** -0.25
-    pref = norm_x * (2.0 * np.pi * hbar) ** (-spec.dim / 2.0) \
+    pref = spec.moments.gaussian_norm * (2.0 * np.pi * hbar) ** (-spec.dim / 2.0) \
         * np.sqrt(np.pi**spec.dim / np.linalg.det(M))
     axes = (-1,) + (1,) * spec.dim
     dp = signs.reshape(axes) * (np.stack(grid.meshgrid()) - spec.moments.mean_p.reshape(axes))

@@ -109,11 +109,12 @@ def suite_uncertainty(hbar=1.0, tols=None):
     return checks
 
 
-def _superposition(grid, spec, seed=7, n_top=3):
-    basis = fock.TruncatedBasis((n_top + 1,), spec)
+def _superposition(grid, spec):
+    """Seeded normalized superposition of the number states 0..3."""
+    basis = fock.TruncatedBasis((4,), spec)
     states = fock.grid_number_states(basis, grid)
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=n_top + 1) + 1j * rng.normal(size=n_top + 1)
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c /= np.linalg.norm(c)
     values = sum(ci * s.values for ci, s in zip(c, states))
     psi = GridWavefunction(grid, values, spec.hbar)
@@ -260,6 +261,17 @@ def suite_gauge(hbar=1.0, tols=None):
     return checks
 
 
+def _random_mixture(rng, basis, count):
+    """Mixture of `count` random unit vectors with weights drawn in [0.1, 1)."""
+    weights = rng.uniform(0.1, 1.0, size=count)
+    weights /= weights.sum()
+    comps = []
+    for w in weights:
+        u = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        comps.append((w, fock.FockVector(basis, u / np.linalg.norm(u))))
+    return density.MixtureSpec(tuple(comps))
+
+
 def suite_density(hbar=1.0, tols=None):
     rng = np.random.default_rng(23)
     spec = _ground_spec(hbar)
@@ -275,13 +287,7 @@ def suite_density(hbar=1.0, tols=None):
     for _ in range(100):
         H = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         H = H + H.conj().T
-        comps = []
-        weights = rng.uniform(0.1, 1.0, size=3)
-        weights /= weights.sum()
-        for w in weights:
-            u = rng.normal(size=8) + 1j * rng.normal(size=8)
-            comps.append((w, fock.FockVector(basis, u / np.linalg.norm(u))))
-        rho = density.from_mixture(density.MixtureSpec(tuple(comps)))
+        rho = density.from_mixture(_random_mixture(rng, basis, 3))
         rho_t = density.evolve_lvn(rho, H, rng.uniform(0.1, 5.0), hbar)
         drift = max(
             drift,
@@ -297,13 +303,7 @@ def suite_density(hbar=1.0, tols=None):
 
     A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     A = A + A.conj().T
-    comps = []
-    weights = rng.uniform(0.1, 1.0, size=4)
-    weights /= weights.sum()
-    for w in weights:
-        u = rng.normal(size=8) + 1j * rng.normal(size=8)
-        comps.append((w, fock.FockVector(basis, u / np.linalg.norm(u))))
-    mix = density.MixtureSpec(tuple(comps))
+    mix = _random_mixture(rng, basis, 4)
     lhs = density.expectation(density.from_mixture(mix), A)
     rhs = sum(w * np.vdot(s.coeffs, A @ s.coeffs) for w, s in mix.components)
     checks.append(_row("mixture_linearity", abs(lhs - rhs), 1e-10))
@@ -336,23 +336,13 @@ def suite_density(hbar=1.0, tols=None):
 
 
 def run_suite(name: str, hbar: float = 1.0, tols=None) -> dict:
-    funcs = {
-        "uncertainty": suite_uncertainty,
-        "closure": suite_closure,
-        "microstate": suite_microstate,
-        "fock": suite_fock,
-        "gauge": suite_gauge,
-        "density": suite_density,
-    }
-    if name == "all":
-        checks = []
-        for key in SUITES:
-            for row in funcs[key](hbar, tols):
-                row = dict(row)
-                row["name"] = f"{key}.{row['name']}"
-                checks.append(row)
-    else:
-        if name not in funcs:
-            raise ValueError(f"unknown suite {name!r}")
-        checks = funcs[name](hbar, tols)
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    checks = []
+    for key in SUITES if name == "all" else (name,):
+        # looked up by name when called, so a rebound suite_* attribute runs
+        rows = globals()[f"suite_{key}"](hbar, tols)
+        if name == "all":
+            rows = [dict(row, name=f"{key}.{row['name']}") for row in rows]
+        checks += rows
     return {"schema": 1, "suite": name, "checks": checks}

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from qps.cli import main
 
@@ -334,7 +335,7 @@ class TestDamagedInputs:
     @pytest.mark.parametrize("option", [
         ["--hamiltonian", "number_omega:abc"], ["--hamiltonian", "number_omega:nan"],
         ["--t", "nan"], ["--t", "inf"], ["--t=-inf"], ["--grid=-inf:12:1024"],
-        ["--hamiltonian", "number_omega(1.0)"],
+        ["--hamiltonian", "number_omega(1.0)"], ["--snapshots", "1001"],
     ])
     def test_bad_evolve_parameters_exit_2(self, tmp_path, capsys, option):
         rho_path = write_rho(tmp_path)
@@ -455,9 +456,48 @@ class TestGlobalOptions:
         """)
         assert run_python(probe, QPS_THREADS="1") == "1"
 
-    def test_cli_import_loads_no_scipy(self):
+    def test_cli_import_loads_no_scipy(self, tmp_path):
         probe = "import sys, qps.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         assert run_python(probe) == "[]"
+        # the number-state ladder roots eta X with numpy alone
+        rho_path = write_rho(tmp_path)
+        for argv in (["verify", "fock"], ["evolve", str(rho_path), "--t", "1.0", "--husimi"]):
+            command = textwrap.dedent(f"""
+                import sys
+                from qps.cli import main
+                assert main({["--out", str(tmp_path / argv[0]), *argv]!r}) == 0
+                print([m for m in sys.modules if m.split('.')[0] == 'scipy'])
+            """)
+            assert run_python(command).splitlines()[-1] == "[]", argv
+
+    def test_scipy_imported_only_by_wigner_fixture(self):
+        import qps
+
+        def scipy_imports(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    yield node
+
+        stray, allowed = [], 0
+        for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            fixture = {id(node) for func in ast.walk(tree)
+                       if isinstance(func, ast.FunctionDef)
+                       and (path.name, func.name) == ("phasespace.py", "wigner_distribution")
+                       for node in scipy_imports(func)}
+            for node in scipy_imports(tree):
+                if id(node) in fixture:
+                    allowed += 1
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+        assert stray == []
+        assert allowed == 1
 
 
 def run_python(probe, **env_vars):
@@ -516,3 +556,57 @@ class TestOptionFuzz:
                 code = exc.code
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def saturating_spec(draw):
+    """Spec JSON with a random signature, SPD X and means, and P filled in by
+    saturation.  Half the draws take rho = eta S X with S symmetric, which
+    gives a symmetric exponent; the other half leave rho unconstrained.
+    X <= 1 and |means| <= 1.5 keep each state 10 sigma inside the default
+    +-12 grid: `state synth` asks for 6 sigma only, where the sampled state is
+    cut at exp(-9) of its peak and z_eigencheck reads up to ~5e-4."""
+    from qps.metric import Signature, saturating_moments
+
+    d = draw(st.integers(1, 2), label="D")
+    d_plus = draw(st.integers(0, d), label="d_plus")
+    sig = Signature(d_plus, d - d_plus)
+    entry = st.floats(-0.5, 0.5)
+    widths = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=d, max_size=d)))
+    corr = draw(st.floats(-0.6, 0.6)) if d == 2 else 0.0
+    X = np.diag(widths) + corr * np.sqrt(widths.prod()) * (1.0 - np.eye(d))
+    if draw(st.booleans(), label="rho = eta S X"):
+        S = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d))).reshape(d, d)
+        rho = sig.matrix() @ (S + S.T) @ X
+    else:
+        rho = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d))).reshape(d, d)
+    means = draw(st.lists(st.floats(-1.5, 1.5), min_size=2 * d, max_size=2 * d))
+    m = saturating_moments(X, rho, means[:d], means[d:], sig)
+    gauge = draw(st.sampled_from(["zero", "full", "half"]))
+    return {**m.to_dict(), "schema": 1, "hbar": 1.0,
+            "signature": {"d_plus": sig.d_plus, "d_minus": sig.d_minus},
+            "gauge": {"kind": gauge, "value": 0.0}}
+
+
+class TestSpecFuzz:
+    """Random saturating specs keep the exit-code contract, and every spec
+    that `state synth` accepts is an eigenstate of z on its grid."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(payload=saturating_spec())
+    def test_accepted_specs_are_z_eigenstates(self, fuzz_out, payload):
+        from qps import CoordinateGrid, JointStateSpec, z_eigencheck
+
+        spec_path = Path(fuzz_out) / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--out", fuzz_out, "state", "synth", str(spec_path)])
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            spec = JointStateSpec.from_dict(payload)
+            grid = (CoordinateGrid.line(-12.0, 12.0, 1024) if spec.dim == 1
+                    else CoordinateGrid.square(-12.0, 12.0, 256))
+            assert z_eigencheck(spec, grid) < 1e-7

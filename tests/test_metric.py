@@ -85,7 +85,7 @@ class TestBuildShape:
     def test_x_inverse_identity(self):
         m = saturating_moments(X=[[0.7, 0.2], [0.2, 0.9]])
         shape = build_shape(m, Signature(0, 2), 1.0)
-        assert np.abs(m.X @ shape.x_inv - np.eye(2)).max() < 1e-12
+        assert np.abs(m.X @ m.x_inv - np.eye(2)).max() < 1e-12
 
     def test_exponent_decays_for_plus_axis(self):
         m = saturating_moments(X=[[0.5]], sig=Signature(1, 0))
@@ -216,6 +216,36 @@ class TestDecomposeCovariance:
         m = saturating_moments(X=[[0.9]])
         f = decompose_covariance(m, Signature(0, 1))
         assert f.a[0, 0].imag > 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_root_matches_sqrtm_on_diagonal(self, rng, d):
+        import scipy.linalg
+
+        for d_plus in range(d + 1):
+            sig = Signature(d_plus, d - d_plus)
+            for _ in range(20):
+                X = np.diag(rng.uniform(0.05, 5.0, d))
+                f = decompose_covariance(saturating_moments(X=X, sig=sig), sig)
+                reference = scipy.linalg.sqrtm(sig.matrix() @ X).astype(complex)
+                assert np.array_equal(f.a, reference)
+
+    @pytest.mark.parametrize("X, sig", [
+        ([[0.7, 0.2, -0.1], [0.2, 0.9, 0.3], [-0.1, 0.3, 1.1]], Signature(1, 2)),
+        # eta X has the eigenvalues 0.8 and -0.6 (twice) up to 1e-8
+        (np.diag([0.8, 0.6, 0.6]) + 1e-8 * np.array([[0, 1, 2], [1, 0, 3], [2, 3, 1]]),
+         Signature(1, 2)),
+        # a rotation of diag(0.6, 0.6 + 1e-9)
+        ([[0.6 + 1e-9 * np.sin(0.4) ** 2, 1e-9 * np.sin(0.4) * np.cos(0.4)],
+          [1e-9 * np.sin(0.4) * np.cos(0.4), 0.6 + 1e-9 * np.cos(0.4) ** 2]], Signature(0, 2)),
+    ], ids=["correlated-mixed", "near-degenerate-mixed", "near-degenerate-spatial"])
+    def test_root_matches_sqrtm_correlated(self, X, sig):
+        import scipy.linalg
+
+        X = np.array(X)
+        f = decompose_covariance(saturating_moments(X=X, sig=sig), sig)
+        reference = scipy.linalg.sqrtm(sig.matrix() @ X)
+        assert np.abs(f.a - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.abs(f.a @ f.a - sig.matrix() @ X).max() <= 1e-12 * np.abs(X).max()
 
     def test_mixed_signature_reconstruction(self):
         sig = Signature(1, 1)
