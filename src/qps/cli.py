@@ -10,7 +10,6 @@ combination.  QPS_THREADS caps the BLAS/OpenMP thread pools.
 """
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, InvalidInputError, QpsError, UnsupportedError
+from .errors import InvalidInputError, QpsError, UnsupportedError
 from .grids import CoordinateGrid, GridAxis, moments, read_wavefunction, write_wavefunction
-from .io import write_json
+from .io import read_json, reading, write_json
 from .metric import Signature, check_saturation
 from .phasespace import (
     PhaseGrid,
@@ -52,6 +51,10 @@ class RunConfig:
     family_x: float | None = None
 
     def __post_init__(self):
+        unknown = sorted(set(self.tols) - set(verify_mod.TOLERANCES))
+        if unknown:
+            raise InvalidInputError(f"unknown tolerance {unknown[0]!r}; known: "
+                                    f"{', '.join(verify_mod.TOLERANCES)}")
         checked = [("hbar", self.hbar), ("family_x", self.family_x)]
         checked += [(f"tolerance {name}", val) for name, val in self.tols.items()]
         for name, val in checked:
@@ -151,11 +154,8 @@ def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
 
 
 def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
-    try:
-        with open(spec_file) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read spec file: {exc}") from exc
+    with reading("spec file"):
+        payload = read_json(spec_file)
     spec = JointStateSpec.from_dict(payload)
     grid = cfg.coordinate_grid(spec.dim)
     psi = coordinate_wavefunction(spec, grid)
@@ -350,18 +350,9 @@ def main(argv=None) -> int:
             return cmd_evolve(cfg, args.density_file, args.hamiltonian, args.t,
                               args.snapshots, args.husimi)
         parser.error(f"unknown command {args.command!r}")
-    except CoverageError as exc:
+    except (QpsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UnsupportedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InvalidInputError, QpsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
     return 0
 
 

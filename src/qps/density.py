@@ -7,7 +7,6 @@ V^dagger, so trace, purity and the full spectrum are conserved to round-off.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fock import FockVector, TruncatedBasis, build_ladder, read_matrix, write_matrix
+from .io import read_sidecar, reading
 from .states import JointStateSpec
 
 _HERM_TOL = 1e-10
@@ -173,19 +173,15 @@ def write_density(rho: DensityMatrix, csv_path):
 
 def read_density(csv_path) -> DensityMatrix:
     """Re-import a density matrix written by :func:`write_density`."""
-    try:
-        with open(f"{csv_path}.json") as fh:
-            meta = json.load(fh)
+    with reading("density metadata"):
+        meta = read_sidecar(csv_path)
         ref = JointStateSpec.from_dict(meta["basis"]["reference"])
         n_max = meta["basis"]["n_max"]
         if not (isinstance(n_max, list) and all(type(n) is int for n in n_max)):
             raise ValueError(f"n_max must be a list of integers, got {n_max!r}")
         basis = TruncatedBasis(tuple(n_max), ref)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"cannot read density metadata: {exc}") from exc
     matrix = read_matrix(csv_path)
     if matrix.shape != (basis.dim,) * 2:
         raise InvalidInputError(f"density CSV is {matrix.shape}, n_max "
                                 f"{list(basis.n_max)} needs {(basis.dim,) * 2}")
     return DensityMatrix(basis, matrix)
-

@@ -2,7 +2,9 @@
 
 
 class QpsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; `exit_code` is the CLI's."""
+
+    exit_code = 2
 
 
 class InvalidInputError(QpsError):
@@ -12,9 +14,13 @@ class InvalidInputError(QpsError):
 class CoverageError(QpsError):
     """A grid does not cover the state well enough for the request (exit 3)."""
 
+    exit_code = 3
+
 
 class UnsupportedError(QpsError):
     """A valid but unsupported combination was requested (exit 4)."""
+
+    exit_code = 4
 
 
 class SaturationError(InvalidInputError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
 from .grids import SAMPLE_BUDGET, CoordinateGrid, GridWavefunction, along, check_coverage
-from .io import write_grid_csv, write_json
+from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
 from .metric import decompose_covariance
 from .states import JointStateSpec, apply_z, coordinate_wavefunction
 
@@ -43,15 +43,15 @@ class TruncatedBasis:
             raise InvalidInputError("n_max needs one cutoff per axis")
         if any(n < 2 for n in n_max):
             raise InvalidInputError("each n_max must be at least 2")
-        if int(np.prod(n_max)) > _BASIS_BUDGET:
+        if math.prod(n_max) > _BASIS_BUDGET:
             raise InvalidInputError(
-                f"truncated dimension {int(np.prod(n_max))} exceeds budget {_BASIS_BUDGET}"
+                f"truncated dimension {math.prod(n_max)} exceeds budget {_BASIS_BUDGET}"
             )
         object.__setattr__(self, "n_max", n_max)
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.n_max))
+        return math.prod(self.n_max)
 
     @property
     def naxes(self) -> int:
@@ -303,30 +303,22 @@ def momentum_matrix(basis: TruncatedBasis, axis: int = 0) -> np.ndarray:
     )
 
 
+_MATRIX_HEADER = ["row", "col", "re", "im"]
+
+
 def write_matrix(matrix: np.ndarray, csv_path, meta: dict | None = None):
     """Matrix export as CSV rows (row, col, re, im) with a JSON sidecar."""
     matrix = np.asarray(matrix, dtype=complex)
-    write_grid_csv(csv_path, ["row", "col", "re", "im"],
-                   [range(n) for n in matrix.shape], [matrix.real, matrix.imag],
-                   label_fmt="%d")
-    write_json(f"{csv_path}.json", {"schema": 1, "shape": list(matrix.shape), **(meta or {})})
+    write_grid_csv(csv_path, _MATRIX_HEADER, [range(n) for n in matrix.shape],
+                   [matrix.real, matrix.imag],
+                   {"schema": 1, "shape": list(matrix.shape), **(meta or {})}, label_fmt="%d")
 
 
 def read_matrix(csv_path) -> np.ndarray:
-    """Re-import a matrix written by :func:`write_matrix`; every (row, col)
-    entry of the index range must appear exactly once."""
-    try:
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        pos = data[:, :2]
-        if data.shape[1] != 4 or not np.all(np.isfinite(pos) & (pos == np.round(pos))):
-            raise ValueError("columns must be integer row, col, then re, im")
-        idx = pos.astype(int)
-        shape = tuple(idx.max(axis=0) + 1)
-        flat = np.ravel_multi_index(idx.T, shape)  # ValueError on negative indices
-        if not np.unique(flat).size == flat.size == np.prod(shape):
-            raise ValueError(f"missing or repeated entries for a {shape} matrix")
-        out = np.zeros(shape, dtype=complex)
-        out.flat[flat] = data[:, 2] + 1j * data[:, 3]
-    except (OSError, ValueError) as exc:
-        raise InvalidInputError(f"cannot read matrix: {exc}") from exc
-    return out
+    """Re-import a matrix written by :func:`write_matrix`: the sidecar's
+    shape fixes the (row, col) entries, each in row-major order."""
+    with reading("matrix"):
+        rows, cols = read_sidecar(csv_path)["shape"]
+        re, im = read_grid_csv(csv_path, _MATRIX_HEADER, [range(rows), range(cols)], 2,
+                               label_fmt="%d")
+        return (re + 1j * im).reshape(rows, cols)

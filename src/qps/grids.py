@@ -11,15 +11,14 @@ grid (discrete Parseval).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import CoverageError, InvalidInputError
-from .io import write_grid_csv, write_json
-from .metric import StatMoments
+from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
+from .metric import StatMoments, check_hbar
 
 # most samples one array of a grid, phase grid or number family may hold
 SAMPLE_BUDGET = 2**24
@@ -122,8 +121,7 @@ class GridWavefunction:
             )
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("non-finite wavefunction samples")
-        if self.hbar <= 0.0:
-            raise InvalidInputError("hbar must be positive")
+        check_hbar(self.hbar)
         signs = self.signs
         if signs is None:
             signs = (-1.0,) * self.grid.ndim
@@ -137,8 +135,8 @@ class GridWavefunction:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
 
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= 1e-9
 
     def with_values(self, values) -> "GridWavefunction":
         return GridWavefunction(self.grid, values, self.hbar, self.signs)
@@ -253,7 +251,7 @@ def moments(psi: GridWavefunction) -> StatMoments:
 
     rho uses the symmetrized combination Re <(p - <p>) psi | (x - <x>) psi>.
     """
-    if not psi.is_normalized(1e-9):
+    if not psi.is_normalized():
         raise InvalidInputError(f"moments need a normalized state, norm^2 off by "
                                 f"{psi.norm()**2 - 1.0:.2e}")
     d = psi.grid.ndim
@@ -283,30 +281,28 @@ def moments(psi: GridWavefunction) -> StatMoments:
     return StatMoments(mean_p=mean_p, mean_x=mean_x, P=P, X=X, rho=rho)
 
 
+def _wavefunction_header(ndim: int) -> list:
+    return [f"x{i + 1}" for i in range(ndim)] + ["re", "im"]
+
+
 def write_wavefunction(psi: GridWavefunction, csv_path):
     """Export samples as CSV (coordinates, re, im) plus a JSON grid header."""
-    header = [f"x{i + 1}" for i in range(psi.grid.ndim)] + ["re", "im"]
     axes = [psi.grid.axis_points(mu) for mu in range(psi.grid.ndim)]
-    write_grid_csv(csv_path, header, axes, [psi.values.real, psi.values.imag])
     meta = {"schema": 1, "hbar": psi.hbar, "signs": list(psi.signs),
             "axes": [asdict(ax) for ax in psi.grid.axes]}
-    write_json(f"{csv_path}.json", meta)
+    write_grid_csv(csv_path, _wavefunction_header(psi.grid.ndim), axes,
+                   [psi.values.real, psi.values.imag], meta)
 
 
 def read_wavefunction(csv_path) -> GridWavefunction:
     """Re-import a wavefunction written by :func:`write_wavefunction`."""
-    try:
-        with open(f"{csv_path}.json") as fh:
-            meta = json.load(fh)
+    with reading("wavefunction"):
+        meta = read_sidecar(csv_path)
         axes = tuple(
             GridAxis(a["x_min"], a["x_max"], a["n_points"]) for a in meta["axes"]
         )
         grid = CoordinateGrid(axes=axes)
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        need = (int(np.prod(grid.shape)), grid.ndim + 2)
-        if data.shape != need:
-            raise ValueError(f"table is {data.shape}, the grid needs {need}")
-        values = (data[:, -2] + 1j * data[:, -1]).reshape(grid.shape)
+        re, im = read_grid_csv(csv_path, _wavefunction_header(grid.ndim),
+                               [grid.axis_points(mu) for mu in range(grid.ndim)], 2)
+        values = (re + 1j * im).reshape(grid.shape)
         return GridWavefunction(grid, values, float(meta["hbar"]), tuple(meta["signs"]))
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"cannot read wavefunction: {exc}") from exc

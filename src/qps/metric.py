@@ -30,6 +30,15 @@ HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)
 # largest saturation residual decompose_covariance factors
 _FACTOR_SATURATION_TOL = 1e-6
 
+# largest hbar: hbar^2 and (2 pi hbar)^D must stay finite floats
+_HBAR_MAX = 1e150
+
+
+def check_hbar(hbar: float):
+    """Reject an hbar outside (0, 1e150], nan included."""
+    if not 0.0 < hbar <= _HBAR_MAX:
+        raise InvalidInputError(f"hbar must be in (0, {_HBAR_MAX:g}], got {hbar!r}")
+
 
 def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
@@ -107,7 +116,7 @@ class StatMoments:
         rho = _frozen(np.atleast_2d(self.rho))
         d = mp.shape[0]
         shapes_ok = (
-            mx.shape == (d,)
+            mp.shape == mx.shape == (d,)
             and P.shape == (d, d)
             and X.shape == (d, d)
             and rho.shape == (d, d)
@@ -174,6 +183,7 @@ def saturating_moments(X, rho=None, mean_p=None, mean_x=None,
 
     P = (hbar^2/4) eta X^-1 eta + rho X^-1 rho^T in the physical storage.
     """
+    check_hbar(hbar)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = X.shape[0]
     if sig is None:
@@ -277,6 +287,7 @@ def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) ->
     moments describe a pure Gaussian; the second is identically 0 for one
     pair and for diagonal X and rho.
     """
+    check_hbar(hbar)
     eta = sig.matrix()
     x_inv = moments.x_inv
     target = (hbar**2 / 4.0) * (eta @ x_inv @ eta) + moments.rho @ x_inv @ moments.rho.T

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
 from .grids import SAMPLE_BUDGET, CoordinateGrid, GridWavefunction, check_coverage, moments
-from .io import write_grid_csv, write_json
+from .io import write_grid_csv
 from .states import JointStateSpec
 
 
@@ -258,6 +258,8 @@ class PhaseAnalyzer:
 
 
 def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: float):
+    """Reject an unnormalized state (through `moments`) and a phase grid that
+    misses n_sigma of its spread."""
     stats = moments(state)
     for mu, pair in enumerate(pgrid.pairs):
         check_coverage(f"phase grid pair {mu} momenta", pair.p_min, pair.p_max,
@@ -266,16 +268,10 @@ def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: fl
                        stats.mean_x[mu], n_sigma * np.sqrt(stats.X[mu, mu]))
 
 
-def _check_analyzable(state: GridWavefunction, pgrid: PhaseGrid):
-    if not state.is_normalized(1e-6):
-        raise InvalidInputError("phase analysis needs a normalized state")
-    _check_phase_coverage(state, pgrid, 6.0)
-
-
 def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
                        pgrid: PhaseGrid) -> PhaseWavefunction:
     """psi~(q, y) = <family state at each phase point | state>."""
-    _check_analyzable(state, pgrid)
+    _check_phase_coverage(state, pgrid, 6.0)
     analyzer = PhaseAnalyzer(family, pgrid, state.grid)
     return PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
 
@@ -315,7 +311,7 @@ def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
         for _, s in components:
             if not (isinstance(s, GridWavefunction) and s.grid == components[0][1].grid):
                 raise InvalidInputError("mixture components must be wavefunctions on one grid")
-            _check_analyzable(s, pgrid)
+            _check_phase_coverage(s, pgrid, 6.0)
         grid = components[0][1].grid
         psis = [s.values for _, s in components]
     analyzer = PhaseAnalyzer(family, pgrid, grid)
@@ -377,8 +373,6 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
     dq dy / h; the L2 error gauges how well the (exact) closure relation is
     resolved by the midpoint grid.
     """
-    if not state.is_normalized(1e-6):
-        raise InvalidInputError("closure needs a normalized state")
     _check_phase_coverage(state, pgrid, 8.0)
     analyzer = PhaseAnalyzer(family, pgrid, state.grid)
     pw = analyzer.transform(state.values)
@@ -404,9 +398,8 @@ def write_distribution(dist, csv_path, gauge_label: str | None = None):
     values = dist.values
     columns = [values.real, values.imag] if np.iscomplexobj(values) else [values]
     header = ["p", "x"] if len(pairs) == 1 else ["p1", "x1", "p2", "x2"]
-    write_grid_csv(csv_path, header + ["value", "im"][:len(columns)], axes, columns)
     meta = {"schema": 1, "hbar": dist.hbar, "kind": getattr(dist, "kind", "phasewave"),
             "pairs": [asdict(p) for p in pairs]}
     if gauge_label is not None:
         meta["gauge"] = gauge_label
-    write_json(f"{csv_path}.json", meta)
+    write_grid_csv(csv_path, header + ["value", "im"][:len(columns)], axes, columns, meta)

@@ -29,8 +29,16 @@ def _row(name, value, bound, target=None):
     return row
 
 
-def _tol(tols, name, default):
-    return float(tols.get(name, default)) if tols else default
+# default bound of each named tolerance (`qps --tol NAME=VALUE` overrides)
+TOLERANCES = {
+    "saturation": 1e-6, "kennard": 1e-8, "closure": 1e-3, "microstate": 1e-3,
+    "gram": 1e-6, "ccr": 1e-8, "gauge_pair": 1e-10, "consistency": 1e-3,
+    "overlap": 1e-8, "purity": 1e-10,
+}
+
+
+def _tol(tols, name):
+    return float((tols or {}).get(name, TOLERANCES[name]))
 
 
 def _ground_spec(hbar=1.0, gauge=None):
@@ -85,13 +93,13 @@ def suite_uncertainty(hbar=1.0, tols=None):
         m = moments(coordinate_wavefunction(spec, grid))
         det = m.P[0, 0] * m.X[0, 0] - m.rho[0, 0] ** 2
         worst = max(worst, abs(det - hbar**2 / 4.0) / (hbar**2 / 4.0))
-    checks.append(_row("saturation_grid_rel", worst, _tol(tols, "saturation", 1e-6)))
+    checks.append(_row("saturation_grid_rel", worst, _tol(tols, "saturation")))
 
     margin = np.inf
     for psi in _random_states(rng, grid, hbar, 100):
         m = moments(psi)
         margin = min(margin, np.sqrt(m.X[0, 0] * m.P[0, 0]) - hbar / 2.0)
-    checks.append(_row("kennard_violation", max(0.0, -margin), _tol(tols, "kennard", 1e-8)))
+    checks.append(_row("kennard_violation", max(0.0, -margin), _tol(tols, "kennard")))
 
     spec = _ground_spec(hbar)
     basis = fock.TruncatedBasis((8,), spec)
@@ -105,7 +113,7 @@ def suite_uncertainty(hbar=1.0, tols=None):
         state = fock.FockVector(basis, v / np.linalg.norm(v))
         rep = fock.robertson_check(A, B, state)
         viol = max(viol, rep.rhs - rep.lhs)
-    checks.append(_row("robertson_violation", max(0.0, viol), _tol(tols, "kennard", 1e-8)))
+    checks.append(_row("robertson_violation", max(0.0, viol), _tol(tols, "kennard")))
     return checks
 
 
@@ -125,7 +133,7 @@ def suite_closure(hbar=1.0, tols=None):
     spec = _ground_spec(hbar)
     s = np.sqrt(hbar)
     grid = CoordinateGrid.line(-16 * s, 16 * s, 1024)
-    tol = _tol(tols, "closure", 1e-3)
+    tol = _tol(tols, "closure")
     checks = []
 
     coherent = coordinate_wavefunction(spec.displaced([0.3 * s], [0.8 * s]), grid)
@@ -148,7 +156,7 @@ def suite_closure(hbar=1.0, tols=None):
 
 def suite_microstate(hbar=1.0, tols=None):
     h = 2.0 * np.pi * hbar
-    rel = _tol(tols, "microstate", 1e-3)
+    rel = _tol(tols, "microstate")
     s = np.sqrt(hbar)
     grid = CoordinateGrid.line(-16 * s, 16 * s, 1024)
     spec = _ground_spec(hbar)
@@ -204,7 +212,7 @@ def suite_fock(hbar=1.0, tols=None):
 
     states = fock.grid_number_states(basis, grid)
     checks.append(
-        _row("gram_identity", fock.orthonormality_check(states), _tol(tols, "gram", 1e-6))
+        _row("gram_identity", fock.orthonormality_check(states), _tol(tols, "gram"))
     )
 
     xmat = fock.operator_matrix(lambda s: apply_position(s, 0), states)
@@ -224,7 +232,7 @@ def suite_gauge(hbar=1.0, tols=None):
     psi = coordinate_wavefunction(spec_zero.displaced([0.4 * s], [0.6 * s]), grid)
     pg = PhaseGrid.symmetric(12.0 * s, 192)
     pw = phasespace.phase_wavefunction(psi, spec_zero, pg)
-    ccr_tol = _tol(tols, "ccr", 1e-8)
+    ccr_tol = _tol(tols, "ccr")
     checks = []
 
     residuals = {}
@@ -233,7 +241,7 @@ def suite_gauge(hbar=1.0, tols=None):
         checks.append(_row(f"ccr_{gauge.kind}", residuals[gauge.kind], ccr_tol))
     vals = list(residuals.values())
     spread = max(vals) - min(vals)
-    checks.append(_row("ccr_pairwise_agreement", spread, _tol(tols, "gauge_pair", 1e-10)))
+    checks.append(_row("ccr_pairwise_agreement", spread, _tol(tols, "gauge_pair")))
 
     # gauge covariance: analyzing the same state in each gauge and applying
     # the matching operator changes the samples by a unit-modulus factor only
@@ -246,8 +254,8 @@ def suite_gauge(hbar=1.0, tols=None):
     checks.append(_row("ptilde_modulus_gauge_invariance", mod_dev, 1e-10))
 
     rep = psops.consistency_check(psi, spec_zero, pg, GaugeChoice.zero())
-    checks.append(_row("consistency_p", rep.p_error, _tol(tols, "consistency", 1e-3)))
-    checks.append(_row("consistency_x", rep.x_error, _tol(tols, "consistency", 1e-3)))
+    checks.append(_row("consistency_p", rep.p_error, _tol(tols, "consistency")))
+    checks.append(_row("consistency_x", rep.x_error, _tol(tols, "consistency")))
 
     # complex overlap matches quadrature exactly in the zero gauge
     rng = np.random.default_rng(11)
@@ -257,7 +265,7 @@ def suite_gauge(hbar=1.0, tols=None):
         b = spec_zero.displaced([rng.uniform(-2, 2) * s], [rng.uniform(-2, 2) * s])
         quad = inner_product(coordinate_wavefunction(a, grid), coordinate_wavefunction(b, grid))
         worst = max(worst, abs(quad - analytic_overlap(a, b)))
-    checks.append(_row("overlap_phase_zero_gauge", worst, _tol(tols, "overlap", 1e-8)))
+    checks.append(_row("overlap_phase_zero_gauge", worst, _tol(tols, "overlap")))
     return checks
 
 
@@ -276,7 +284,7 @@ def suite_density(hbar=1.0, tols=None):
     rng = np.random.default_rng(23)
     spec = _ground_spec(hbar)
     basis = fock.TruncatedBasis((8,), spec)
-    tol = _tol(tols, "purity", 1e-10)
+    tol = _tol(tols, "purity")
     checks = []
 
     v = rng.normal(size=8) + 1j * rng.normal(size=8)

@@ -92,6 +92,13 @@ class TestStateSynth:
         assert code == 2
         assert "malformed state spec" in err and "Traceback" not in err
 
+    def test_nested_mean_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, mean_p=[[]])
+        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "inconsistent dimensions" in err and "Traceback" not in err
+
     def test_coverage_exit_3(self, tmp_path):
         spec = write_spec(tmp_path, mean_x=[11.0])
         code = main(["--out", str(tmp_path), "--grid=-12:12:1024", "state", "synth", spec])
@@ -101,6 +108,15 @@ class TestStateSynth:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["--out", str(tmp_path), "state", "synth", str(path)]) == 2
+
+    def test_non_utf8_spec_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(ground_payload(note="r\xe9sum\xe9"), ensure_ascii=False)
+                         .encode("latin-1"))
+        code = main(["--out", str(tmp_path), "state", "synth", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot read spec file" in err and "Traceback" not in err
 
 
 @pytest.fixture()
@@ -304,6 +320,20 @@ class TestDamagedInputs:
         assert code == 2
         assert "cannot read wavefunction" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["reverse_rows", "relabel_x1"])
+    def test_reordered_wavefunction_exit_2(self, tmp_path, synth_state, capsys, damage):
+        header, *rows = synth_state.read_text().splitlines(keepends=True)
+        if damage == "reverse_rows":   # a mirrored state, one row per grid point
+            rows = rows[::-1]
+        else:
+            rows = ["999" + row[row.index(","):] for row in rows]
+        synth_state.write_text(header + "".join(rows))
+        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot read wavefunction: data row 1 has x1" in err and "Traceback" not in err
+        assert not (tmp_path / "husimi.csv").exists()
+
     @pytest.mark.parametrize("damage", ["drop", "duplicate", "replace_with_duplicate"])
     def test_damaged_density_exit_2(self, tmp_path, capsys, damage):
         rho_path = write_rho(tmp_path)
@@ -410,6 +440,32 @@ class TestDamagedInputs:
         assert code == 2
         assert "cannot read wavefunction" in err and "Traceback" not in err
 
+    def test_density_n_max_over_budget_exit_2(self, tmp_path, capsys):
+        rho_path = write_rho(tmp_path, n_max=(2, 2))
+        sidecar = tmp_path / "rho.csv.json"
+        meta = json.loads(sidecar.read_text())
+        meta["basis"]["n_max"] = [2**32, 2**32]
+        sidecar.write_text(json.dumps(meta))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        assert code == 2
+        assert "exceeds budget 4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["spec", "wavefunction sidecar", "option"])
+    def test_huge_hbar_exit_2(self, tmp_path, synth_state, capsys, source):
+        # hbar^2 of 1e308 overflows a Python float
+        if source == "spec":
+            argv = ["state", "synth", write_spec(tmp_path, "big.json", hbar=1e308)]
+        elif source == "option":
+            argv = ["--hbar", "1e308", "verify", "density"]
+        else:
+            sidecar = tmp_path / "wavefunction.csv.json"
+            sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), hbar=1e308)))
+            argv = ["dist", str(synth_state), "--kind", "husimi"]
+        code = main(["--out", str(tmp_path / "out"), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "hbar must be in (0, 1e+150], got 1e+308" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n_max", [16, [float("inf")], None, "4", [4.5]])
     def test_mistyped_density_sidecar_exit_2(self, tmp_path, capsys, n_max):
         rho_path = write_rho(tmp_path)
@@ -434,6 +490,21 @@ class TestGlobalOptions:
                      *option])
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
+
+    def test_unknown_tolerance_name_exit_2(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path), "--tol", "clsoure=1e-30", "verify", "closure"])
+        assert code == 2
+        assert "unknown tolerance 'clsoure'" in capsys.readouterr().err
+        assert not (tmp_path / "report_closure.json").exists()
+
+    def test_tolerance_defaults(self):
+        from qps.verify import TOLERANCES
+
+        assert TOLERANCES == {
+            "saturation": 1e-6, "kennard": 1e-8, "closure": 1e-3, "microstate": 1e-3,
+            "gram": 1e-6, "ccr": 1e-8, "gauge_pair": 1e-10, "consistency": 1e-3,
+            "overlap": 1e-8, "purity": 1e-10,
+        }
 
     def test_family_x_is_used(self, tmp_path, synth_state):
         out = {}
@@ -610,3 +681,99 @@ class TestSpecFuzz:
             grid = (CoordinateGrid.line(-12.0, 12.0, 1024) if spec.dim == 1
                     else CoordinateGrid.square(-12.0, 12.0, 256))
             assert z_eigencheck(spec, grid) < 1e-7
+
+
+SMALL_GRIDS = ["--grid=-12:12:128", "--pgrid=-8:8:32,-8:8:32"]
+# the command run on each damaged file; names of pristine files become paths
+DAMAGE_TARGETS = {
+    "spec.json": ["state", "synth", "spec.json"],
+    "wavefunction.csv": ["dist", "wavefunction.csv", "--kind", "husimi"],
+    "wavefunction.csv.json": ["dist", "wavefunction.csv", "--kind", "phasewave"],
+    "rho.csv": ["evolve", "rho.csv", "--t", "1.0", "--husimi"],
+    "rho.csv.json": ["evolve", "rho.csv", "--t", "1.0", "--husimi"],
+}
+
+
+def run_on(workdir: Path, command) -> tuple:
+    """Exit code and stderr of `command` run on the files in `workdir`."""
+    argv = [str(workdir / a) if (workdir / a).is_file() else a for a in command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--out", str(workdir / "out"), *SMALL_GRIDS, *argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """Bytes of a spec, the wavefunction `state synth` writes from it and a
+    density file, each with its sidecar; every command accepts them."""
+    src = tmp_path_factory.mktemp("pristine")
+    write_spec(src)
+    assert run_on(src, DAMAGE_TARGETS["spec.json"]) == (0, "")
+    (src / "out" / "wavefunction.csv").replace(src / "wavefunction.csv")
+    (src / "out" / "wavefunction.csv.json").replace(src / "wavefunction.csv.json")
+    write_rho(src)
+    for command in DAMAGE_TARGETS.values():
+        assert run_on(src, command) == (0, "")
+    return {name: (src / name).read_bytes() for name in DAMAGE_TARGETS}
+
+
+JSON_VALUES = st.sampled_from([None, True, "x", "", -1, 0, 3, 1.5, 2**64, 1e308, [], {},
+                               [1], [2, 2], {"x_min": 1}])
+CSV_FIELDS = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "-0", "0x10", "1,2",
+                              "3.5", "-1", "1e-300", "é"])
+
+
+@st.composite
+def damaged(draw, text: bytes, is_json: bool) -> bytes:
+    """`text` truncated, with a line dropped, duplicated or swapped, a byte
+    flipped, or one field or JSON value replaced by a mistyped one."""
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["truncate", "drop", "duplicate", "swap", "flip", "mistype"]))
+    event(kind)
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "flip":
+        pos = draw(st.integers(0, len(text) - 1))
+        return text[:pos] + bytes([text[pos] ^ draw(st.integers(1, 255))]) + text[pos + 1:]
+    i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif is_json:
+        payload = json.loads(text)
+        node, key = payload, None
+        while isinstance(node, (dict, list)) and node and (key is None or draw(st.booleans())):
+            parent = node
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = node[key]
+        parent[key] = draw(JSON_VALUES)
+        return json.dumps(payload, indent=2).encode()
+    else:
+        fields = lines[i].decode().rstrip("\n").split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(CSV_FIELDS)
+        lines[i] = (",".join(fields) + "\n").encode()
+    return b"".join(lines)
+
+
+class TestDamagedFileFuzz:
+    """Every damaged spec, wavefunction, density matrix or sidecar keeps the
+    exit-code contract: 0, 2, 3 or 4 and never a traceback."""
+
+    @pytest.mark.parametrize("target", sorted(DAMAGE_TARGETS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file(self, fuzz_out, pristine, target, data):
+        workdir = Path(fuzz_out)
+        for name, text in pristine.items():
+            (workdir / name).write_bytes(text)
+        (workdir / target).write_bytes(
+            data.draw(damaged(pristine[target], target.endswith(".json")), label=target))
+        code, err = run_on(workdir, DAMAGE_TARGETS[target])
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err

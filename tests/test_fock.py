@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,12 @@ class TestBuildLadder:
     def test_budget_enforced(self, ground_spec_module):
         with pytest.raises(InvalidInputError):
             TruncatedBasis((80, 80), JointStateSpec.from_covariance(X=np.diag([0.5, 0.5])))
+
+    def test_budget_does_not_wrap(self):
+        # np.prod of (2**32, 2**32) wraps to 0 in int64
+        with pytest.raises(InvalidInputError, match="truncated dimension "
+                           "18446744073709551616 exceeds budget 4096"):
+            TruncatedBasis((2**32, 2**32), JointStateSpec.from_covariance(X=np.diag([0.5, 0.5])))
 
     def test_minimum_cutoff(self, ground_spec_module):
         with pytest.raises(InvalidInputError):
@@ -326,3 +334,28 @@ class TestMatrixIo:
         path = tmp_path / "mat.csv"
         write_matrix(m, path)
         assert np.abs(read_matrix(path) - m).max() < 1e-11
+
+    def test_rows_checked_against_sidecar_shape(self, tmp_path):
+        # deleting every index-3 row leaves a complete-looking 3 x 3 table
+        path = tmp_path / "mat.csv"
+        write_matrix(np.arange(16.0).reshape(4, 4), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if "3" not in line.split(",")[:2]))
+        with pytest.raises(InvalidInputError, match=r"table is \(9, 4\), the grid needs \(16, 4\)"):
+            read_matrix(path)
+
+    def test_rows_must_be_row_major(self, tmp_path):
+        path = tmp_path / "mat.csv"
+        write_matrix(np.arange(4.0).reshape(2, 2), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + [lines[2], lines[1]] + lines[3:]))
+        with pytest.raises(InvalidInputError, match="data row 1 has col = 1"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("shape", [None, [4], [4, 0], [4.0, 4], "4x4", [2**70, 2]])
+    def test_sidecar_shape_validated(self, tmp_path, shape):
+        path = tmp_path / "mat.csv"
+        write_matrix(np.eye(4), path)
+        path.with_name("mat.csv.json").write_text(json.dumps({"schema": 1, "shape": shape}))
+        with pytest.raises(InvalidInputError, match="cannot read matrix"):
+            read_matrix(path)

@@ -1,8 +1,11 @@
 """Byte identity of every qps CSV/JSON writer against np.savetxt / json.dump,
-a golden export, and atomic replacement."""
+a golden export, atomic replacement, and the strict reader that inverts the
+grid CSV writer."""
 
+import ast
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,16 @@ from qps import (
     write_wavefunction,
 )
 from qps.fock import write_matrix
-from qps.io import atomic_write, write_grid_csv, write_json
+from qps.errors import InvalidInputError
+from qps.io import (
+    atomic_write,
+    read_grid_csv,
+    read_json,
+    read_sidecar,
+    reading,
+    write_grid_csv,
+    write_json,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_husimi_1pair.csv"
 SPECIALS = [-0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf]
@@ -64,7 +76,7 @@ class TestGridCsv:
         columns = [rng.normal(size=shape) for _ in range(ncols)]
         header = [f"a{i}" for i in range(len(shape))] + [f"v{i}" for i in range(ncols)]
         path = tmp_path / "t.csv"
-        write_grid_csv(path, header, axes, columns)
+        write_grid_csv(path, header, axes, columns, {"schema": 1})
         assert path.read_text() == savetxt_text(axes, columns, header)
 
     def test_special_values(self, tmp_path):
@@ -72,7 +84,7 @@ class TestGridCsv:
         values = np.array(SPECIALS).reshape(3, 2)
         columns = [values, values[::-1]]
         path = tmp_path / "t.csv"
-        write_grid_csv(path, ["a", "b", "re", "im"], axes, columns)
+        write_grid_csv(path, ["a", "b", "re", "im"], axes, columns, {"schema": 1})
         text = path.read_text()
         assert text == savetxt_text(axes, columns, ["a", "b", "re", "im"])
         assert text.splitlines()[1] == "-0,1e-300,-0,inf"
@@ -80,8 +92,60 @@ class TestGridCsv:
 
     def test_size_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_grid_csv(tmp_path / "t.csv", ["a", "v"], [np.arange(3.0)], [np.zeros(4)])
+            write_grid_csv(tmp_path / "t.csv", ["a", "v"], [np.arange(3.0)], [np.zeros(4)], {})
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestGridCsvReader:
+    AXES = [np.array([-1.5, 0.25, 3.0]), np.array([1e-7, 2.0])]
+    HEADER = ["a", "b", "re", "im"]
+
+    def write(self, tmp_path, rng):
+        columns = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
+        path = tmp_path / "t.csv"
+        write_grid_csv(path, self.HEADER, self.AXES, columns, {"schema": 1, "n": [3, 2]})
+        return path, columns
+
+    def test_round_trip_and_sidecar(self, tmp_path, rng):
+        path, columns = self.write(tmp_path, rng)
+        real, imag = read_grid_csv(path, self.HEADER, self.AXES, 2)
+        assert np.abs(real - columns[0].ravel()).max() < 1e-11
+        assert np.abs(imag - columns[1].ravel()).max() < 1e-11
+        assert read_sidecar(path) == {"schema": 1, "n": [3, 2]}
+
+    def test_integer_labels(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_grid_csv(path, ["row", "col", "v"], [range(2), range(3)], [np.arange(6.0)], {},
+                       label_fmt="%d")
+        (v,) = read_grid_csv(path, ["row", "col", "v"], [range(2), range(3)], 1, "%d")
+        assert np.array_equal(v, np.arange(6.0))
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda ls: ["a,b,re\n"] + ls[1:], "header"),
+        (lambda ls: ls[:1] + ls[:0:-1], "data row 1 has a = 3"),
+        (lambda ls: ls[:1] + [ls[2], ls[1]] + ls[3:], "data row 1 has b = 2"),
+        (lambda ls: ls[:1] + ["0.25" + l[l.index(","):] for l in ls[1:]], "has a = 0.25"),
+        (lambda ls: ls[:-1], "table is (5, 4)"),
+        (lambda ls: ls + ls[-1:], "table is (7, 4)"),
+        (lambda ls: [l.rsplit(",", 1)[0] + "\n" for l in ls], "header"),
+        (lambda ls: ls[:1] + [l.rsplit(",", 1)[0] + "\n" for l in ls[1:]], "table is (6, 3)"),
+    ])
+    def test_rejects_what_the_writer_would_not_print(self, tmp_path, rng, damage, message):
+        path, _ = self.write(tmp_path, rng)
+        path.write_text("".join(damage(path.read_text().splitlines(keepends=True))))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_grid_csv(path, self.HEADER, self.AXES, 2)
+
+    @pytest.mark.parametrize("content", [b"{\"a\": \"\xe9\"}", b"{\"a\": ", b""])
+    def test_reading_turns_parse_failures_into_invalid_input(self, tmp_path, content):
+        path = tmp_path / "t.csv.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidInputError, match="^cannot read thing: "):
+            with reading("thing"):
+                read_sidecar(tmp_path / "t.csv")
+        with pytest.raises(InvalidInputError, match="^cannot read thing: "):
+            with reading("thing"):
+                read_json(tmp_path / "missing.json")
 
 
 class TestDistribution:
@@ -188,3 +252,21 @@ class TestAtomic:
         atomic_write(target, ["new", " text"])
         assert target.read_text() == "new text"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_files_are_opened_and_parsed_only_by_io():
+    """`qps.io` is the one module that opens or parses a file."""
+    import qps
+
+    readers = {"open", "load", "loads", "loadtxt", "genfromtxt", "fromfile",
+               "read_text", "read_bytes"}
+    found = []
+    for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in readers:
+                    found.append((path.name, name))
+    assert [hit for hit in found if hit[0] != "io.py"] == []
+    assert {name for _, name in found} >= {"open", "load", "loadtxt"}
