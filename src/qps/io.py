@@ -91,13 +91,17 @@ def read_grid_csv(path, header, axes, ncols: int, label_fmt: str = "%.12g") -> n
     """The `ncols` value columns of a CSV written by :func:`write_grid_csv`.
 
     The header must match, and the rows must be the row-major product of the
-    label `axes`, each labelled exactly as the writer prints it; any other
-    table raises ValueError.
+    label `axes`, each labelled exactly as the writer prints it, and the
+    values must be finite; any other table raises ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != ",".join(header):
             raise ValueError(f"header is {first[:80]!r}, expected {','.join(header)!r}")
+        start = fh.tell()
+        if not fh.readline().strip():
+            raise ValueError("the table has no data rows")
+        fh.seek(start)
         data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     shape = tuple(len(ax) for ax in axes)
     need = (math.prod(shape), len(shape) + ncols)
@@ -112,4 +116,8 @@ def read_grid_csv(path, header, axes, ncols: int, label_fmt: str = "%.12g") -> n
             i = bad[0]
             raise ValueError(f"data row {i + 1} has {header[mu]} = {data[i, mu]:.12g}, "
                              f"the row-major grid puts {want[i]:.12g} there")
-    return data[:, len(shape):].T
+    values = data[:, len(shape):]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"data row {np.argmin(finite) + 1} has a non-finite value")
+    return values.T

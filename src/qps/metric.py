@@ -30,14 +30,16 @@ HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)
 # largest saturation residual decompose_covariance factors
 _FACTOR_SATURATION_TOL = 1e-6
 
-# largest hbar: hbar^2 and (2 pi hbar)^D must stay finite floats
+# hbar range: hbar^2, 1/hbar^2 and (2 pi hbar)^D must stay finite, normal floats
+_HBAR_MIN = 1e-150
 _HBAR_MAX = 1e150
 
 
 def check_hbar(hbar: float):
-    """Reject an hbar outside (0, 1e150], nan included."""
-    if not 0.0 < hbar <= _HBAR_MAX:
-        raise InvalidInputError(f"hbar must be in (0, {_HBAR_MAX:g}], got {hbar!r}")
+    """Reject an hbar outside [1e-150, 1e150], nan included."""
+    if not _HBAR_MIN <= hbar <= _HBAR_MAX:
+        raise InvalidInputError(
+            f"hbar must be in [{_HBAR_MIN:g}, {_HBAR_MAX:g}], got {hbar!r}")
 
 
 def _frozen(a, dtype=float):
@@ -285,16 +287,19 @@ def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) ->
     symmetric Gaussian exponent, whose imaginary part (hbar/2) A is measured
     against its real part (hbar^2/4) X^-1.  Both vanish exactly when the
     moments describe a pure Gaussian; the second is identically 0 for one
-    pair and for diagonal X and rho.
+    pair and for diagonal X and rho.  A zero P, and moments whose squares
+    overflow double precision, read inf.
     """
     check_hbar(hbar)
     eta = sig.matrix()
     x_inv = moments.x_inv
-    target = (hbar**2 / 4.0) * (eta @ x_inv @ eta) + moments.rho @ x_inv @ moments.rho.T
-    res = moments.P - target
-    A = eta @ moments.rho @ x_inv
-    skew = np.linalg.norm(A - A.T) / (hbar * np.linalg.norm(x_inv))
-    return float(max(np.linalg.norm(res) / np.linalg.norm(moments.P), skew))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        target = (hbar**2 / 4.0) * (eta @ x_inv @ eta) + moments.rho @ x_inv @ moments.rho.T
+        res = moments.P - target
+        A = eta @ moments.rho @ x_inv
+        skew = np.linalg.norm(A - A.T) / (hbar * np.linalg.norm(x_inv))
+        terms = (np.linalg.norm(res) / np.linalg.norm(moments.P), skew)
+    return float(max(terms)) if np.all(np.isfinite(terms)) else math.inf
 
 
 @dataclass(frozen=True, eq=False)

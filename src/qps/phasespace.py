@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -257,6 +257,14 @@ class PhaseAnalyzer:
         return self.synthesize(unit) / self.pgrid.measure(self.family.hbar)
 
 
+@lru_cache(maxsize=1)
+def _shared_analyzer(family: JointStateSpec, pgrid: PhaseGrid,
+                     grid: CoordinateGrid) -> PhaseAnalyzer:
+    """The analyzer of the last (family, pgrid, grid), so that the snapshots
+    of one command share one build.  Specs hash by identity, grids by value."""
+    return PhaseAnalyzer(family, pgrid, grid)
+
+
 def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: float):
     """Reject an unnormalized state (through `moments`) and a phase grid that
     misses n_sigma of its spread."""
@@ -285,16 +293,23 @@ def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
     term of weight 1.  Mixture (sequence of (weight, GridWavefunction) on one
     grid): its components.  Density matrix: the eigenvectors of rho realized
     as sums of its built basis `states` (as from `fock.grid_number_states`,
-    so many snapshots share one build), keeping only eigenvalues above
-    round-off; that drops the tolerated round-off negatives too, so the
-    result is >= 0 by construction and costs rank(rho) transforms.
+    so many snapshots share one build), keeping only eigenvalues above the
+    resolution of a ``%.12g`` density file, 1e-11 sqrt(dim) lam_max; that
+    drops the tolerated round-off negatives too, so the result is >= 0 by
+    construction and costs one transform per eigenvector the stored matrix
+    resolves.  Calls with the same family, phase grid and coordinate grid
+    (the snapshots of one command) share one analyzer.
     """
     if hasattr(source, "basis") and hasattr(source, "matrix"):
         if states is None or len(states) != source.dim:
             raise InvalidInputError(
                 f"a density source needs its {source.dim} grid number states")
         lam, V = np.linalg.eigh(source.matrix)
-        keep = lam > lam.size * np.finfo(float).eps * lam.max()
+        # A stored field is rounded by at most 5e-12 relative, and re and im
+        # together add a factor sqrt(2); by Weyl's inequality the eigenvalues
+        # then move by |dlam| <= ||E||_F <= 1e-11 ||rho||_F <= 1e-11 sqrt(dim)
+        # lam_max, so nothing below that is resolved by the file.
+        keep = lam > 1e-11 * math.sqrt(lam.size) * lam.max()
         weights = lam[keep]
         grid = states[0].grid
         psis = np.tensordot(V[:, keep].T, np.stack([s.values for s in states]), axes=1)
@@ -314,7 +329,7 @@ def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
             _check_phase_coverage(s, pgrid, 6.0)
         grid = components[0][1].grid
         psis = [s.values for _, s in components]
-    analyzer = PhaseAnalyzer(family, pgrid, grid)
+    analyzer = _shared_analyzer(family, pgrid, grid)
     values = 0.0
     for w, psi in zip(weights, psis):
         values = values + w * np.abs(analyzer.transform(psi)) ** 2

@@ -213,8 +213,11 @@ def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridW
     xi = mesh - spec.moments.mean_x.reshape((-1,) + (1,) * spec.dim)
     expo = spec.shape.exponent  # symmetrized eta B eta
     quad = np.einsum("i...,ij,j...->...", xi, expo, xi)
-    phase = -np.einsum("i,i...->...", signs * spec.moments.mean_p, mesh) / hbar
-    values = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
+    # means too large for double precision leave non-finite samples, which
+    # GridWavefunction rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = -np.einsum("i,i...->...", signs * spec.moments.mean_p, mesh) / hbar
+        values = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
     return GridWavefunction(grid, values, hbar, tuple(signs))
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from qps.cli import main
+from qps.verify import TOLERANCES
 
 
 def ground_payload(**overrides):
@@ -280,6 +282,19 @@ class TestEvolve:
         assert len(calls) == 1
         assert (tmp_path / "evo" / "husimi_0003.csv").exists()
 
+    def test_analyzer_built_once(self, tmp_path, monkeypatch):
+        from qps.phasespace import PhaseAnalyzer
+
+        calls = []
+        init = PhaseAnalyzer.__init__
+        monkeypatch.setattr(PhaseAnalyzer, "__init__",
+                            lambda self, *a: calls.append(1) or init(self, *a))
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--snapshots", "4", "--husimi"])
+        assert code == 0
+        assert len(calls) == 1
+        assert (tmp_path / "evo" / "husimi_0003.csv").exists()
+
     def test_unknown_hamiltonian_exit_2(self, tmp_path):
         from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
 
@@ -464,7 +479,7 @@ class TestDamagedInputs:
         code = main(["--out", str(tmp_path / "out"), *argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert "hbar must be in (0, 1e+150], got 1e+308" in err and "Traceback" not in err
+        assert "hbar must be in [1e-150, 1e+150], got 1e+308" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n_max", [16, [float("inf")], None, "4", [4.5]])
     def test_mistyped_density_sidecar_exit_2(self, tmp_path, capsys, n_max):
@@ -490,6 +505,14 @@ class TestGlobalOptions:
                      *option])
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hbar", ["1e-151", "1e-320"])
+    def test_tiny_hbar_exit_2(self, tmp_path, capsys, hbar):
+        # below 1e-150, 1/hbar^2 overflows and hbar^2 underflows
+        code = main(["--out", str(tmp_path), "--hbar", hbar, "verify", "fock"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"hbar must be in [1e-150, 1e+150], got {float(hbar)!r}" in err
 
     def test_unknown_tolerance_name_exit_2(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "--tol", "clsoure=1e-30", "verify", "closure"])
@@ -608,6 +631,17 @@ OPTION_TEXT = {
 }
 
 
+def run_main(argv) -> tuple:
+    """Exit code and stderr of `qps ARGV`, argparse usage errors included."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
 class TestOptionFuzz:
     """Arbitrary option text never escapes the exit-code contract.  The
     input file is missing, so every example stops right after parsing."""
@@ -619,14 +653,35 @@ class TestOptionFuzz:
         text = data.draw(st.one_of(st.text(), OPTION_TEXT[option]), label=option)
         command = (["evolve", "missing.csv", "--t", "1.0"] if option == "--hamiltonian"
                    else ["dist", "missing.csv", "--kind", "husimi"])
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                code = main(["--out", fuzz_out, *command, f"{option}={text}"])
-            except SystemExit as exc:   # argparse usage errors
-                code = exc.code
+        code, err = run_main(["--out", fuzz_out, *command, f"{option}={text}"])
         assert code in (0, 2, 3, 4)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+
+# decades across the accepted hbar range [1e-150, 1e150] and past both ends
+_DECADE = st.integers(-330, 330).map("1e{}".format)
+VERIFY_TEXT = {
+    "--hbar": st.one_of(st.text(max_size=8), _FIELD, _DECADE, st.floats().map(repr)),
+    "--tol": st.tuples(st.one_of(st.sampled_from(sorted(TOLERANCES)), st.text(max_size=8)),
+                       st.one_of(_FIELD, _DECADE)).map("=".join),
+}
+
+
+class TestVerifyOptionFuzz:
+    """`verify` keeps its exit-code contract for any --hbar or --tol value:
+    0, 1 when a check fails, 2 for invalid input, and never a traceback.
+    The fock and closure suites are the cheap ones (~0.1 s each)."""
+
+    @pytest.mark.parametrize("suite", ["closure", "fock"])
+    @pytest.mark.parametrize("option", sorted(VERIFY_TEXT))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_option_value(self, fuzz_out, suite, option, data):
+        text = data.draw(VERIFY_TEXT[option], label=option)
+        code, err = run_main(["--out", fuzz_out, "verify", suite, f"{option}={text}"])
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
 
 @st.composite
@@ -695,12 +750,17 @@ DAMAGE_TARGETS = {
 
 
 def run_on(workdir: Path, command) -> tuple:
-    """Exit code and stderr of `command` run on the files in `workdir`."""
+    """Exit code and stderr of `command` run on the files in `workdir`; the
+    stderr includes every warning raised, as a console run would print it."""
     argv = [str(workdir / a) if (workdir / a).is_file() else a for a in command]
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["--out", str(workdir / "out"), *SMALL_GRIDS, *argv])
-    return code, err.getvalue()
+    shown = [warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+             for w in caught]
+    return code, err.getvalue() + "".join(shown)
 
 
 @pytest.fixture(scope="module")
@@ -762,7 +822,8 @@ def damaged(draw, text: bytes, is_json: bool) -> bytes:
 
 class TestDamagedFileFuzz:
     """Every damaged spec, wavefunction, density matrix or sidecar keeps the
-    exit-code contract: 0, 2, 3 or 4 and never a traceback."""
+    exit-code contract: 0, 2, 3 or 4 and never a traceback; a rejected file
+    is reported by its error message alone, with no numpy warning."""
 
     @pytest.mark.parametrize("target", sorted(DAMAGE_TARGETS))
     @settings(max_examples=100, deadline=None)
@@ -777,3 +838,5 @@ class TestDamagedFileFuzz:
         event(f"exit {code}")
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
+        if code == 2:
+            assert "Warning" not in err

@@ -129,6 +129,11 @@ class TestGridCsvReader:
         (lambda ls: ls + ls[-1:], "table is (7, 4)"),
         (lambda ls: [l.rsplit(",", 1)[0] + "\n" for l in ls], "header"),
         (lambda ls: ls[:1] + [l.rsplit(",", 1)[0] + "\n" for l in ls[1:]], "table is (6, 3)"),
+        (lambda ls: ls[:1], "no data rows"),
+        (lambda ls: ls[:1] + ["\n"], "no data rows"),
+        (lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0] + ",nan\n"], "row 6 has a non-finite"),
+        (lambda ls: ls[:2] + [ls[2].rsplit(",", 2)[0] + ",-inf,0\n"] + ls[3:],
+         "row 2 has a non-finite"),
     ])
     def test_rejects_what_the_writer_would_not_print(self, tmp_path, rng, damage, message):
         path, _ = self.write(tmp_path, rng)

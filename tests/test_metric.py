@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,16 @@ class TestCheckSaturation:
     def test_mixed_signature(self):
         m = saturating_moments(X=np.diag([0.5, 0.7]), sig=Signature(1, 1))
         assert check_saturation(m, Signature(1, 1)) <= 1e-12
+
+    @pytest.mark.parametrize("block, value", [("P", 1e308), ("rho", 1e308), ("P", 0.0)])
+    def test_overflowing_or_zero_moments_read_inf(self, block, value):
+        # a residual of nan would pass every `residual > tol` test
+        m = saturating_moments(X=[[0.8]], rho=[[0.3]])
+        blocks = {"P": m.P, "rho": m.rho, block: [[value]]}
+        huge = StatMoments(m.mean_p, m.mean_x, blocks["P"], m.X, blocks["rho"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_saturation(huge, Signature(0, 1)) == np.inf
 
 
 class TestDecomposeCovariance:

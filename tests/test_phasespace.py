@@ -351,6 +351,23 @@ class TestDensityHusimi:
         assert np.abs(dist.values - expected).max() <= 1e-12 * np.abs(expected).max()
         assert dist.minimum() >= 0.0
 
+    def test_stored_density_costs_its_rank(self, density_case, tmp_path, monkeypatch):
+        # %.12g rounding leaves null-space eigenvalues far above eps * lam_max
+        from qps import read_density, write_density
+        from qps.phasespace import PhaseAnalyzer
+
+        basis, family, states, pgrid, tilde = density_case
+        write_density(random_density(basis, [0.7, 0.3], seed=5), tmp_path / "rho.csv")
+        rho = read_density(tmp_path / "rho.csv")
+        calls = []
+        transform = PhaseAnalyzer.transform
+        monkeypatch.setattr(PhaseAnalyzer, "transform",
+                            lambda self, v: calls.append(1) or transform(self, v))
+        dist = husimi_distribution(rho, family, pgrid, states)
+        expected = quadratic_form_husimi(tilde, rho)
+        assert len(calls) == 2
+        assert np.abs(dist.values - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_round_off_negative_eigenvalue_is_dropped(self, density_case):
         # the tolerated negative weight sits on the widest number state, so the
         # full quadratic form dips below zero in the tails (to -1.4e-16 on (16,))

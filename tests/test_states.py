@@ -113,6 +113,13 @@ class TestCoordinateWavefunction:
         with pytest.raises(CoverageError):
             coordinate_wavefunction(ground_spec.displaced([0.0], [1.5]), grid)
 
+    @pytest.mark.parametrize("gauge", [GaugeChoice.zero(), GaugeChoice.full()])
+    def test_overflowing_momentum_mean_rejected(self, ground_spec, line_grid, gauge):
+        # the phase <p> x / hbar overflows; no numpy warning precedes the error
+        spec = dataclasses.replace(ground_spec.displaced([1e308], [1.5]), gauge=gauge)
+        with pytest.raises(InvalidInputError, match="non-finite wavefunction samples"):
+            coordinate_wavefunction(spec, line_grid)
+
     def test_gauge_phase_is_global(self, line_grid):
         spec0 = JointStateSpec.from_covariance(X=[[0.5]], mean_p=[0.7], mean_x=[0.9])
         spec_full = dataclasses.replace(spec0, gauge=GaugeChoice.full())
