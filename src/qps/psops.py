@@ -108,11 +108,14 @@ def ccr_residual(gauge: GaugeChoice, pw: PhaseWavefunction) -> float:
     hbar = pw.hbar
     eta = pw.family.signature.matrix()
     fnorm = np.linalg.norm(pw.values)
+    pairs = range(pw.grid.npairs)
+    xt = [apply_xtilde(pw, nu, gauge) for nu in pairs]
+    pt = [apply_ptilde(pw, mu, gauge) for mu in pairs]
     worst = 0.0
-    for mu in range(pw.grid.npairs):
-        for nu in range(pw.grid.npairs):
-            pt_xt = apply_ptilde(apply_xtilde(pw, nu, gauge), mu, gauge).values
-            xt_pt = apply_xtilde(apply_ptilde(pw, mu, gauge), nu, gauge).values
+    for mu in pairs:
+        for nu in pairs:
+            pt_xt = apply_ptilde(xt[nu], mu, gauge).values
+            xt_pt = apply_xtilde(pt[mu], nu, gauge).values
             res = pt_xt - xt_pt - 1j * hbar * eta[mu, nu] * pw.values
             worst = max(worst, float(np.linalg.norm(res) / fnorm))
     return worst

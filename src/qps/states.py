@@ -218,7 +218,12 @@ def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridW
     with np.errstate(over="ignore", invalid="ignore"):
         phase = -np.einsum("i,i...->...", signs * spec.moments.mean_p, mesh) / hbar
         values = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
-    return GridWavefunction(grid, values, hbar, tuple(signs))
+    psi = GridWavefunction(grid, values, hbar, tuple(signs))
+    # a momentum beyond the grid's dual range would be sampled aliased
+    for mu, ax in enumerate(grid.dual(hbar).axes):
+        check_coverage(f"momentum range of grid axis {mu}", ax.x_min, ax.x_max,
+                       spec.moments.mean_p[mu], 6.0 * np.sqrt(spec.moments.P[mu, mu]))
+    return psi
 
 
 def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWavefunction:

@@ -106,6 +106,14 @@ class TestStateSynth:
         code = main(["--out", str(tmp_path), "--grid=-12:12:1024", "state", "synth", spec])
         assert code == 3
 
+    def test_aliased_momentum_exit_3(self, tmp_path, capsys):
+        # pi hbar / dx = 134 on the default grid: <p> = 200 would be sampled aliased
+        spec = write_spec(tmp_path, mean_p=[200.0])
+        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        assert code == 3
+        assert "momentum range of grid axis 0" in capsys.readouterr().err
+        assert not (tmp_path / "moments.json").exists()
+
     def test_malformed_spec_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -83,7 +83,10 @@ class TestMomentumTransform:
 
     def test_coarse_grid_rejected(self):
         grid = CoordinateGrid.line(-12.0, 12.0, 64)
-        psi = gaussian(grid, X=0.002)  # sigma_p ~ 11 > Nyquist/6
+        # sigma_p ~ 11 > Nyquist/6; coordinate_wavefunction refuses to
+        # sample such a state, so the aliased samples are built directly
+        x = grid.axis_points(0)
+        psi = GridWavefunction(grid, (2 * np.pi * 0.002) ** -0.25 * np.exp(-x**2 / 0.008))
         with pytest.raises(CoverageError):
             momentum_transform(psi)
 

@@ -6,10 +6,13 @@ import ast
 import io
 import json
 import re
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qps import (
     CoordinateGrid,
@@ -94,6 +97,85 @@ class TestGridCsv:
         with pytest.raises(ValueError):
             write_grid_csv(tmp_path / "t.csv", ["a", "v"], [np.arange(3.0)], [np.zeros(4)], {})
         assert not (tmp_path / "t.csv").exists()
+
+
+def written_values(path, values):
+    """The value texts a one-column grid CSV of `values` holds, row by row."""
+    write_grid_csv(path, ["i", "v"], [range(len(values))], [np.array(values, dtype=float)], {},
+                   label_fmt="%d")
+    return [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+
+
+# every float64, subnormals, +-inf and nan included, by its bit pattern
+RAW_FLOATS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+def neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+VALUE_EDGES = ([9.999999999995e-5, 999999999999.5, 1e12, -0.0, 0.0, 5e-324, 1e300, 1e-300]
+               + neighbours(1e-5) + neighbours(1e-4) + neighbours(1e12)
+               + neighbours(1e290) + neighbours(1e-290))
+
+
+class TestValueText:
+    """The writer's numpy kernel prints each value exactly as ``"%.12g" % v``."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("values") / "v.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(RAW_FLOATS | st.floats(), min_size=1, max_size=64))
+    def test_any_float64(self, path, values):
+        assert written_values(path, values) == ["%.12g" % v for v in values]
+
+    def test_edges(self, path):
+        values = VALUE_EDGES + [-v for v in VALUE_EDGES]
+        assert written_values(path, values) == ["%.12g" % v for v in values]
+
+    def test_near_ties_and_carries(self, path, rng):
+        # 12 digits and a 5 sit within round-off of a rounding tie; 12 nines
+        # and a 5 or more carry into the next power of ten
+        ties = [float(f"{d}5e{k}") for d, k in zip(rng.integers(10**11, 10**12, 400).tolist(),
+                                                    rng.integers(-40, 40, 400).tolist())]
+        carries = [float(f"9.99999999999{t}e{k}") for t in (5, 6, 9) for k in range(-8, 14)]
+        values = [y for x in ties + carries for y in neighbours(x)]
+        assert written_values(path, values) == ["%.12g" % v for v in values]
+
+    def test_random_magnitudes(self, path, rng):
+        size = 20000
+        values = (rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 10.0, size)
+                  * 10.0 ** rng.integers(-323, 308, size)).tolist()
+        assert written_values(path, values) == ["%.12g" % v for v in values]
+
+
+class TestChunking:
+    def test_memory_does_not_grow_with_rows(self, tmp_path, rng):
+        axes = [np.linspace(-8.0, 8.0, 32)] * 4
+        columns = [rng.normal(size=(32,) * 4), rng.normal(size=(32,) * 4)]
+        tracemalloc.start()
+        try:
+            write_grid_csv(tmp_path / "d.csv", ["p1", "x1", "p2", "x2", "re", "im"], axes,
+                           columns, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2^20 rows of ~80 bytes; one copy of a value column alone is 8 MiB
+        assert peak < 10 * 2**20
+
+    def test_one_kernel_call_per_column(self, tmp_path, rng, monkeypatch):
+        import qps.io
+
+        calls = []
+        kernel = qps.io._g12_planes
+        monkeypatch.setattr(qps.io, "_g12_planes", lambda v: calls.append(v.size) or kernel(v))
+        grid = CoordinateGrid((GridAxis(-3.0, 4.0, 1024),))
+        values = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+        write_wavefunction(GridWavefunction(grid, values), tmp_path / "psi.csv")
+        assert calls == [1024, 1024]
 
 
 class TestGridCsvReader:

@@ -116,6 +116,38 @@ class TestCcr:
         pw2 = phase_wavefunction(psi2, spec2, PhaseGrid.symmetric(10.0, 48, npairs=2))
         assert ccr_residual(GaugeChoice.zero(), pw2) <= 1e-8
 
+    def test_two_pairs_apply_each_single_operator_once(self, monkeypatch):
+        import qps.psops as psops
+
+        spec2 = JointStateSpec.from_covariance(X=np.diag([0.5, 0.7]), mean_p=[0.3, -0.2],
+                                               mean_x=[0.5, 0.1])
+        psi2 = coordinate_wavefunction(spec2, CoordinateGrid.square(-12.0, 12.0, 64))
+        pw2 = phase_wavefunction(psi2, spec2, PhaseGrid.symmetric(10.0, 32, npairs=2))
+        gauge = GaugeChoice.half()
+        # the formula before the single applications were shared
+        eta = pw2.family.signature.matrix()
+        reference = 0.0
+        for mu in range(2):
+            for nu in range(2):
+                pt_xt = apply_ptilde(apply_xtilde(pw2, nu, gauge), mu, gauge).values
+                xt_pt = apply_xtilde(apply_ptilde(pw2, mu, gauge), nu, gauge).values
+                res = pt_xt - xt_pt - 1j * pw2.hbar * eta[mu, nu] * pw2.values
+                reference = max(reference,
+                                float(np.linalg.norm(res) / np.linalg.norm(pw2.values)))
+        calls = []
+
+        def counted(op):
+            def wrapper(*args, **kwargs):
+                calls.append(op.__name__)
+                return op(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(psops, "apply_ptilde", counted(apply_ptilde))
+        monkeypatch.setattr(psops, "apply_xtilde", counted(apply_xtilde))
+        assert ccr_residual(gauge, pw2) == reference
+        # 2 x 2 single applications, then one more on each of 2 x 4 products
+        assert len(calls) == 12
+
     def test_phase_operator_composition(self, pw):
         composed = PhaseOperator((("ptilde", 0), ("xtilde", 0)), GaugeChoice.zero())
         manual = apply_ptilde(apply_xtilde(pw, 0, GaugeChoice.zero()), 0, GaugeChoice.zero())
