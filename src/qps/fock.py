@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
-from .grids import SAMPLE_BUDGET, CoordinateGrid, GridWavefunction, along, check_coverage
+from .grids import CoordinateGrid, GridWavefunction, along, check_budget, check_coverage
 from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
 from .metric import decompose_covariance
 from .states import JointStateSpec, apply_z, coordinate_wavefunction
@@ -122,15 +122,6 @@ def build_ladder(basis: TruncatedBasis) -> LadderMatrices:
     return LadderMatrices(lowering=tuple(lowering), raising=tuple(raising), number=number)
 
 
-def _check_fock_coverage(spec: JointStateSpec, grid: CoordinateGrid, n):
-    """Coverage must extend past the classical turning point plus 6 sigma."""
-    for mu, ax in enumerate(grid.axes):
-        X = spec.moments.X[mu, mu]
-        reach = np.sqrt((2 * n[mu] + 1) * 2.0 * X) + 6.0 * np.sqrt(X)
-        check_coverage(f"grid axis {mu} for n={n[mu]}", ax.x_min, ax.x_max,
-                       spec.moments.mean_x[mu], reach)
-
-
 class _GridLadder:
     """Cached grid realization of the lowering/raising operators of a basis.
 
@@ -191,7 +182,10 @@ def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
     sqrt(m_mu) (the sqrt(n!) factor, accumulated without overflow).
     """
     spec = basis.reference
-    _check_fock_coverage(spec, grid, top)
+    X = np.diag(spec.moments.X)  # reach: the classical turning point plus 6 sigma
+    check_coverage([f"grid axis {mu} for n={n}" for mu, n in enumerate(top)], grid.bounds,
+                   spec.moments.mean_x,
+                   np.sqrt((2 * np.array(top) + 1) * 2.0 * X) + 6.0 * np.sqrt(X))
     ladder = _GridLadder(basis, grid)
     states = {}
     for m in np.ndindex(*(t + 1 for t in top)):
@@ -221,11 +215,7 @@ def grid_number_states(basis: TruncatedBasis, grid: CoordinateGrid) -> list:
     if any(m > 16 for m in basis.n_max):
         raise UnsupportedError("grid work is limited to n_max <= 16 per axis")
     samples = basis.dim * math.prod(grid.shape)
-    if samples > SAMPLE_BUDGET:
-        raise InvalidInputError(
-            f"{basis.dim} number states on the grid are {samples} samples, "
-            f"budget is {SAMPLE_BUDGET}"
-        )
+    check_budget(f"{basis.dim} number states on the grid are {samples} samples", samples)
     return _raised_family(basis, grid, tuple(m - 1 for m in basis.n_max))
 
 
@@ -311,7 +301,7 @@ def write_matrix(matrix: np.ndarray, csv_path, meta: dict | None = None):
     matrix = np.asarray(matrix, dtype=complex)
     write_grid_csv(csv_path, _MATRIX_HEADER, [range(n) for n in matrix.shape],
                    [matrix.real, matrix.imag],
-                   {"schema": 1, "shape": list(matrix.shape), **(meta or {})}, label_fmt="%d")
+                   {"schema": 1, "shape": list(matrix.shape), **(meta or {})})
 
 
 def read_matrix(csv_path) -> np.ndarray:
@@ -319,6 +309,5 @@ def read_matrix(csv_path) -> np.ndarray:
     shape fixes the (row, col) entries, each in row-major order."""
     with reading("matrix"):
         rows, cols = read_sidecar(csv_path)["shape"]
-        re, im = read_grid_csv(csv_path, _MATRIX_HEADER, [range(rows), range(cols)], 2,
-                               label_fmt="%d")
+        re, im = read_grid_csv(csv_path, _MATRIX_HEADER, [range(rows), range(cols)], 2)
         return (re + 1j * im).reshape(rows, cols)

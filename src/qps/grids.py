@@ -60,8 +60,7 @@ class CoordinateGrid:
         if not 1 <= len(axes) <= 2:
             raise InvalidInputError("grid oracle supports D = 1 or 2 axes")
         total = math.prod(ax.n_points for ax in axes)
-        if total > SAMPLE_BUDGET:
-            raise InvalidInputError(f"grid has {total} points, budget is {SAMPLE_BUDGET}")
+        check_budget(f"grid has {total} points", total)
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -75,6 +74,10 @@ class CoordinateGrid:
     @property
     def spacings(self) -> tuple:
         return tuple(ax.spacing for ax in self.axes)
+
+    @property
+    def bounds(self) -> tuple:
+        return tuple((ax.x_min, ax.x_max) for ax in self.axes)
 
     @property
     def cell_volume(self) -> float:
@@ -202,9 +205,9 @@ def momentum_transform(psi: GridWavefunction) -> GridWavefunction:
         values = ft * along(phase, axis, values.ndim) * ax.spacing / np.sqrt(2.0 * np.pi * hbar)
         values = np.fft.fftshift(values, axes=axis)
     out = GridWavefunction(psi.grid.dual(hbar), values, hbar, psi.signs)
-    for axis, ax in enumerate(out.grid.axes):  # ax is [-Nyquist, Nyquist]
-        mean, std = _axis_mean_std(out.values, out.grid, axis)
-        check_coverage(f"momentum axis {axis}", ax.x_min, ax.x_max, mean, 6.0 * std)
+    spreads = [_axis_mean_std(out.values, out.grid, axis) for axis in range(out.grid.ndim)]
+    check_coverage([f"momentum axis {axis}" for axis in range(out.grid.ndim)],
+                   out.grid.bounds, [m for m, _ in spreads], [6.0 * s for _, s in spreads])
     return out
 
 
@@ -239,11 +242,18 @@ def _axis_mean_std(values: np.ndarray, grid: CoordinateGrid, axis: int):
     return mean, np.sqrt(max(var, 0.0))
 
 
-def check_coverage(what: str, lo: float, hi: float, center: float, reach: float):
-    """Raise CoverageError unless [lo, hi] contains center +- reach."""
-    if lo > center - reach or hi < center + reach:
-        raise CoverageError(f"{what} [{lo:.6g}, {hi:.6g}] does not cover "
-                            f"[{center - reach:.3g}, {center + reach:.3g}]")
+def check_coverage(names, bounds, centers, reaches):
+    """Raise CoverageError for the first axis whose [lo, hi] misses center +- reach."""
+    for what, (lo, hi), center, reach in zip(names, bounds, centers, reaches):
+        if lo > center - reach or hi < center + reach:
+            raise CoverageError(f"{what} [{lo:.6g}, {hi:.6g}] does not cover "
+                                f"[{center - reach:.3g}, {center + reach:.3g}]")
+
+
+def check_budget(what: str, samples: int):
+    """Raise InvalidInputError if an array of `samples` values, `what`, is too large."""
+    if samples > SAMPLE_BUDGET:
+        raise InvalidInputError(f"{what}, budget is {SAMPLE_BUDGET}")
 
 
 def moments(psi: GridWavefunction) -> StatMoments:

@@ -78,12 +78,13 @@ def read_sidecar(csv_path):
     return read_json(f"{csv_path}.json")
 
 
-def write_grid_csv(path, header, axes, columns, meta: dict, label_fmt: str = "%.12g"):
+def write_grid_csv(path, header, axes, columns, meta: dict):
     """CSV of `columns` (arrays of prod(len(axis)) values, row-major) over
     the product of the 1-D label `axes`, plus `meta` as its JSON sidecar.
 
     The text is byte-identical to ``np.savetxt(fmt="%.12g", delimiter=",")``.
-    Labels are formatted once per axis with ``label_fmt % v``, values by
+    Labels are formatted once per axis with ``"%.12g" % v`` (an integer
+    label, such as a matrix index, prints as ``%d`` would), values by
     :func:`_g12_planes`.  Its fast path takes ``rint(|v| * 10**(11 - e))``,
     ``e = floor(log10|v|)``, as the 12-digit mantissa only where the scaled
     value, off by less than 3e-4, lies more than 2e-3 from a rounding tie
@@ -93,7 +94,7 @@ def write_grid_csv(path, header, axes, columns, meta: dict, label_fmt: str = "%.
     """
     labels = []
     for ax in axes:
-        text = [label_fmt % v + "," for v in np.asarray(ax).tolist()]
+        text = ["%.12g" % v + "," for v in np.asarray(ax).tolist()]
         width = max(map(len, text), default=1)
         labels.append(np.array(text, dtype=f"S{width}").view(f"V{width}"))
     shape = tuple(len(lab) for lab in labels)
@@ -201,7 +202,7 @@ def _g12_planes(v) -> np.ndarray:
     return out
 
 
-def read_grid_csv(path, header, axes, ncols: int, label_fmt: str = "%.12g") -> np.ndarray:
+def read_grid_csv(path, header, axes, ncols: int) -> np.ndarray:
     """The `ncols` value columns of a CSV written by :func:`write_grid_csv`.
 
     The header must match, and the rows must be the row-major product of the
@@ -222,7 +223,7 @@ def read_grid_csv(path, header, axes, ncols: int, label_fmt: str = "%.12g") -> n
     if data.shape != need:
         raise ValueError(f"table is {data.shape}, the grid needs {need}")
     for mu, ax in enumerate(axes):
-        labels = np.array([float(label_fmt % v) for v in np.asarray(ax).tolist()])
+        labels = np.array([float("%.12g" % v) for v in np.asarray(ax).tolist()])
         along = (1,) * mu + (-1,) + (1,) * (len(shape) - mu - 1)
         want = np.broadcast_to(labels.reshape(along), shape).reshape(-1)
         bad = np.flatnonzero(data[:, mu] != want)

@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedError
-from .grids import SAMPLE_BUDGET, CoordinateGrid, GridWavefunction, check_coverage, moments
+from .grids import CoordinateGrid, GridWavefunction, check_budget, check_coverage, moments
 from .io import write_grid_csv
 from .states import JointStateSpec
 
@@ -75,10 +75,7 @@ class PhaseGrid:
         if not 1 <= len(pairs) <= 2:
             raise InvalidInputError("phase grids support 1 or 2 pairs")
         total = math.prod(p.n_p * p.n_x for p in pairs)
-        if total > SAMPLE_BUDGET:
-            raise InvalidInputError(
-                f"phase grid has {total} samples, budget is {SAMPLE_BUDGET}"
-            )
+        check_budget(f"phase grid has {total} samples", total)
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -190,6 +187,16 @@ class PhaseAnalyzer:
             raise UnsupportedError(
                 "multi-pair analysis needs an axis-factorized analyzing family"
             )
+        # Before any table, the largest array a pass of transform or synthesize
+        # holds: E, the smaller intermediate (see below), its input or output.
+        n_grid, n_cells = grid.shape, [p.n_p * p.n_x for p in pgrid.pairs]
+        need = 0
+        for mu, (n, pair) in enumerate(zip(n_grid, pgrid.pairs)):
+            for rest in (math.prod(n_cells[:mu]) * math.prod(n_grid[mu + 1:]),   # transform
+                         math.prod(n_grid[:mu]) * math.prod(n_cells[mu + 1:])):  # synthesize
+                need = max(need, n * pair.n_p, n * pair.n_x * min(rest, pair.n_p),
+                           rest * max(n, n_cells[mu]))
+        check_budget(f"phase analysis on grid {n_grid} needs arrays of {need} samples", need)
         self.family = family
         self.pgrid = pgrid
         self.grid = grid
@@ -216,8 +223,8 @@ class PhaseAnalyzer:
 
     # Each pass below contracts one pair through either of two intermediates
     # of equal multiply-add count, the window-weighted samples or the
-    # (j, k, m) table E W, and builds the smaller: the first while the other
-    # pairs' axes hold at most n_p samples.  One pair is thus E @ (v * W).
+    # (j, k, m) table E W, and builds the smaller: the first while the `rest`
+    # of the axes hold at most n_p samples.  One pair is thus E @ (v * W).
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         """Grid samples -> psi~ samples, axis order (p1, x1, p2, x2, ...).
@@ -269,11 +276,13 @@ def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: fl
     """Reject an unnormalized state (through `moments`) and a phase grid that
     misses n_sigma of its spread."""
     stats = moments(state)
-    for mu, pair in enumerate(pgrid.pairs):
-        check_coverage(f"phase grid pair {mu} momenta", pair.p_min, pair.p_max,
-                       stats.mean_p[mu], n_sigma * np.sqrt(stats.P[mu, mu]))
-        check_coverage(f"phase grid pair {mu} coordinates", pair.x_min, pair.x_max,
-                       stats.mean_x[mu], n_sigma * np.sqrt(stats.X[mu, mu]))
+    # one entry per phase-grid axis, in the order p1, x1, p2, x2, ...
+    names = [f"phase grid pair {mu} {axis}" for mu in range(pgrid.npairs)
+             for axis in ("momenta", "coordinates")]
+    bounds = [b for p in pgrid.pairs for b in ((p.p_min, p.p_max), (p.x_min, p.x_max))]
+    centers = np.column_stack([stats.mean_p, stats.mean_x]).ravel()
+    spreads = np.sqrt(np.column_stack([np.diag(stats.P), np.diag(stats.X)]).ravel())
+    check_coverage(names, bounds, centers, n_sigma * spreads)
 
 
 def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
@@ -351,6 +360,11 @@ def wigner_distribution(state: GridWavefunction, pgrid: PhaseGrid) -> PhaseDistr
     hbar = state.hbar
     pair = pgrid.pairs[0]
     x = state.grid.axis_points(0)
+    half_span = 0.5 * (x[-1] - x[0])
+    du = state.grid.axes[0].spacing
+    u = np.arange(-half_span, half_span + 0.5 * du, du)
+    need = max(pair.n_p, pair.n_x) * len(u)  # kernel and integrand: phase points x offsets
+    check_budget(f"Wigner quadrature needs arrays of {need} samples", need)
     spline_re = CubicSpline(x, state.values.real, extrapolate=False)
     spline_im = CubicSpline(x, state.values.imag, extrapolate=False)
 
@@ -358,9 +372,6 @@ def wigner_distribution(state: GridWavefunction, pgrid: PhaseGrid) -> PhaseDistr
         out = spline_re(pts) + 1j * spline_im(pts)
         return np.nan_to_num(out, nan=0.0)
 
-    half_span = 0.5 * (x[-1] - x[0])
-    du = state.grid.axes[0].spacing
-    u = np.arange(-half_span, half_span + 0.5 * du, du)
     y = pair.x_points()
     plus = psi_at(y[:, None] + u[None, :])
     minus = psi_at(y[:, None] - u[None, :])

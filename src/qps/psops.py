@@ -27,15 +27,15 @@ import numpy as np
 
 from .errors import GaugeMismatchError, InvalidInputError
 from .grids import (
-    SAMPLE_BUDGET,
     CoordinateGrid,
     GridWavefunction,
     along,
     apply_momentum,
     apply_position,
+    check_budget,
     spectral_derivative,
 )
-from .phasespace import PhaseAnalyzer, PhaseGrid, PhaseWavefunction, phase_wavefunction
+from .phasespace import PhaseAnalyzer, PhaseGrid, PhaseWavefunction, _check_phase_coverage
 from .states import GaugeChoice, JointStateSpec
 
 
@@ -148,9 +148,7 @@ def continuous_kernel(op, family: JointStateSpec, pgrid: PhaseGrid,
         raise InvalidInputError("continuous kernels are built for one pair")
     pair = pgrid.pairs[0]
     n_phase = pair.n_p * pair.n_x
-    if n_phase**2 > SAMPLE_BUDGET:
-        raise InvalidInputError(f"kernel over {n_phase} phase points has {n_phase**2} "
-                                f"entries, budget is {SAMPLE_BUDGET}")
+    check_budget(f"kernel over {n_phase} phase points has {n_phase**2} entries", n_phase**2)
     analyzer = PhaseAnalyzer(family, pgrid, grid)
     out = np.zeros((n_phase, n_phase), dtype=complex)
     col = 0
@@ -182,8 +180,9 @@ def consistency_check(state: GridWavefunction, family: JointStateSpec,
         raise GaugeMismatchError(
             f"requested gauge {gauge.label} but the family carries {family.gauge.label}"
         )
-    pw = phase_wavefunction(state, family, pgrid)
+    _check_phase_coverage(state, pgrid, 6.0)
     analyzer = PhaseAnalyzer(family, pgrid, state.grid)
+    pw = PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
     p_err = 0.0
     x_err = 0.0
     for axis in range(family.dim):

@@ -203,9 +203,8 @@ def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridW
     """Sample the joint-state Gaussian on a coordinate grid (unit norm)."""
     if grid.ndim != spec.dim:
         raise InvalidInputError("grid dimension does not match the state")
-    for mu, ax in enumerate(grid.axes):
-        check_coverage(f"grid axis {mu}", ax.x_min, ax.x_max,
-                       spec.moments.mean_x[mu], 6.0 * np.sqrt(spec.moments.X[mu, mu]))
+    check_coverage([f"grid axis {mu}" for mu in range(spec.dim)], grid.bounds,
+                   spec.moments.mean_x, 6.0 * np.sqrt(np.diag(spec.moments.X)))
     signs = spec.signature.signs
     hbar = spec.hbar
     norm = spec.moments.gaussian_norm
@@ -220,9 +219,9 @@ def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridW
         values = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
     psi = GridWavefunction(grid, values, hbar, tuple(signs))
     # a momentum beyond the grid's dual range would be sampled aliased
-    for mu, ax in enumerate(grid.dual(hbar).axes):
-        check_coverage(f"momentum range of grid axis {mu}", ax.x_min, ax.x_max,
-                       spec.moments.mean_p[mu], 6.0 * np.sqrt(spec.moments.P[mu, mu]))
+    check_coverage([f"momentum range of grid axis {mu}" for mu in range(spec.dim)],
+                   grid.dual(hbar).bounds, spec.moments.mean_p,
+                   6.0 * np.sqrt(np.diag(spec.moments.P)))
     return psi
 
 
@@ -236,9 +235,8 @@ def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWav
         raise InvalidInputError("grid dimension does not match the state")
     signs = spec.signature.signs
     hbar = spec.hbar
-    for mu, ax in enumerate(grid.axes):
-        check_coverage(f"momentum grid axis {mu}", ax.x_min, ax.x_max,
-                       spec.moments.mean_p[mu], 6.0 * np.sqrt(spec.moments.P[mu, mu]))
+    check_coverage([f"momentum grid axis {mu}" for mu in range(spec.dim)], grid.bounds,
+                   spec.moments.mean_p, 6.0 * np.sqrt(np.diag(spec.moments.P)))
     M = spec.shape.exponent / hbar**2
     M_inv = np.linalg.inv(M)
     pref = spec.moments.gaussian_norm * (2.0 * np.pi * hbar) ** (-spec.dim / 2.0) \

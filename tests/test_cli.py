@@ -185,6 +185,27 @@ class TestDist:
         header = (tmp_path / "phasewave.csv").read_text().splitlines()[0]
         assert header == "p1,x1,p2,x2,value,im"
 
+    @pytest.mark.parametrize("kind", ["husimi", "phasewave", "wigner"])
+    @pytest.mark.parametrize("pgrid", ["-8:8:32,-8:8:524288", "-8:8:524288,-8:8:32"])
+    def test_phase_arrays_over_budget_exit_2(self, tmp_path, synth_state, capsys, monkeypatch,
+                                             kind, pgrid):
+        # 2^24 phase samples are inside the budget, but the analyzer tables
+        # and the Wigner quadrature of a 1024-point state hold 2^29 and more;
+        # every such array is built from the phase points, so none is built
+        from qps.phasespace import PhasePair
+
+        def unbuilt(pair):
+            raise AssertionError("phase-grid arrays built before the budget check")
+
+        monkeypatch.setattr(PhasePair, "p_points", unbuilt)
+        monkeypatch.setattr(PhasePair, "x_points", unbuilt)
+        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", kind,
+                     f"--pgrid={pgrid}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "budget is 16777216" in err and "Traceback" not in err
+        assert not (tmp_path / f"{kind}.csv").exists()
+
     def test_wigner_two_axis_exit_4(self, tmp_path):
         from qps import CoordinateGrid, JointStateSpec, coordinate_wavefunction, write_wavefunction
 
@@ -302,6 +323,27 @@ class TestEvolve:
         assert code == 0
         assert len(calls) == 1
         assert (tmp_path / "evo" / "husimi_0003.csv").exists()
+
+    @pytest.mark.parametrize("pgrid", [None, "-1:1:32,-1:1:32"])
+    def test_husimi_normalization_min(self, tmp_path, capsys, pgrid):
+        # only the coordinate grid is checked for coverage, so a phase grid
+        # that misses most of the density shows up here, not in the exit code
+        code = main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--snapshots", "2", "--husimi"]
+                    + ([f"--pgrid={pgrid}"] if pgrid else []))
+        out = capsys.readouterr().out
+        assert code == 0
+        mass = float(next(l.split()[1] for l in out.splitlines()
+                          if l.startswith("husimi_normalization_min")))
+        if pgrid is None:
+            assert abs(mass - 1.0) <= 1e-6
+        else:
+            assert mass < 0.1
+
+    def test_no_husimi_line_without_husimi(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0"]) == 0
+        assert "husimi_normalization_min" not in capsys.readouterr().out
 
     def test_unknown_hamiltonian_exit_2(self, tmp_path):
         from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qps
 from qps import (
     CoordinateGrid,
     CoverageError,
@@ -93,10 +97,10 @@ class TestMomentumTransform:
     def test_coverage_edges_are_inclusive(self):
         from qps.grids import check_coverage
 
-        check_coverage("axis", -2.0, 4.0, 1.0, 3.0)  # exactly [-2, 4]: covered
+        check_coverage(["axis"], [(-2.0, 4.0)], [1.0], [3.0])  # exactly [-2, 4]: covered
         for lo, hi in [(-1.5, 4.0), (-2.0, 3.5)]:
             with pytest.raises(CoverageError, match=r"axis \[.*\] does not cover \[-2, 4\]"):
-                check_coverage("axis", lo, hi, 1.0, 3.0)
+                check_coverage(["axis"], [(lo, hi)], [1.0], [3.0])
 
 
 class TestOperators:
@@ -269,3 +273,29 @@ class TestGridBudgets:
             GridAxis(*bounds, 64)
         with pytest.raises(InvalidInputError):
             PhasePair(*bounds, 32, -1.0, 1.0, 32)
+
+
+
+def test_coverage_and_budget_decided_only_in_grids():
+    """`CoverageError` is built only in `grids.check_coverage`, and
+    `SAMPLE_BUDGET` is compared only in `grids.check_budget`."""
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = set()
+    for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node -> innermost enclosing function (ast.walk is breadth-first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                owner.update((id(n), getattr(func, "name", "<lambda>")) for n in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name(node.func) == "CoverageError" or (
+                    isinstance(node, ast.Raise) and name(node.exc) == "CoverageError"):
+                found.add((path.name, owner.get(id(node)), "CoverageError"))
+            elif isinstance(node, ast.Compare) and "SAMPLE_BUDGET" in map(
+                    name, [node.left, *node.comparators]):
+                found.add((path.name, owner.get(id(node)), "SAMPLE_BUDGET"))
+    assert found == {("grids.py", "check_coverage", "CoverageError"),
+                     ("grids.py", "check_budget", "SAMPLE_BUDGET")}

@@ -101,8 +101,7 @@ class TestGridCsv:
 
 def written_values(path, values):
     """The value texts a one-column grid CSV of `values` holds, row by row."""
-    write_grid_csv(path, ["i", "v"], [range(len(values))], [np.array(values, dtype=float)], {},
-                   label_fmt="%d")
+    write_grid_csv(path, ["i", "v"], [range(len(values))], [np.array(values, dtype=float)], {})
     return [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
 
 
@@ -197,9 +196,8 @@ class TestGridCsvReader:
 
     def test_integer_labels(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_grid_csv(path, ["row", "col", "v"], [range(2), range(3)], [np.arange(6.0)], {},
-                       label_fmt="%d")
-        (v,) = read_grid_csv(path, ["row", "col", "v"], [range(2), range(3)], 1, "%d")
+        write_grid_csv(path, ["row", "col", "v"], [range(2), range(3)], [np.arange(6.0)], {})
+        (v,) = read_grid_csv(path, ["row", "col", "v"], [range(2), range(3)], 1)
         assert np.array_equal(v, np.arange(6.0))
 
     @pytest.mark.parametrize("damage, message", [

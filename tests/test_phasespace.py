@@ -542,3 +542,27 @@ class TestSeparableAnalyzer:
         expected = np.multiply.outer(*singles)
         got = PhaseAnalyzer(family, pgrid, grid).family_state(*index)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestAnalyzerBudget:
+    @pytest.mark.parametrize("axes, pairs, need", [
+        # one pair: the window W (N x n_x), then the kernel E (n_p x N)
+        ([(-12.0, 12.0, 1024)], [(-8.0, 8.0, 32, -8.0, 8.0, 524288)], 2**29),
+        ([(-12.0, 12.0, 1024)], [(-8.0, 8.0, 524288, -8.0, 8.0, 32)], 2**29),
+        # two pairs: the first transform pass carries the 2^19 samples of the
+        # second axis into a (2^19, 128, 128) output
+        ([(-12.0, 12.0, 32), (-12.0, 12.0, 2**19)],
+         [(-8.0, 8.0, 128, -8.0, 8.0, 128), (-8.0, 8.0, 32, -8.0, 8.0, 32)], 2**33),
+    ])
+    def test_checked_before_any_table(self, monkeypatch, axes, pairs, need):
+        from qps.phasespace import PhaseAnalyzer
+
+        def unbuilt(pair):
+            raise AssertionError("analyzer tables built before the budget check")
+
+        monkeypatch.setattr(PhasePair, "p_points", unbuilt)
+        monkeypatch.setattr(PhasePair, "x_points", unbuilt)
+        family = JointStateSpec.from_covariance(X=np.diag([0.5] * len(axes)))
+        with pytest.raises(InvalidInputError,
+                           match=f"needs arrays of {need} samples, budget is 16777216"):
+            PhaseAnalyzer(family, PhaseGrid(pairs), CoordinateGrid(axes))
