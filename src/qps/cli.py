@@ -40,7 +40,8 @@ _MAX_SNAPSHOTS = 1000  # each snapshot writes files
 
 @dataclass
 class RunConfig:
-    """Parsed global options shared by every subcommand."""
+    """Parsed global options shared by every subcommand; the field defaults
+    are the only defaults of those options."""
 
     hbar: float = 1.0
     gauge: GaugeChoice = field(default_factory=GaugeChoice.zero)
@@ -124,18 +125,17 @@ def _parse_tols(items) -> dict:
     return out
 
 
+# how the value of each option becomes its RunConfig field
+_FIELDS = {"hbar": float, "gauge": GaugeChoice, "grid": _parse_grid, "pgrid": _parse_pgrid,
+           "out": Path, "tols": _parse_tols, "family_x": float}
+
+
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        hbar=args.hbar,
-        gauge=GaugeChoice(args.gauge),
-        out=Path(args.out),
-        tols=_parse_tols(args.tol),
-        family_x=args.family_x,
-    )
-    if args.grid:
-        cfg.grid = _parse_grid(args.grid)
-    if args.pgrid:
-        cfg.pgrid = _parse_pgrid(args.pgrid)
+    """RunConfig of the options given; an option not given, or an empty
+    --grid, --pgrid or --out, keeps RunConfig's default."""
+    given = {name: parse(getattr(args, name)) for name, parse in _FIELDS.items()
+             if getattr(args, name, "") != ""}
+    cfg = RunConfig(**given)
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -286,48 +286,46 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
     return 0
 
 
-def _add_common(parser, trailing=False):
-    """Shared options, accepted before or after the subcommand."""
-    suppress = {"default": argparse.SUPPRESS} if trailing else {}
-    parser.add_argument("--hbar", type=float, **(suppress or {"default": 1.0}))
-    parser.add_argument("--gauge", choices=("zero", "full", "half"),
-                        **(suppress or {"default": "zero"}))
-    parser.add_argument("--grid", help='coordinate grid "min:max:n[;min:max:n]"',
-                        **(suppress or {"default": None}))
-    parser.add_argument("--pgrid", help='phase grid "pmin:pmax:np,xmin:xmax:nx[;...]"',
-                        **(suppress or {"default": None}))
-    parser.add_argument("--out", help="output directory",
-                        **(suppress or {"default": "."}))
-    parser.add_argument("--tol", action="append", metavar="NAME=VAL",
-                        help="tolerance override (repeatable)",
-                        **(suppress or {"default": None}))
-    parser.add_argument("--family-x", type=float,
-                        help="coordinate variance of the analyzing family (default hbar/2)",
-                        **(suppress or {"default": None}))
+def _common_options() -> argparse.ArgumentParser:
+    """The options shared by every command, accepted before or after it.
+    None has a default here, so RunConfig holds the only defaults, and a
+    value given after the command replaces one given before it."""
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--hbar", type=float)
+    common.add_argument("--gauge", choices=("zero", "full", "half"))
+    common.add_argument("--grid", help='coordinate grid "min:max:n[;min:max:n]"')
+    common.add_argument("--pgrid", help='phase grid "pmin:pmax:np,xmin:xmax:nx[;...]"')
+    common.add_argument("--out", help="output directory")
+    common.add_argument("--tol", dest="tols", action="append", metavar="NAME=VAL",
+                        help="tolerance override (repeatable)")
+    common.add_argument("--family-x", type=float,
+                        help="coordinate variance of the analyzing family (default hbar/2)")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qps", description=__doc__,
+    common = [_common_options()]
+    parser = argparse.ArgumentParser(prog="qps", description=__doc__, parents=common,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_state = sub.add_parser("state", help="state construction")
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
-    p_synth = state_sub.add_parser("synth", help="sample a joint state from a JSON spec")
+    p_synth = state_sub.add_parser("synth", parents=common,
+                                   help="sample a joint state from a JSON spec")
     p_synth.add_argument("spec_file")
-    _add_common(p_synth, trailing=True)
+    p_synth.set_defaults(run=lambda cfg, a: cmd_state_synth(cfg, a.spec_file))
 
-    p_dist = sub.add_parser("dist", help="phase-space distribution export")
+    p_dist = sub.add_parser("dist", parents=common, help="phase-space distribution export")
     p_dist.add_argument("state_file")
     p_dist.add_argument("--kind", choices=("husimi", "wigner", "phasewave"), required=True)
-    _add_common(p_dist, trailing=True)
+    p_dist.set_defaults(run=lambda cfg, a: cmd_dist(cfg, a.state_file, a.kind))
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", parents=common, help="run a verification suite")
     p_verify.add_argument("suite", choices=verify_mod.SUITES + ("all",))
-    _add_common(p_verify, trailing=True)
+    p_verify.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.suite))
 
-    p_evolve = sub.add_parser("evolve", help="unitary density evolution")
+    p_evolve = sub.add_parser("evolve", parents=common, help="unitary density evolution")
     p_evolve.add_argument("density_file")
     p_evolve.add_argument("--hamiltonian", default="number_omega:1.0",
                           help="generator, e.g. number_omega:1.0")
@@ -335,29 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--snapshots", type=int, default=1)
     p_evolve.add_argument("--husimi", action="store_true",
                           help="also export a Husimi snapshot per time")
-    _add_common(p_evolve, trailing=True)
+    p_evolve.set_defaults(run=lambda cfg, a: cmd_evolve(
+        cfg, a.density_file, a.hamiltonian, a.t, a.snapshots, a.husimi))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "state":
-            return cmd_state_synth(cfg, args.spec_file)
-        if args.command == "dist":
-            return cmd_dist(cfg, args.state_file, args.kind)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, args.density_file, args.hamiltonian, args.t,
-                              args.snapshots, args.husimi)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(_config_from_args(args), args)
     except (QpsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-    return 0
 
 
 if __name__ == "__main__":

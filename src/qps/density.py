@@ -15,9 +15,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .fock import FockVector, TruncatedBasis, build_ladder, read_matrix, write_matrix
 from .io import read_sidecar, reading
+from .metric import check_hermitian, check_weights
 from .states import JointStateSpec
 
-_HERM_TOL = 1e-10
 _EIG_TOL = -1e-10
 _TRACE_TOL = 1e-10
 
@@ -33,12 +33,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.basis.dim, self.basis.dim):
             raise InvalidInputError("density matrix shape does not match basis")
-        # NaN fails no `defect > tol` test below, so reject it first
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("density matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > _HERM_TOL * scale:
-            raise InvalidInputError("density matrix must be Hermitian")
+        check_hermitian("density matrix", m)
         eigs = np.linalg.eigvalsh(m)
         if eigs.min() < _EIG_TOL:
             raise InvalidInputError(f"negative eigenvalue {eigs.min():.3e}")
@@ -65,13 +60,7 @@ class MixtureSpec:
 
     def __post_init__(self):
         comps = tuple((float(w), s) for w, s in self.components)
-        if not comps:
-            raise InvalidInputError("mixture needs at least one component")
-        weights = np.array([w for w, _ in comps])
-        if weights.min() < 0.0:
-            raise InvalidInputError("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidInputError(f"weights sum to {weights.sum()!r}, not 1")
+        check_weights(np.array([w for w, _ in comps]))
         basis = comps[0][1].basis
         if any(s.basis is not basis for _, s in comps[1:]):
             raise InvalidInputError("mixture components must share one basis")
@@ -125,8 +114,7 @@ def evolve_lvn(rho: DensityMatrix, H: np.ndarray, t: float,
     H = np.asarray(H, dtype=complex)
     if H.shape != rho.matrix.shape:
         raise InvalidInputError("Hamiltonian dimension does not match")
-    if np.abs(H - H.conj().T).max() > 1e-10 * max(1.0, float(np.abs(H).max())):
-        raise InvalidInputError("Hamiltonian must be Hermitian")
+    check_hermitian("Hamiltonian", H)
     evals, vecs = np.linalg.eigh(H)
     phases = np.exp(-1j * evals * t / hbar)
     U = (vecs * phases[None, :]) @ vecs.conj().T

@@ -21,11 +21,8 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, along, check_budget, check_coverage
 from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
-from .metric import decompose_covariance
+from .metric import check_hermitian, decompose_covariance
 from .states import JointStateSpec, apply_z, coordinate_wavefunction
-
-# largest truncated basis dimension
-_BASIS_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +40,8 @@ class TruncatedBasis:
             raise InvalidInputError("n_max needs one cutoff per axis")
         if any(n < 2 for n in n_max):
             raise InvalidInputError("each n_max must be at least 2")
-        if math.prod(n_max) > _BASIS_BUDGET:
-            raise InvalidInputError(
-                f"truncated dimension {math.prod(n_max)} exceeds budget {_BASIS_BUDGET}"
-            )
+        dim = math.prod(n_max)
+        check_budget(f"truncated dimension {dim} makes matrices of {dim**2} entries", dim**2)
         object.__setattr__(self, "n_max", n_max)
 
     @property
@@ -179,8 +174,16 @@ def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
 
     The one raising loop: each m is the raising operator along its first
     nonzero axis mu applied to the state one rung below, divided by
-    sqrt(m_mu) (the sqrt(n!) factor, accumulated without overflow).
+    sqrt(m_mu) (the sqrt(n!) factor, accumulated without overflow).  Its
+    round-off grows with the rung (Gram error 1e-14 at 16 rungs, 4e-10 at
+    21 and 0.53 at 31 for X = 1/2 on +-16 with 1024 points), so more than
+    16 rungs per axis are unsupported.
     """
+    if any(t >= 16 for t in top):
+        raise UnsupportedError("grid work is limited to n_max <= 16 per axis")
+    count = math.prod(t + 1 for t in top)
+    samples = count * math.prod(grid.shape)
+    check_budget(f"{count} number states on the grid are {samples} samples", samples)
     spec = basis.reference
     X = np.diag(spec.moments.X)  # reach: the classical turning point plus 6 sigma
     check_coverage([f"grid axis {mu} for n={n}" for mu, n in enumerate(top)], grid.bounds,
@@ -212,10 +215,6 @@ def number_state(n, basis: TruncatedBasis, grid: CoordinateGrid) -> GridWavefunc
 
 def grid_number_states(basis: TruncatedBasis, grid: CoordinateGrid) -> list:
     """All basis states on the grid, in the row-major order of the basis."""
-    if any(m > 16 for m in basis.n_max):
-        raise UnsupportedError("grid work is limited to n_max <= 16 per axis")
-    samples = basis.dim * math.prod(grid.shape)
-    check_budget(f"{basis.dim} number states on the grid are {samples} samples", samples)
     return _raised_family(basis, grid, tuple(m - 1 for m in basis.n_max))
 
 
@@ -250,8 +249,7 @@ def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector) -> Robertso
     if A.shape[0] != state.basis.dim:
         raise InvalidInputError("operator dimension does not match the state")
     for name, M in (("A", A), ("B", B)):
-        if np.abs(M - M.conj().T).max() > 1e-10 * max(1.0, np.abs(M).max()):
-            raise InvalidInputError(f"{name} must be Hermitian")
+        check_hermitian(name, M)
     v = state.coeffs
     if not state.is_normalized():
         raise InvalidInputError("state must be normalized")

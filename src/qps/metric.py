@@ -42,6 +42,24 @@ def check_hbar(hbar: float):
             f"hbar must be in [{_HBAR_MIN:g}, {_HBAR_MAX:g}], got {hbar!r}")
 
 
+def check_hermitian(what: str, M: np.ndarray):
+    """Reject a matrix `what` with a non-finite entry, or whose Hermitian
+    defect exceeds 1e-10 max(1, |M|max)."""
+    # NaN fails no `defect > tol` test, so it is rejected first
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError(f"{what} has non-finite entries")
+    if np.abs(M - M.conj().T).max() > 1e-10 * max(1.0, float(np.abs(M).max())):
+        raise InvalidInputError(f"{what} must be Hermitian")
+
+
+def check_weights(weights: np.ndarray):
+    """Reject mixture weights unless each is >= 0 and they sum to 1 within
+    1e-12; no weights, or a NaN, fail too."""
+    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12):
+        raise InvalidInputError(f"mixture weights must be >= 0 and sum to 1, "
+                                f"got sum {float(weights.sum())!r}")
+
+
 def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, check_budget, check_coverage, moments
 from .io import write_grid_csv
+from .metric import check_weights
 from .states import JointStateSpec
 
 
@@ -267,8 +268,9 @@ class PhaseAnalyzer:
 @lru_cache(maxsize=1)
 def _shared_analyzer(family: JointStateSpec, pgrid: PhaseGrid,
                      grid: CoordinateGrid) -> PhaseAnalyzer:
-    """The analyzer of the last (family, pgrid, grid), so that the snapshots
-    of one command share one build.  Specs hash by identity, grids by value."""
+    """The analyzer of the last (family, pgrid, grid), so that consecutive
+    analyses of one setup (the snapshots of one command, the states of one
+    verify row) share one build.  Specs hash by identity, grids by value."""
     return PhaseAnalyzer(family, pgrid, grid)
 
 
@@ -289,7 +291,7 @@ def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
                        pgrid: PhaseGrid) -> PhaseWavefunction:
     """psi~(q, y) = <family state at each phase point | state>."""
     _check_phase_coverage(state, pgrid, 6.0)
-    analyzer = PhaseAnalyzer(family, pgrid, state.grid)
+    analyzer = _shared_analyzer(family, pgrid, state.grid)
     return PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
 
 
@@ -330,8 +332,7 @@ def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
         except (TypeError, ValueError) as exc:
             raise InvalidInputError("unsupported husimi source") from exc
         weights = np.array([w for w, _ in components])
-        if not components or weights.min() < 0.0 or abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidInputError("mixture weights must be >= 0 and sum to 1")
+        check_weights(weights)
         for _, s in components:
             if not (isinstance(s, GridWavefunction) and s.grid == components[0][1].grid):
                 raise InvalidInputError("mixture components must be wavefunctions on one grid")
@@ -400,7 +401,7 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
     resolved by the midpoint grid.
     """
     _check_phase_coverage(state, pgrid, 8.0)
-    analyzer = PhaseAnalyzer(family, pgrid, state.grid)
+    analyzer = _shared_analyzer(family, pgrid, state.grid)
     pw = analyzer.transform(state.values)
     rec = analyzer.synthesize(pw)
     err = np.sqrt(np.sum(np.abs(rec - state.values) ** 2) * state.grid.cell_volume)

@@ -35,7 +35,7 @@ from .grids import (
     check_budget,
     spectral_derivative,
 )
-from .phasespace import PhaseAnalyzer, PhaseGrid, PhaseWavefunction, _check_phase_coverage
+from .phasespace import PhaseGrid, PhaseWavefunction, _check_phase_coverage, _shared_analyzer
 from .states import GaugeChoice, JointStateSpec
 
 
@@ -149,7 +149,7 @@ def continuous_kernel(op, family: JointStateSpec, pgrid: PhaseGrid,
     pair = pgrid.pairs[0]
     n_phase = pair.n_p * pair.n_x
     check_budget(f"kernel over {n_phase} phase points has {n_phase**2} entries", n_phase**2)
-    analyzer = PhaseAnalyzer(family, pgrid, grid)
+    analyzer = _shared_analyzer(family, pgrid, grid)
     out = np.zeros((n_phase, n_phase), dtype=complex)
     col = 0
     for jp in range(pair.n_p):
@@ -181,7 +181,7 @@ def consistency_check(state: GridWavefunction, family: JointStateSpec,
             f"requested gauge {gauge.label} but the family carries {family.gauge.label}"
         )
     _check_phase_coverage(state, pgrid, 6.0)
-    analyzer = PhaseAnalyzer(family, pgrid, state.grid)
+    analyzer = _shared_analyzer(family, pgrid, state.grid)
     pw = PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
     p_err = 0.0
     x_err = 0.0

@@ -513,7 +513,9 @@ class TestDamagedInputs:
         sidecar.write_text(json.dumps(meta))
         code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
         assert code == 2
-        assert "exceeds budget 4096" in capsys.readouterr().err
+        assert ("truncated dimension 18446744073709551616 makes matrices of "
+                "340282366920938463463374607431768211456 entries, budget is 16777216"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("source", ["spec", "wavefunction sidecar", "option"])
     def test_huge_hbar_exit_2(self, tmp_path, synth_state, capsys, source):
@@ -578,6 +580,45 @@ class TestGlobalOptions:
             "gram": 1e-6, "ccr": 1e-8, "gauge_pair": 1e-10, "consistency": 1e-3,
             "overlap": 1e-8, "purity": 1e-10,
         }
+
+    def test_option_after_command_wins(self, tmp_path):
+        first, last = tmp_path / "first", tmp_path / "last"
+        code = main(["--out", str(first), "--hbar", "2", "verify", "fock", "--out", str(last)])
+        assert code == 0
+        assert (last / "report_fock.json").exists() and not first.exists()
+        for name in ("lowering", "raising", "number"):
+            assert json.loads((last / f"fock_{name}.csv.json").read_text())["hbar"] == 2.0
+
+    def test_shared_options_declared_once(self):
+        """Each option string appears in one `add_argument` call of cli.py, and
+        every command parser holds the main parser's own shared actions."""
+        import argparse
+
+        import qps.cli
+        from qps.cli import build_parser
+
+        tree = ast.parse(Path(qps.cli.__file__).read_text())
+        declared = [arg.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "add_argument"
+                    for arg in node.args if str(getattr(arg, "value", "")).startswith("-")]
+        assert [opt for opt in set(declared) if declared.count(opt) > 1] == []
+
+        def commands(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from [sub] if sub.get_default("run") else commands(sub)
+
+        top = build_parser()
+        shared = {opt: action for opt, action in top._option_string_actions.items()
+                  if action.dest != "help"}
+        assert len(set(shared.values())) == 7
+        assert all(action.default is argparse.SUPPRESS for action in shared.values())
+        progs = []
+        for sub in commands(top):
+            progs.append(sub.prog)
+            assert all(sub._option_string_actions[opt] is shared[opt] for opt in shared)
+        assert progs == ["qps state synth", "qps dist", "qps verify", "qps evolve"]
 
     def test_family_x_is_used(self, tmp_path, synth_state):
         out = {}

@@ -98,6 +98,11 @@ class TestConstructors:
         with pytest.raises(InvalidInputError):
             MixtureSpec(((-0.5, FockVector.unit(basis, 0)), (1.5, FockVector.unit(basis, 1))))
 
+    def test_nan_weight_rejected(self, basis):
+        # NaN fails no `< 0` or `> tol` test, so the weight rule is negated
+        with pytest.raises(InvalidInputError, match="must be >= 0 and sum to 1"):
+            MixtureSpec(((np.nan, FockVector.unit(basis, 0)),))
+
     def test_invariants_enforced(self, basis):
         with pytest.raises(InvalidInputError):
             DensityMatrix(basis, np.eye(6))  # trace 6
@@ -212,6 +217,15 @@ class TestEvolution:
         rho = from_pure(FockVector.unit(basis, 0))
         with pytest.raises(InvalidInputError):
             evolve_lvn(rho, np.triu(np.ones((6, 6))), 1.0)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_nan_hamiltonian_rejected(self, basis, entry):
+        # eigh reads one triangle only, so a NaN above it would be ignored
+        rho = from_pure(FockVector.unit(basis, 0))
+        H = np.eye(6, dtype=complex)
+        H[entry] = np.nan
+        with pytest.raises(InvalidInputError, match="Hamiltonian has non-finite entries"):
+            evolve_lvn(rho, H, 1.0)
 
 
 class TestCounting:

@@ -99,7 +99,9 @@ class TestBuildLadder:
     def test_budget_does_not_wrap(self):
         # np.prod of (2**32, 2**32) wraps to 0 in int64
         with pytest.raises(InvalidInputError, match="truncated dimension "
-                           "18446744073709551616 exceeds budget 4096"):
+                           "18446744073709551616 makes matrices of "
+                           "340282366920938463463374607431768211456 entries, "
+                           "budget is 16777216"):
             TruncatedBasis((2**32, 2**32), JointStateSpec.from_covariance(X=np.diag([0.5, 0.5])))
 
     def test_minimum_cutoff(self, ground_spec_module):
@@ -237,6 +239,16 @@ class TestOrthonormality:
         with pytest.raises(InvalidInputError, match="budget is 16777216"):
             grid_number_states(basis, CoordinateGrid.line(-12.0, 12.0, 2**21))
 
+    def test_number_state_rung_cap(self, ground_spec_module):
+        # the 31-rung walk has norm 1.235 at n = 30 and Gram error 0.53
+        from qps.errors import UnsupportedError
+
+        basis = TruncatedBasis((31,), ground_spec_module)
+        grid = CoordinateGrid.line(-16.0, 16.0, 1024)
+        with pytest.raises(UnsupportedError, match="n_max <= 16"):
+            number_state(30, basis, grid)
+        assert number_state(15, basis, grid).norm() == pytest.approx(1.0, abs=1e-8)
+
 
 class TestOperatorMatrix:
     def test_matches_inner_product_loop(self):
@@ -321,6 +333,14 @@ class TestRobertson:
         bad = np.triu(np.ones((4, 4)))
         with pytest.raises(InvalidInputError):
             robertson_check(bad, np.eye(4), FockVector.unit(basis, 0))
+
+    def test_rejects_nan(self, ground_spec_module):
+        # a NaN diagonal has zero Hermitian defect by NaN arithmetic
+        basis = TruncatedBasis((4,), ground_spec_module)
+        A = np.eye(4, dtype=complex)
+        A[1, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="A has non-finite entries"):
+            robertson_check(A, np.eye(4), FockVector.unit(basis, 0))
 
     def test_rejects_dimension_mismatch(self, ground_spec_module):
         basis = TruncatedBasis((4,), ground_spec_module)

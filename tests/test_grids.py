@@ -278,10 +278,28 @@ class TestGridBudgets:
 
 def test_coverage_and_budget_decided_only_in_grids():
     """`CoverageError` is built only in `grids.check_coverage`, and
-    `SAMPLE_BUDGET` is compared only in `grids.check_budget`."""
+    `SAMPLE_BUDGET` is compared only in `grids.check_budget`; no other
+    module names a `*_BUDGET`.  Likewise a Hermitian defect `M - M.conj().T`
+    is compared only in `metric.check_hermitian`, and a weight sum
+    `w.sum() - 1.0` only in `metric.check_weights`."""
 
     def name(node):
         return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def is_call_of(node, method):
+        return isinstance(node, ast.Call) and name(node.func) == method
+
+    def compared(node):
+        """The rule a comparison decides, if it is one with a single owner."""
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub):
+                if name(sub.right) == "T" and is_call_of(sub.right.value, "conj"):
+                    return "hermitian defect"
+                if is_call_of(sub.left, "sum") and getattr(sub.right, "value", None) == 1.0:
+                    return "weight sum"
+        if "SAMPLE_BUDGET" in map(name, [node.left, *node.comparators]):
+            return "SAMPLE_BUDGET"
+        return None
 
     found = set()
     for path in sorted(Path(qps.__file__).parent.glob("*.py")):
@@ -294,8 +312,11 @@ def test_coverage_and_budget_decided_only_in_grids():
             if isinstance(node, ast.Call) and name(node.func) == "CoverageError" or (
                     isinstance(node, ast.Raise) and name(node.exc) == "CoverageError"):
                 found.add((path.name, owner.get(id(node)), "CoverageError"))
-            elif isinstance(node, ast.Compare) and "SAMPLE_BUDGET" in map(
-                    name, [node.left, *node.comparators]):
-                found.add((path.name, owner.get(id(node)), "SAMPLE_BUDGET"))
+            elif isinstance(node, ast.Compare) and compared(node):
+                found.add((path.name, owner.get(id(node)), compared(node)))
+            elif path.name != "grids.py" and str(name(node)).endswith("_BUDGET"):
+                found.add((path.name, owner.get(id(node)), "*_BUDGET"))
     assert found == {("grids.py", "check_coverage", "CoverageError"),
-                     ("grids.py", "check_budget", "SAMPLE_BUDGET")}
+                     ("grids.py", "check_budget", "SAMPLE_BUDGET"),
+                     ("metric.py", "check_hermitian", "hermitian defect"),
+                     ("metric.py", "check_weights", "weight sum")}

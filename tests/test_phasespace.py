@@ -164,6 +164,12 @@ class TestHusimi:
         with pytest.raises(InvalidInputError):
             husimi_distribution([(0.7, psi), (0.7, psi)], spec, pgrid)
 
+    @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 1.0], []])
+    def test_nan_or_no_weights_rejected(self, spec, grid, pgrid, weights):
+        psi = coordinate_wavefunction(spec, grid)
+        with pytest.raises(InvalidInputError, match="must be >= 0 and sum to 1"):
+            husimi_distribution([(w, psi) for w in weights], spec, pgrid)
+
 
 class TestWigner:
     def test_ground_gaussian_nonnegative(self, spec, grid, pgrid):
