@@ -1,5 +1,7 @@
 import ast
 import contextlib
+import functools
+import importlib.util
 import io
 import json
 import os
@@ -129,6 +131,16 @@ class TestStateSynth:
         assert "cannot read spec file" in err and "Traceback" not in err
 
 
+@functools.lru_cache(maxsize=None)
+def benchmark_inputs():
+    """The benchmark's seeded input pool, `perfbench/inputs.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture()
 def synth_state(tmp_path):
     spec = write_spec(tmp_path)
@@ -214,6 +226,29 @@ class TestDist:
         path = tmp_path / "wf2.csv"
         write_wavefunction(psi, path)
         assert main(["--out", str(tmp_path), "dist", str(path), "--kind", "wigner"]) == 4
+
+    @pytest.mark.parametrize("index", range(benchmark_inputs().GENERATOR["state_cases"]["1"]))
+    def test_wigner_bytes_match_cubic_spline_on_benchmark_pool(self, tmp_path, capsys,
+                                                               monkeypatch, index):
+        # the numpy spline leaves every byte of `dist --kind wigner` as the
+        # CubicSpline build wrote it: CSV, sidecar and stdout
+        from qps import phasespace
+
+        cubic_spline = pytest.importorskip("scipy.interpolate").CubicSpline
+        inputs = benchmark_inputs()
+        spec = inputs.write_spec(inputs.state_case(1, index), tmp_path / "spec.json")
+        assert main(["--out", str(tmp_path), "state", "synth", str(spec)]) == 0
+        argv = ["--out", str(tmp_path / "dist"), "dist", str(tmp_path / "wavefunction.csv"),
+                "--kind", "wigner"]
+        written = []
+        for spline in (phasespace._not_a_knot,
+                       lambda x, y: cubic_spline(x, y, extrapolate=False)):
+            monkeypatch.setattr(phasespace, "_not_a_knot", spline)
+            capsys.readouterr()
+            assert main(argv) == 0
+            written.append([capsys.readouterr().out] + [
+                (tmp_path / "dist" / name).read_bytes() for name in ("wigner.csv", "wigner.csv.json")])
+        assert written[0] == written[1]
 
 
 class TestVerify:
@@ -644,9 +679,12 @@ class TestGlobalOptions:
     def test_cli_import_loads_no_scipy(self, tmp_path):
         probe = "import sys, qps.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         assert run_python(probe) == "[]"
-        # the number-state ladder roots eta X with numpy alone
+        # the number-state ladder roots eta X and the Wigner fixture splines
+        # its wavefunction with numpy alone
         rho_path = write_rho(tmp_path)
-        for argv in (["verify", "fock"], ["evolve", str(rho_path), "--t", "1.0", "--husimi"]):
+        assert main(["--out", str(tmp_path / "state"), "state", "synth", write_spec(tmp_path)]) == 0
+        for argv in (["verify", "fock"], ["evolve", str(rho_path), "--t", "1.0", "--husimi"],
+                     ["dist", str(tmp_path / "state" / "wavefunction.csv"), "--kind", "wigner"]):
             command = textwrap.dedent(f"""
                 import sys
                 from qps.cli import main
@@ -655,11 +693,13 @@ class TestGlobalOptions:
             """)
             assert run_python(command).splitlines()[-1] == "[]", argv
 
-    def test_scipy_imported_only_by_wigner_fixture(self):
+    def test_src_imports_no_scipy(self):
+        # scipy is a test-only dependency: the oracle of the numpy spline and sqrtm
         import qps
 
-        def scipy_imports(tree):
-            for node in ast.walk(tree):
+        stray = []
+        for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -667,22 +707,8 @@ class TestGlobalOptions:
                 else:
                     continue
                 if any(name.split(".")[0] == "scipy" for name in names):
-                    yield node
-
-        stray, allowed = [], 0
-        for path in sorted(Path(qps.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            fixture = {id(node) for func in ast.walk(tree)
-                       if isinstance(func, ast.FunctionDef)
-                       and (path.name, func.name) == ("phasespace.py", "wigner_distribution")
-                       for node in scipy_imports(func)}
-            for node in scipy_imports(tree):
-                if id(node) in fixture:
-                    allowed += 1
-                else:
                     stray.append(f"{path.name}:{node.lineno}")
         assert stray == []
-        assert allowed == 1
 
 
 def run_python(probe, **env_vars):

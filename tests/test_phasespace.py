@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qps import phasespace
 from qps import (
     CoordinateGrid,
     CoverageError,
@@ -202,6 +204,83 @@ class TestWigner:
         psi2 = coordinate_wavefunction(spec2, grid2)
         with pytest.raises(UnsupportedError):
             wigner_distribution(psi2, PhaseGrid.symmetric(8.0, 32, npairs=2))
+
+    @pytest.mark.parametrize("make", [
+        lambda spec, grid: coordinate_wavefunction(spec, grid),
+        lambda spec, grid: number_state(1, TruncatedBasis((3,), spec), grid),
+        lambda spec, grid: coordinate_wavefunction(spec.displaced([1.2], [-0.8]), grid),
+    ], ids=["ground", "excited1", "coherent"])
+    def test_bit_identical_to_cubic_spline_build(self, spec, grid, pgrid, make,
+                                                 cubic_spline, monkeypatch):
+        psi = make(spec, grid)
+        dist = wigner_distribution(psi, pgrid)
+        monkeypatch.setattr(phasespace, "_not_a_knot",
+                            lambda x, y: cubic_spline(x, y, extrapolate=False))
+        reference = wigner_distribution(psi, pgrid)
+        assert np.array_equal(dist.values, reference.values)
+        assert np.array_equal(np.signbit(dist.values), np.signbit(reference.values))
+
+
+@pytest.fixture(scope="module")
+def cubic_spline():
+    """scipy's CubicSpline, the oracle of the numpy spline (a test-only dependency)."""
+    return pytest.importorskip("scipy.interpolate").CubicSpline
+
+
+def spline_queries(x, rng):
+    """Every knot, random interior points, both ends and points just and far outside."""
+    span = x[-1] - x[0]
+    return np.concatenate([
+        x, rng.uniform(x[0], x[-1], 257), x[[0, -1]],
+        [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+         x[0] - span, x[-1] + span, x[0] - 1e300, x[-1] + 1e300],
+    ])
+
+
+class TestNotAKnotSpline:
+    """The Wigner fixture's spline is scipy's CubicSpline(extrapolate=False),
+    bit for bit, on every uniform grid, and 0 where scipy gives NaN outside."""
+
+    def check(self, cubic_spline, x, y, q):
+        got = phasespace._not_a_knot(x, y)(q)
+        with np.errstate(all="ignore"):
+            want = cubic_spline(x, y, extrapolate=False)(q)
+        want = np.where((q >= x[0]) & (q <= x[-1]), want, 0.0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(2, 4096).filter(lambda n: n != 3),
+           lo=st.floats(-1e3, 1e3), log_span=st.floats(-3.0, 5.0),
+           log_mag=st.floats(-300.0, 300.0), zeros=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_cubic_spline(self, cubic_spline, n, lo, log_span, log_mag, zeros, seed):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(lo, lo + 10.0**log_span, n)
+        y = rng.standard_normal(n) * 10.0**log_mag
+        if zeros:  # runs of -0.0 exercise the signs of zero
+            y[rng.random(n) < 0.5] = -0.0
+        self.check(cubic_spline, x, y, spline_queries(x, rng))
+
+    def test_two_knots_are_a_straight_line(self, cubic_spline):
+        x, y = np.array([-1.5, 0.5]), np.array([2.0, -1.0])
+        q = spline_queries(x, np.random.default_rng(0))
+        self.check(cubic_spline, x, y, q)
+        inside = (q >= x[0]) & (q <= x[1])
+        line = y[0] + (q - x[0]) * (y[1] - y[0]) / (x[1] - x[0])
+        assert np.allclose(phasespace._not_a_knot(x, y)(q)[inside], line[inside],
+                           rtol=0, atol=1e-15)
+
+    def test_three_knots_rejected(self):
+        # scipy makes n = 3 a dense-solved parabola; GridAxis has no 3-point axes
+        with pytest.raises(UnsupportedError, match="2 or at least 4 knots"):
+            phasespace._not_a_knot(np.array([0.0, 1.0, 2.0]), np.ones(3))
+
+    def test_large_values_warn_nothing(self, cubic_spline):
+        # overflow inside the spline follows scipy (inf/NaN) without a numpy warning
+        x = np.linspace(0.0, 1e-3, 64)
+        y = np.where(np.arange(64) % 2, 1e300, -1e300)
+        self.check(cubic_spline, x, y, spline_queries(x, np.random.default_rng(1)))
 
 
 class TestClosure:
