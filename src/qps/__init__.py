@@ -5,6 +5,9 @@ coordinate-representation oracle, truncated ladder algebra, positive
 phase-space distributions with the h^D microstate hypervolume law, density
 operators with exact unitary evolution, and representative phase-space
 operators under three gauge choices.
+
+Names and submodules load on first access (PEP 562), so `from qps import X`
+imports only X's module and what it needs.
 """
 
 import os
@@ -16,104 +19,50 @@ if os.environ.get("QPS_THREADS"):
                  "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["QPS_THREADS"])
 
-from .errors import (
-    CoverageError,
-    GaugeMismatchError,
-    InvalidInputError,
-    QpsError,
-    SaturationError,
-    UnsupportedError,
-)
-from .metric import (
-    HBAR_SI,
-    CovarianceFactors,
-    ShapeParams,
-    Signature,
-    StatMoments,
-    UncertaintyCheck,
-    block_covariance,
-    build_shape,
-    check_saturation,
-    decompose_covariance,
-    particle_from_wave,
-    raise_lower,
-    reconstruct_covariance,
-    saturating_moments,
-    uncertainty_determinant,
-    wave_from_particle,
-)
-from .grids import (
-    CoordinateGrid,
-    GridAxis,
-    GridWavefunction,
-    apply_momentum,
-    apply_position,
-    inner_product,
-    inverse_momentum_transform,
-    moments,
-    momentum_transform,
-    read_wavefunction,
-    write_wavefunction,
-)
-from .states import (
-    GaugeChoice,
-    JointStateSpec,
-    analytic_overlap,
-    coordinate_wavefunction,
-    momentum_wavefunction,
-    z_eigencheck,
-)
-from .fock import (
-    FockVector,
-    LadderMatrices,
-    RobertsonCheck,
-    TruncatedBasis,
-    build_ladder,
-    grid_number_states,
-    momentum_matrix,
-    number_state,
-    operator_matrix,
-    orthonormality_check,
-    position_matrix,
-    robertson_check,
-)
-from .phasespace import (
-    ClosureResult,
-    PhaseDistribution,
-    PhaseGrid,
-    PhasePair,
-    PhaseWavefunction,
-    closure_reconstruct,
-    husimi_distribution,
-    microstate_hypervolume,
-    phase_wavefunction,
-    wigner_distribution,
-    write_distribution,
-)
-from .density import (
-    DensityMatrix,
-    MicrostateCount,
-    MixtureSpec,
-    boltzmann_entropy,
-    count_microstates,
-    evolve_lvn,
-    expectation,
-    from_mixture,
-    from_pure,
-    number_hamiltonian,
-    purity,
-    read_density,
-    write_density,
-)
-from .psops import (
-    ConsistencyReport,
-    ContinuousKernel,
-    PhaseOperator,
-    apply_ptilde,
-    apply_xtilde,
-    ccr_residual,
-    consistency_check,
-    continuous_kernel,
-)
-
 __version__ = "0.1.0"
+
+# submodule -> the public names it exports at the package level
+_EXPORTS = {
+    "errors": ("CoverageError", "GaugeMismatchError", "InvalidInputError", "QpsError",
+               "SaturationError", "UnsupportedError"),
+    "metric": ("HBAR_SI", "CovarianceFactors", "ShapeParams", "Signature", "StatMoments",
+               "UncertaintyCheck", "block_covariance", "build_shape", "check_saturation",
+               "decompose_covariance", "particle_from_wave", "raise_lower",
+               "reconstruct_covariance", "saturating_moments", "uncertainty_determinant",
+               "wave_from_particle"),
+    "grids": ("CoordinateGrid", "GridAxis", "GridWavefunction", "apply_momentum",
+              "apply_position", "inner_product", "inverse_momentum_transform", "moments",
+              "momentum_transform", "read_wavefunction", "write_wavefunction"),
+    "states": ("GaugeChoice", "JointStateSpec", "analytic_overlap", "coordinate_wavefunction",
+               "momentum_wavefunction", "z_eigencheck"),
+    "fock": ("FockVector", "LadderMatrices", "RobertsonCheck", "TruncatedBasis", "build_ladder",
+             "grid_number_states", "momentum_matrix", "number_state", "operator_matrix",
+             "orthonormality_check", "position_matrix", "robertson_check"),
+    "phasespace": ("ClosureResult", "PhaseDistribution", "PhaseGrid", "PhasePair",
+                   "PhaseWavefunction", "closure_reconstruct", "husimi_distribution",
+                   "microstate_hypervolume", "phase_wavefunction", "wigner_distribution",
+                   "write_distribution"),
+    "density": ("DensityMatrix", "MicrostateCount", "MixtureSpec", "boltzmann_entropy",
+                "count_microstates", "evolve_lvn", "expectation", "from_mixture", "from_pure",
+                "number_hamiltonian", "purity", "read_density", "write_density"),
+    "psops": ("ConsistencyReport", "ContinuousKernel", "PhaseOperator", "apply_ptilde",
+              "apply_xtilde", "ccr_residual", "consistency_check", "continuous_kernel"),
+    "io": (),
+    "suites": (),
+    "verify": (),
+    "cli": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -9,30 +9,24 @@ Exit codes: 0 success, 2 invalid input, 3 grid coverage, 4 unsupported
 combination.  QPS_THREADS caps the BLAS/OpenMP thread pools.
 """
 
+from __future__ import annotations
+
 import argparse
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, QpsError, UnsupportedError
-from .grids import CoordinateGrid, GridAxis, moments, read_wavefunction, write_wavefunction
-from .io import read_json, reading, write_json
-from .metric import Signature, check_saturation
-from .phasespace import (
-    PhaseGrid,
-    PhasePair,
-    husimi_distribution,
-    phase_wavefunction,
-    wigner_distribution,
-    write_distribution,
-)
-from .states import GaugeChoice, JointStateSpec, coordinate_wavefunction
-from . import density as density_mod
-from . import fock
-from . import verify as verify_mod
+from .suites import SUITES, TOLERANCES
+
+# Each command imports the modules it runs, so `qps --help` loads no numpy
+# and `state synth` none of the phase-space, number-state or verify layers.
+if TYPE_CHECKING:
+    from .grids import CoordinateGrid
+    from .phasespace import PhaseGrid
+    from .states import GaugeChoice, JointStateSpec
 
 _FMT = "{:.12g}"
 _MAX_SNAPSHOTS = 1000  # each snapshot writes files
@@ -44,7 +38,7 @@ class RunConfig:
     are the only defaults of those options."""
 
     hbar: float = 1.0
-    gauge: GaugeChoice = field(default_factory=GaugeChoice.zero)
+    gauge: GaugeChoice = "zero"  # a kind name, made a GaugeChoice when built
     grid: tuple = ((-12.0, 12.0, 1024),)
     pgrid: tuple = ((-8.0, 8.0, 128, -8.0, 8.0, 128),)
     out: Path = Path(".")
@@ -52,10 +46,13 @@ class RunConfig:
     family_x: float | None = None
 
     def __post_init__(self):
-        unknown = sorted(set(self.tols) - set(verify_mod.TOLERANCES))
+        from .states import GaugeChoice
+
+        self.gauge = GaugeChoice(self.gauge)
+        unknown = sorted(set(self.tols) - set(TOLERANCES))
         if unknown:
             raise InvalidInputError(f"unknown tolerance {unknown[0]!r}; known: "
-                                    f"{', '.join(verify_mod.TOLERANCES)}")
+                                    f"{', '.join(TOLERANCES)}")
         checked = [("hbar", self.hbar), ("family_x", self.family_x)]
         checked += [(f"tolerance {name}", val) for name, val in self.tols.items()]
         for name, val in checked:
@@ -63,6 +60,8 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be positive and finite")
 
     def coordinate_grid(self, ndim: int) -> CoordinateGrid:
+        from .grids import CoordinateGrid, GridAxis
+
         axes = self.grid
         if len(axes) == 1 and ndim == 2:
             lo, hi, _ = axes[0]
@@ -72,6 +71,8 @@ class RunConfig:
         return CoordinateGrid(axes=tuple(GridAxis(*a) for a in axes))
 
     def phase_grid(self, npairs: int) -> PhaseGrid:
+        from .phasespace import PhaseGrid, PhasePair
+
         pairs = self.pgrid
         if len(pairs) == 1 and npairs == 2:
             # auto-duplicated two-pair grids use a coarser per-axis count to
@@ -126,7 +127,7 @@ def _parse_tols(items) -> dict:
 
 
 # how the value of each option becomes its RunConfig field
-_FIELDS = {"hbar": float, "gauge": GaugeChoice, "grid": _parse_grid, "pgrid": _parse_pgrid,
+_FIELDS = {"hbar": float, "gauge": str, "grid": _parse_grid, "pgrid": _parse_pgrid,
            "out": Path, "tols": _parse_tols, "family_x": float}
 
 
@@ -144,6 +145,11 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
+    import numpy as np
+
+    from .metric import Signature
+    from .states import JointStateSpec
+
     d = psi.grid.ndim
     d_plus = sum(1 for s in psi.signs if s > 0)
     sig = Signature(d_plus, d - d_plus)
@@ -154,6 +160,11 @@ def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
 
 
 def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
+    from .grids import moments, write_wavefunction
+    from .io import read_json, reading, write_json
+    from .metric import check_saturation
+    from .states import JointStateSpec, coordinate_wavefunction
+
     with reading("spec file"):
         payload = read_json(spec_file)
     spec = JointStateSpec.from_dict(payload)
@@ -180,6 +191,10 @@ def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
 
 
 def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
+    from .grids import read_wavefunction
+    from .phasespace import (husimi_distribution, phase_wavefunction, wigner_distribution,
+                             write_distribution)
+
     psi = read_wavefunction(state_file)
     if kind == "wigner" and psi.grid.ndim > 1:
         raise UnsupportedError("the Wigner fixture supports one pair only")
@@ -206,6 +221,9 @@ def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
+    from . import verify as verify_mod
+    from .io import write_json
+
     report = verify_mod.run_suite(suite, hbar=cfg.hbar, tols=cfg.tols)
     path = cfg.out / f"report_{suite}.json"
     write_json(path, report)
@@ -226,6 +244,9 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 
 def _export_fock_matrices(cfg: RunConfig):
     """Ladder matrices accompanying the fock report, as CSV."""
+    from . import fock
+    from .states import JointStateSpec
+
     spec = JointStateSpec.from_covariance(X=[[cfg.hbar / 2.0]], hbar=cfg.hbar)
     basis = fock.TruncatedBasis((4,), spec)
     lad = fock.build_ladder(basis)
@@ -251,6 +272,10 @@ def _parse_hamiltonian(text: str):
 
 def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
                snapshots: int, with_husimi: bool) -> int:
+    from . import density as density_mod
+    from . import fock
+    from .phasespace import husimi_distribution, write_distribution
+
     if not 1 <= snapshots <= _MAX_SNAPSHOTS:
         raise InvalidInputError(f"need 1 to {_MAX_SNAPSHOTS} snapshots, got {snapshots}")
     if not math.isfinite(t):
@@ -322,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(run=lambda cfg, a: cmd_dist(cfg, a.state_file, a.kind))
 
     p_verify = sub.add_parser("verify", parents=common, help="run a verification suite")
-    p_verify.add_argument("suite", choices=verify_mod.SUITES + ("all",))
+    p_verify.add_argument("suite", choices=SUITES + ("all",))
     p_verify.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.suite))
 
     p_evolve = sub.add_parser("evolve", parents=common, help="unitary density evolution")

@@ -350,42 +350,50 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray):
     """scipy's ``CubicSpline(x, y, extrapolate=False)`` of real y on uniform
     knots, bit for bit, as a function of the query points; 0 outside.
 
-    Same operations in the same order: scipy's fill of the tridiagonal slope
-    system (n = 2: both end slopes slope[0], a straight line), LAPACK dgtsv's
-    elimination and back substitution (a uniform grid never swaps rows), the
-    Hermite coefficients, and PPoly's ascending sum rather than Horner.
+    y is (n,) or (n, k): the k columns are splined independently, and each
+    query finds its interval once for all of them.  Same operations in the
+    same order: scipy's fill of the tridiagonal slope system (n = 2: both end
+    slopes slope[0], a straight line), LAPACK dgtsv's elimination and back
+    substitution (a uniform grid never swaps rows), the Hermite
+    coefficients, and PPoly's ascending sum rather than Horner.
     n = 3 is a parabola that scipy solves densely; no qps axis has 3 points.
     """
     n = len(x)
     if n == 3:
         raise UnsupportedError("a not-a-knot spline needs 2 or at least 4 knots")
+    cols = np.reshape(y, (n, -1)).T  # (k, n): one row per spline
     with np.errstate(over="ignore", invalid="ignore"):
         dx = np.diff(x)
-        slope = np.diff(y) / dx
+        slope = np.diff(cols) / dx
         if n == 2:
-            d, du, dl, b = [1.0, 1.0], [0.0], [0.0], [slope[0], slope[0]]
+            d, du, dl, b = [1.0, 1.0], [0.0], [0.0], [slope[:, 0], slope[:, 0]]
         else:
             e0, e1 = x[2] - x[0], x[-1] - x[-3]
             d = [dx[1], *(2 * (dx[:-1] + dx[1:])), dx[-2]]
             du, dl = [e0, *dx[:-1]], [*dx[1:], e1]
-            b = [((dx[0] + 2 * e0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / e0,
-                 *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])),
-                 (dx[-1] ** 2 * slope[-2] + (2 * e1 + dx[-1]) * dx[-2] * slope[-1]) / e1]
-        d, du, dl, b = ([float(v) for v in row] for row in (d, du, dl, b))
+            b = [((dx[0] + 2 * e0) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / e0,
+                 *(3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])).T,
+                 (dx[-1] ** 2 * slope[:, -2] + (2 * e1 + dx[-1]) * dx[-2] * slope[:, -1]) / e1]
+        d, du, dl = ([float(v) for v in row] for row in (d, du, dl))
+        f = []  # the elimination depends on the knots alone
         for i in range(n - 1):
             if not 0.0 < abs(d[i]) >= abs(dl[i]):  # dgtsv would swap rows here
                 raise UnsupportedError("not-a-knot spline knots must be uniform")
-            f = dl[i] / d[i]
-            d[i + 1] -= f * du[i]
-            b[i + 1] -= f * b[i]
-            dl[i] = 0.0  # dgtsv keeps the zeroed band in its back substitution
-        b[-1] /= d[-1]
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-        for i in range(n - 3, -1, -1):
-            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-        s = np.array(b)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+            f.append(dl[i] / d[i])
+            d[i + 1] -= f[i] * du[i]
+        s = []
+        for rhs in np.transpose(b).tolist():
+            for i in range(n - 1):
+                rhs[i + 1] -= f[i] * rhs[i]
+            rhs[-1] /= d[-1]
+            rhs[-2] = (rhs[-2] - du[-1] * rhs[-1]) / d[-2]
+            for i in range(n - 3, -1, -1):
+                # dgtsv keeps the zeroed band in its back substitution
+                rhs[i] = (rhs[i] - du[i] * rhs[i + 1] - 0.0 * rhs[i + 2]) / d[i]
+            s.append(rhs)
+        s = np.array(s)
+        t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+        c0, c1, c2, c3 = t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], cols[:, :-1]
 
     def at(p: np.ndarray) -> np.ndarray:
         inside = (p >= x[0]) & (p <= x[-1])
@@ -393,8 +401,10 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             h = np.where(inside, p - x[i], 0.0)  # masked first: no overflow outside
             h2 = h * h
-            v = 0.0 + c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
-        return np.where(inside, v, 0.0)
+            h3 = h2 * h
+            v = [np.where(inside, 0.0 + a3[i] + a2[i] * h + a1[i] * h2 + a0[i] * h3, 0.0)
+                 for a0, a1, a2, a3 in zip(c0, c1, c2, c3)]
+        return np.stack(v, axis=-1).reshape(np.shape(p) + np.shape(y)[1:])
 
     return at
 
@@ -419,12 +429,11 @@ def wigner_distribution(state: GridWavefunction, pgrid: PhaseGrid) -> PhaseDistr
     u = np.arange(-half_span, half_span + 0.5 * du, du)
     need = max(pair.n_p, pair.n_x) * len(u)  # kernel and integrand: phase points x offsets
     check_budget(f"Wigner quadrature needs arrays of {need} samples", need)
-    spline_re = _not_a_knot(x, state.values.real)
-    spline_im = _not_a_knot(x, state.values.imag)
+    spline = _not_a_knot(x, np.column_stack([state.values.real, state.values.imag]))
 
     def psi_at(pts):
-        out = spline_re(pts) + 1j * spline_im(pts)
-        return np.nan_to_num(out, nan=0.0)
+        re_im = spline(pts)
+        return np.nan_to_num(re_im[..., 0] + 1j * re_im[..., 1], nan=0.0)
 
     y = pair.x_points()
     plus = psi_at(y[:, None] + u[None, :])

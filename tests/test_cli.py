@@ -289,6 +289,25 @@ class TestVerify:
         low = read_matrix(tmp_path / "fock_lowering.csv")
         assert np.allclose(np.diag(low, k=1).real, np.sqrt(np.arange(1, 4)))
 
+    def test_gauge_suite_builds_one_analyzer_per_gauge(self, monkeypatch):
+        # spec_zero's analyzer serves its phase wavefunction, the consistency
+        # rows and the zero entry of the covariance rows
+        from qps.phasespace import PhaseAnalyzer
+        from qps.verify import run_suite
+
+        built = []
+        init = PhaseAnalyzer.__init__
+        monkeypatch.setattr(PhaseAnalyzer, "__init__",
+                            lambda self, family, *a: built.append(family.gauge.kind)
+                            or init(self, family, *a))
+        report = run_suite("gauge")
+        assert built == ["zero", "full", "half"]
+        assert [row["name"] for row in report["checks"]] == [
+            "ccr_zero", "ccr_full", "ccr_half", "ccr_pairwise_agreement",
+            "ptilde_modulus_gauge_invariance", "consistency_p", "consistency_x",
+            "overlap_phase_zero_gauge"]
+        assert all(row["pass"] for row in report["checks"])
+
     def test_all_suite_aggregates_and_passes(self, tmp_path):
         code = main(["--out", str(tmp_path), "verify", "all"])
         assert code == 0
@@ -663,18 +682,21 @@ class TestGlobalOptions:
             out[label] = (tmp_path / label / "phasewave.csv").read_bytes()
         assert out["default"] != out["wide"]
 
-    def test_qps_threads_set_before_numpy_loads(self):
-        probe = textwrap.dedent("""
+    def test_qps_threads_set_before_numpy_loads(self, tmp_path):
+        # `import qps.cli` loads no numpy: the first command that needs it does
+        argv = ["--out", str(tmp_path), "state", "synth", write_spec(tmp_path)]
+        probe = textwrap.dedent(f"""
             import os, sys
             seen = []
             def hook(event, args):
                 if event == "import" and args[0] == "numpy" and not seen:
                     seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
             sys.addaudithook(hook)
-            import qps.cli
+            from qps.cli import main
+            assert main({argv!r}) == 0
             print(seen[0] if seen else "numpy was not imported")
         """)
-        assert run_python(probe, QPS_THREADS="1") == "1"
+        assert run_python(probe, QPS_THREADS="1").splitlines()[-1] == "1"
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         probe = "import sys, qps.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -711,14 +733,72 @@ class TestGlobalOptions:
         assert stray == []
 
 
+class TestImportGraph:
+    """Each command loads only the modules it runs (`qps` and `qps.cli` load
+    their submodules lazily), each in a fresh interpreter."""
+
+    LAYERS = ("phasespace", "fock", "density", "psops", "verify")
+
+    @staticmethod
+    def loaded(argv) -> set:
+        """numpy and the qps submodules loaded after `main(argv)`, which
+        must exit 0 (or leave with SystemExit(0), as --help does)."""
+        probe = textwrap.dedent(f"""
+            import contextlib, io, sys
+            from qps.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main({argv!r})
+                except SystemExit as exc:
+                    code = exc.code
+            assert code == 0, code
+            print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("qps.")))
+        """)
+        return set(ast.literal_eval(run_python(probe)))
+
+    def test_cli_import_and_help_load_no_numpy(self):
+        probe = "import sys, qps.cli; print(sorted(m for m in sys.modules if m[:4] in ('qps.', 'nump')))"
+        assert ast.literal_eval(run_python(probe)) == ["qps.cli", "qps.errors", "qps.suites"]
+        for argv in (["--help"], ["verify", "--help"]):
+            assert "numpy" not in self.loaded(argv), argv
+
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        state = tmp_path / "state"
+        out = ["--out", str(tmp_path / "out")]
+        synth = self.loaded(["--out", str(state), "state", "synth", write_spec(tmp_path)])
+        assert {f"qps.{m}" for m in self.LAYERS} & synth == set()
+        assert {"numpy", "qps.states", "qps.grids", "qps.metric", "qps.io"} <= synth
+        for kind in ("husimi", "wigner", "phasewave"):
+            dist = self.loaded([*out, "dist", str(state / "wavefunction.csv"), "--kind", kind])
+            assert {f"qps.{m}" for m in self.LAYERS} - dist == {
+                "qps.fock", "qps.density", "qps.psops", "qps.verify"}, kind
+        evolve = self.loaded([*out, "evolve", str(write_rho(tmp_path)), "--t", "1.0", "--husimi"])
+        assert {f"qps.{m}" for m in self.LAYERS} - evolve == {"qps.psops", "qps.verify"}
+
+    @pytest.mark.parametrize("argv, golden", [(["--help"], "help_qps.txt"),
+                                              (["verify", "--help"], "help_qps_verify.txt")])
+    def test_help_text_unchanged(self, argv, golden):
+        # the text `qps` printed when it imported every layer eagerly
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=qps_src())
+        run = subprocess.run([sys.executable, "-m", "qps.cli", *argv], env=env,
+                             capture_output=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+def qps_src() -> str:
+    """The directory that holds this checkout's qps package."""
+    import qps
+
+    return str(Path(qps.__file__).resolve().parents[1])
+
+
 def run_python(probe, **env_vars):
     """Stdout of `python -c probe` with this checkout's qps on the path and
     no inherited thread caps."""
-    import qps
-
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env.update(env_vars)
-    src = str(Path(qps.__file__).resolve().parents[1])
+    src = qps_src()
     env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60)

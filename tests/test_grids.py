@@ -280,8 +280,10 @@ def test_coverage_and_budget_decided_only_in_grids():
     """`CoverageError` is built only in `grids.check_coverage`, and
     `SAMPLE_BUDGET` is compared only in `grids.check_budget`; no other
     module names a `*_BUDGET`.  Likewise a Hermitian defect `M - M.conj().T`
-    is compared only in `metric.check_hermitian`, and a weight sum
-    `w.sum() - 1.0` only in `metric.check_weights`."""
+    is compared only in `metric.check_hermitian`, a weight sum `w.sum() - 1.0`
+    only in `metric.check_weights`, and the 16-rung cap of a number family
+    only in `fock._raised_family`.  The suite names `SUITES` and the
+    tolerance table `TOLERANCES` are each assigned once, in `suites`."""
 
     def name(node):
         return getattr(node, "id", None) or getattr(node, "attr", None)
@@ -297,11 +299,15 @@ def test_coverage_and_budget_decided_only_in_grids():
                     return "hermitian defect"
                 if is_call_of(sub.left, "sum") and getattr(sub.right, "value", None) == 1.0:
                     return "weight sum"
-        if "SAMPLE_BUDGET" in map(name, [node.left, *node.comparators]):
+        operands = [node.left, *node.comparators]
+        if "SAMPLE_BUDGET" in map(name, operands):
             return "SAMPLE_BUDGET"
+        if any(isinstance(op, ast.Constant) and op.value == 16 for op in operands):
+            return "16-rung cap"
         return None
 
     found = set()
+    assigned = []  # (module, table) of every assignment to SUITES or TOLERANCES
     for path in sorted(Path(qps.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = {}  # node -> innermost enclosing function (ast.walk is breadth-first)
@@ -316,7 +322,13 @@ def test_coverage_and_budget_decided_only_in_grids():
                 found.add((path.name, owner.get(id(node)), compared(node)))
             elif path.name != "grids.py" and str(name(node)).endswith("_BUDGET"):
                 found.add((path.name, owner.get(id(node)), "*_BUDGET"))
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [(path.name, sub.id) for target in targets for sub in ast.walk(target)
+                             if isinstance(sub, ast.Name) and sub.id in ("SUITES", "TOLERANCES")]
     assert found == {("grids.py", "check_coverage", "CoverageError"),
                      ("grids.py", "check_budget", "SAMPLE_BUDGET"),
                      ("metric.py", "check_hermitian", "hermitian defect"),
-                     ("metric.py", "check_weights", "weight sum")}
+                     ("metric.py", "check_weights", "weight sum"),
+                     ("fock.py", "_raised_family", "16-rung cap")}
+    assert sorted(assigned) == [("suites.py", "SUITES"), ("suites.py", "TOLERANCES")]
