@@ -1,8 +1,9 @@
 """Scan the phase-space hypervolume integral across unrelated states.
 
 The integral of |psi~|^2 dp dx (no 1/h weights) lands on h = 2 pi hbar for
-every normalized state, whatever its width, correlation or excitation, and on
-h^2 for a two-pair product state.
+every normalized state, whatever its width, correlation or excitation, on
+h^2 for a two-pair product state, and on h^3 for a displaced three-pair
+coherent state (32^3 grid points, 12^6 phase samples).
 """
 
 import argparse
@@ -60,6 +61,16 @@ def main():
     )
     print(f"{'2-pair product':16s} integral {vol2:.10g}  target h^2 = {h**2:.10g}  "
           f"rel dev {abs(vol2 - h**2) / h**2:8.1e}")
+
+    spec3 = JointStateSpec.from_covariance(X=np.diag([hbar / 2.0] * 3), hbar=hbar)
+    s = np.sqrt(hbar)
+    psi3 = coordinate_wavefunction(
+        spec3.displaced([0.3 * s, -0.2 * s, 0.1 * s], [0.2 * s, 0.4 * s, -0.3 * s]),
+        CoordinateGrid(((-8.0 * s, 8.0 * s, 32),) * 3),
+    )
+    vol3 = microstate_hypervolume(psi3, spec3, PhaseGrid.symmetric(8.0 * s, 12, npairs=3))
+    print(f"{'3-pair coherent':16s} integral {vol3:.10g}  target h^3 = {h**3:.10g}  "
+          f"rel dev {abs(vol3 - h**3) / h**3:8.1e}")
 
 
 if __name__ == "__main__":

@@ -267,28 +267,28 @@ def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector) -> Robertso
     return RobertsonCheck(lhs=lhs, rhs=float(rhs), holds=lhs >= rhs - 1e-8)
 
 
-def position_matrix(basis: TruncatedBasis, axis: int = 0) -> np.ndarray:
-    """Closed-form x matrix: <x> I + sqrt(X) (lower + raise) for rho = 0 axes."""
+def _quadrature_matrix(basis: TruncatedBasis, axis: int, momentum: bool) -> np.ndarray:
+    """The closed-form p (momentum) or x matrix of one rho = 0 axis."""
     spec = basis.reference
     if np.abs(spec.moments.rho).max() != 0.0:
         raise UnsupportedError("closed-form quadrature matrices need rho = 0")
     lad = build_ladder(basis)
     root = np.sqrt(spec.moments.X[axis, axis])
     eye = np.eye(basis.dim)
+    if momentum:
+        ladder = 1j * spec.hbar / (2.0 * root) * (lad.raising[axis] - lad.lowering[axis])
+        return spec.moments.mean_p[axis] * eye + ladder
     return spec.moments.mean_x[axis] * eye + root * (lad.lowering[axis] + lad.raising[axis])
+
+
+def position_matrix(basis: TruncatedBasis, axis: int = 0) -> np.ndarray:
+    """Closed-form x matrix: <x> I + sqrt(X) (lower + raise) for rho = 0 axes."""
+    return _quadrature_matrix(basis, axis, momentum=False)
 
 
 def momentum_matrix(basis: TruncatedBasis, axis: int = 0) -> np.ndarray:
     """Closed-form p matrix: <p> I + i hbar (raise - lower) / (2 sqrt(X))."""
-    spec = basis.reference
-    if np.abs(spec.moments.rho).max() != 0.0:
-        raise UnsupportedError("closed-form quadrature matrices need rho = 0")
-    lad = build_ladder(basis)
-    root = np.sqrt(spec.moments.X[axis, axis])
-    eye = np.eye(basis.dim)
-    return spec.moments.mean_p[axis] * eye + 1j * spec.hbar / (2.0 * root) * (
-        lad.raising[axis] - lad.lowering[axis]
-    )
+    return _quadrature_matrix(basis, axis, momentum=True)
 
 
 _MATRIX_HEADER = ["row", "col", "re", "im"]

@@ -49,7 +49,7 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class CoordinateGrid:
-    """Cartesian product of up to two uniform axes (cost grows as n^D)."""
+    """Cartesian product of uniform axes; the sample budget bounds n^D."""
 
     axes: tuple
 
@@ -57,8 +57,8 @@ class CoordinateGrid:
         axes = tuple(
             ax if isinstance(ax, GridAxis) else GridAxis(*ax) for ax in self.axes
         )
-        if not 1 <= len(axes) <= 2:
-            raise InvalidInputError("grid oracle supports D = 1 or 2 axes")
+        if not axes:
+            raise InvalidInputError("a grid needs at least one axis")
         total = math.prod(ax.n_points for ax in axes)
         check_budget(f"grid has {total} points", total)
         object.__setattr__(self, "axes", axes)

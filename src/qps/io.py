@@ -81,6 +81,7 @@ def read_sidecar(csv_path):
 def write_grid_csv(path, header, axes, columns, meta: dict):
     """CSV of `columns` (arrays of prod(len(axis)) values, row-major) over
     the product of the 1-D label `axes`, plus `meta` as its JSON sidecar.
+    `header` names each axis, then each column; a wrong count raises ValueError.
 
     The text is byte-identical to ``np.savetxt(fmt="%.12g", delimiter=",")``.
     Labels are formatted once per axis with ``"%.12g" % v`` (an integer
@@ -102,6 +103,8 @@ def write_grid_csv(path, header, axes, columns, meta: dict):
     flat = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
     if any(c.size != rows for c in flat):
         raise ValueError(f"value columns do not hold {rows} rows")
+    if len(header) != len(labels) + len(flat):
+        raise ValueError(f"header names {len(header)} columns, not {len(labels) + len(flat)}")
     edges = np.cumsum([0] + [lab.itemsize for lab in labels])
     starts = edges[-1] + (_VALUE_WIDTH + 1) * np.arange(len(flat))
     buf = np.zeros((min(rows, _CHUNK_ROWS), edges[-1] + (_VALUE_WIDTH + 1) * len(flat)), np.uint8)

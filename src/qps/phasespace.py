@@ -44,8 +44,8 @@ class PhasePair:
         if not (0.0 < self.p_max - self.p_min < math.inf
                 and 0.0 < self.x_max - self.x_min < math.inf):
             raise InvalidInputError("phase ranges must be finite and increasing")
-        if self.n_p < 32 or self.n_x < 32:
-            raise InvalidInputError("phase grids need at least 32 points per axis")
+        if self.n_p <= 1 or self.n_x <= 1:  # a spacing needs two points
+            raise InvalidInputError("phase grids need at least 2 points per axis")
 
     @property
     def dp(self) -> float:
@@ -73,8 +73,8 @@ class PhaseGrid:
         pairs = tuple(
             p if isinstance(p, PhasePair) else PhasePair(*p) for p in self.pairs
         )
-        if not 1 <= len(pairs) <= 2:
-            raise InvalidInputError("phase grids support 1 or 2 pairs")
+        if not pairs:
+            raise InvalidInputError("a phase grid needs at least one pair")
         total = math.prod(p.n_p * p.n_x for p in pairs)
         check_budget(f"phase grid has {total} samples", total)
         object.__setattr__(self, "pairs", pairs)
@@ -481,12 +481,13 @@ def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
 
 
 def write_distribution(dist, csv_path, gauge_label: str | None = None):
-    """CSV export: columns p, x[, p2, x2], value[, im] plus JSON metadata."""
+    """CSV export: columns p, x or p1, x1, ..., pD, xD, then value[, im], plus JSON metadata."""
     pairs = dist.grid.pairs
     axes = [points for p in pairs for points in (p.p_points(), p.x_points())]
     values = dist.values
     columns = [values.real, values.imag] if np.iscomplexobj(values) else [values]
-    header = ["p", "x"] if len(pairs) == 1 else ["p1", "x1", "p2", "x2"]
+    header = ["p", "x"] if len(pairs) == 1 else [
+        f"{axis}{mu + 1}" for mu in range(len(pairs)) for axis in "px"]
     meta = {"schema": 1, "hbar": dist.hbar, "kind": getattr(dist, "kind", "phasewave"),
             "pairs": [asdict(p) for p in pairs]}
     if gauge_label is not None:

@@ -21,6 +21,7 @@ derivative terms use the closed forms, not numerics.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,22 +144,17 @@ class ContinuousKernel:
 
 def continuous_kernel(op, family: JointStateSpec, pgrid: PhaseGrid,
                       grid: CoordinateGrid) -> ContinuousKernel:
-    """Quadrature matrix <z|A|z'> over all pairs of phase points (one pair)."""
-    if pgrid.npairs != 1 or family.dim != 1:
-        raise InvalidInputError("continuous kernels are built for one pair")
-    pair = pgrid.pairs[0]
-    n_phase = pair.n_p * pair.n_x
+    """Quadrature matrix <z|A|z'> over all pairs of phase points, both in the
+    row-major order of the phase grid."""
+    n_phase = math.prod(pgrid.shape)
     check_budget(f"kernel over {n_phase} phase points has {n_phase**2} entries", n_phase**2)
     analyzer = _shared_analyzer(family, pgrid, grid)
     out = np.zeros((n_phase, n_phase), dtype=complex)
-    col = 0
-    for jp in range(pair.n_p):
-        for kx in range(pair.n_x):
-            phi = GridWavefunction(grid, analyzer.family_state(jp, kx),
-                                   family.hbar, tuple(family.signature.signs))
-            image = op(phi)
-            out[:, col] = analyzer.transform(image.values).reshape(-1)
-            col += 1
+    for col, index in enumerate(np.ndindex(*pgrid.shape)):
+        phi = GridWavefunction(grid, analyzer.family_state(*index),
+                               family.hbar, tuple(family.signature.signs))
+        image = op(phi)
+        out[:, col] = analyzer.transform(image.values).reshape(-1)
     return ContinuousKernel(grid=pgrid, values=out, family=family)
 
 

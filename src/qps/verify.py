@@ -38,26 +38,37 @@ def _ground_spec(hbar=1.0, gauge=None):
     )
 
 
+def _random_spec(rng, hbar, x_range, rho_max):
+    """A one-pair spec with X, rho, <p>, <x> drawn in this order (the seeded
+    reports rely on it): X and rho in units of hbar, the means in [-2, 2) sqrt(hbar)."""
+    s = np.sqrt(hbar)
+    return JointStateSpec.from_covariance(
+        X=[[rng.uniform(*x_range) * hbar]],
+        rho=[[rng.uniform(-rho_max, rho_max) * hbar]],
+        mean_p=[rng.uniform(-2, 2) * s],
+        mean_x=[rng.uniform(-2, 2) * s],
+        hbar=hbar,
+    )
+
+
+def _random_hermitian(rng, n):
+    """A + A^H of an n x n matrix A with standard normal real and imaginary parts."""
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return A + A.conj().T
+
+
 def _random_states(rng, grid, hbar, count):
     """Smooth normalized states: random mixes of displaced Gaussians.
 
     Widths scale as sqrt(hbar) and the correlation as hbar, so the family
     keeps the same geometry relative to the grid at any hbar.
     """
-    s = np.sqrt(hbar)
     out = []
     for _ in range(count):
         n_comp = rng.integers(1, 4)
         values = np.zeros(grid.shape, dtype=complex)
         for _ in range(n_comp):
-            X = rng.uniform(0.3, 1.2) * hbar
-            spec = JointStateSpec.from_covariance(
-                X=[[X]],
-                rho=[[rng.uniform(-0.5, 0.5) * hbar]],
-                mean_p=[rng.uniform(-2, 2) * s],
-                mean_x=[rng.uniform(-2, 2) * s],
-                hbar=hbar,
-            )
+            spec = _random_spec(rng, hbar, (0.3, 1.2), 0.5)
             amp = rng.normal() + 1j * rng.normal()
             values += amp * coordinate_wavefunction(spec, grid).values
         psi = GridWavefunction(grid, values, hbar)
@@ -73,15 +84,7 @@ def suite_uncertainty(hbar=1.0, tols=None):
 
     worst = 0.0
     for _ in range(50):
-        X = rng.uniform(0.25, 1.5) * hbar
-        spec = JointStateSpec.from_covariance(
-            X=[[X]],
-            rho=[[rng.uniform(-0.6, 0.6) * hbar]],
-            mean_p=[rng.uniform(-2, 2) * s],
-            mean_x=[rng.uniform(-2, 2) * s],
-            hbar=hbar,
-        )
-        m = moments(coordinate_wavefunction(spec, grid))
+        m = moments(coordinate_wavefunction(_random_spec(rng, hbar, (0.25, 1.5), 0.6), grid))
         det = m.P[0, 0] * m.X[0, 0] - m.rho[0, 0] ** 2
         worst = max(worst, abs(det - hbar**2 / 4.0) / (hbar**2 / 4.0))
     checks.append(_row("saturation_grid_rel", worst, _tol(tols, "saturation")))
@@ -96,10 +99,8 @@ def suite_uncertainty(hbar=1.0, tols=None):
     basis = fock.TruncatedBasis((8,), spec)
     viol = 0.0
     for _ in range(50):
-        A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        A = A + A.conj().T
-        B = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        B = B + B.conj().T
+        A = _random_hermitian(rng, 8)
+        B = _random_hermitian(rng, 8)
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = fock.FockVector(basis, v / np.linalg.norm(v))
         rep = fock.robertson_check(A, B, state)
@@ -283,8 +284,7 @@ def suite_density(hbar=1.0, tols=None):
 
     drift = 0.0
     for _ in range(100):
-        H = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        H = H + H.conj().T
+        H = _random_hermitian(rng, 8)
         rho = density.from_mixture(_random_mixture(rng, basis, 3))
         rho_t = density.evolve_lvn(rho, H, rng.uniform(0.1, 5.0), hbar)
         drift = max(
@@ -299,8 +299,7 @@ def suite_density(hbar=1.0, tols=None):
         )
     checks.append(_row("lvn_preservation", drift, tol))
 
-    A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    A = A + A.conj().T
+    A = _random_hermitian(rng, 8)
     mix = _random_mixture(rng, basis, 4)
     lhs = density.expectation(density.from_mixture(mix), A)
     rhs = sum(w * np.vdot(s.coeffs, A @ s.coeffs) for w, s in mix.components)

@@ -197,6 +197,36 @@ class TestDist:
         header = (tmp_path / "phasewave.csv").read_text().splitlines()[0]
         assert header == "p1,x1,p2,x2,value,im"
 
+    def test_three_pair_round_trip(self, tmp_path, capsys):
+        # D >= 3 takes one --grid axis and one --pgrid pair per dimension
+        spec = write_spec(
+            tmp_path,
+            signature={"d_plus": 0, "d_minus": 3},
+            mean_p=[0.3, -0.2, 0.1],
+            mean_x=[0.2, 0.4, -0.3],
+            P=np.diag([0.5] * 3).tolist(),
+            X=np.diag([0.5] * 3).tolist(),
+            rho=np.zeros((3, 3)).tolist(),
+        )
+        out = ["--out", str(tmp_path)]
+        assert main([*out, "state", "synth", spec, "--grid=-8:8:32;-8:8:32;-8:8:32"]) == 0
+        pgrid = "--pgrid=" + ";".join(["-5:5:8,-5:5:8"] * 3)
+        assert main([*out, "dist", str(tmp_path / "wavefunction.csv"), "--kind", "husimi",
+                     pgrid]) == 0
+        stdout = capsys.readouterr().out
+        norm = float(next(l.split()[1] for l in stdout.splitlines()
+                          if l.startswith("normalization")))
+        assert abs(norm - 1.0) <= 1e-3
+        lines = (tmp_path / "husimi.csv").read_text().splitlines()
+        assert lines[0] == "p1,x1,p2,x2,p3,x3,value"
+        assert len(lines) == 1 + 8**6
+        # a single spec is duplicated for two axes or pairs only
+        assert main([*out, "dist", str(tmp_path / "wavefunction.csv"), "--kind", "husimi",
+                     "--pgrid=-5:5:8,-5:5:8"]) == 2
+        assert "--pgrid provides 1 pairs, need 3" in capsys.readouterr().err
+        assert main([*out, "state", "synth", spec, "--grid=-8:8:32"]) == 2
+        assert "--grid provides 1 axes, need 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["husimi", "phasewave", "wigner"])
     @pytest.mark.parametrize("pgrid", ["-8:8:32,-8:8:524288", "-8:8:524288,-8:8:32"])
     def test_phase_arrays_over_budget_exit_2(self, tmp_path, synth_state, capsys, monkeypatch,

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +45,20 @@ class TestGridTypes:
         with pytest.raises(InvalidInputError):
             CoordinateGrid(axes=((-1, 1, 2**13), (-1, 1, 2**13)))
 
-    def test_three_axes_unsupported(self):
-        with pytest.raises(InvalidInputError):
-            CoordinateGrid(axes=((-1, 1, 64),) * 3)
+    def test_three_axes_within_budget(self):
+        # the sample budget is the only size rule: 256^3 = 2^24 points fit,
+        # 512 x 256 x 256 do not, and the rejection allocates no samples
+        assert CoordinateGrid(axes=((-1, 1, 256),) * 3).shape == (256, 256, 256)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="budget"):
+                CoordinateGrid(axes=((-1, 1, 512), (-1, 1, 256), (-1, 1, 256)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(InvalidInputError, match="at least one axis"):
+            CoordinateGrid(axes=())
 
     def test_spacing_uniform(self):
         ax = GridAxis(-12.0, 12.0, 1024)
@@ -282,14 +294,27 @@ def test_coverage_and_budget_decided_only_in_grids():
     module names a `*_BUDGET`.  Likewise a Hermitian defect `M - M.conj().T`
     is compared only in `metric.check_hermitian`, a weight sum `w.sum() - 1.0`
     only in `metric.check_weights`, and the 16-rung cap of a number family
-    only in `fock._raised_family`.  The suite names `SUITES` and the
-    tolerance table `TOLERANCES` are each assigned once, in `suites`."""
+    only in `fock._raised_family`.  The budget is also the only size rule:
+    no comparison sets an integer literal above 1 against an axis or pair
+    count (`len(axes)`, `len(pairs)`, `ndim`, `npairs`) or a `PhasePair`
+    point count (`n_p`, `n_x`), except the CLI's documented default that
+    duplicates a single `--grid` or `--pgrid` spec for two axes or pairs.
+    The suite names `SUITES` and the tolerance table `TOLERANCES` are each
+    assigned once, in `suites`."""
 
     def name(node):
         return getattr(node, "id", None) or getattr(node, "attr", None)
 
     def is_call_of(node, method):
         return isinstance(node, ast.Call) and name(node.func) == method
+
+    def is_count(node):
+        if is_call_of(node, "len") and node.args:
+            return str(name(node.args[0])).endswith(("axes", "pairs"))
+        return name(node) in ("ndim", "npairs", "n_p", "n_x")
+
+    def is_size_cap(a, b):
+        return is_count(a) and isinstance(b, ast.Constant) and type(b.value) is int and b.value > 1
 
     def compared(node):
         """The rule a comparison decides, if it is one with a single owner."""
@@ -302,6 +327,8 @@ def test_coverage_and_budget_decided_only_in_grids():
         operands = [node.left, *node.comparators]
         if "SAMPLE_BUDGET" in map(name, operands):
             return "SAMPLE_BUDGET"
+        if any(is_size_cap(a, b) or is_size_cap(b, a) for a, b in zip(operands, operands[1:])):
+            return "size cap"
         if any(isinstance(op, ast.Constant) and op.value == 16 for op in operands):
             return "16-rung cap"
         return None
@@ -330,5 +357,8 @@ def test_coverage_and_budget_decided_only_in_grids():
                      ("grids.py", "check_budget", "SAMPLE_BUDGET"),
                      ("metric.py", "check_hermitian", "hermitian defect"),
                      ("metric.py", "check_weights", "weight sum"),
-                     ("fock.py", "_raised_family", "16-rung cap")}
+                     ("fock.py", "_raised_family", "16-rung cap"),
+                     ("cli.py", "coordinate_grid", "size cap"),
+                     ("cli.py", "phase_grid", "size cap")}
     assert sorted(assigned) == [("suites.py", "SUITES"), ("suites.py", "TOLERANCES")]
+

@@ -98,6 +98,13 @@ class TestGridCsv:
             write_grid_csv(tmp_path / "t.csv", ["a", "v"], [np.arange(3.0)], [np.zeros(4)], {})
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("header", [["a", "v"], ["a", "b", "v", "im", "extra"]])
+    def test_header_count_mismatch_rejected(self, tmp_path, header):
+        axes, columns = [np.arange(3.0), np.arange(2.0)], [np.zeros((3, 2))] * 2
+        with pytest.raises(ValueError, match="header names"):
+            write_grid_csv(tmp_path / "t.csv", header, axes, columns, {})
+        assert list(tmp_path.iterdir()) == []
+
 
 def written_values(path, values):
     """The value texts a one-column grid CSV of `values` holds, row by row."""
@@ -279,6 +286,15 @@ class TestDistribution:
         assert lines[1::stride] == sampled_savetxt_lines(pair_axes(grid), columns, stride)
         meta = json.loads((tmp_path / "d.csv.json").read_text())
         assert [p["n_x"] for p in meta["pairs"]] == [34, 35]
+
+
+    def test_three_pairs(self, tmp_path):
+        grid = PhaseGrid.symmetric(4.0, 4, npairs=3)
+        write_distribution(PhaseDistribution(grid, np.ones(grid.shape), "husimi_like", 1.0),
+                           tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        assert lines[0] == "p1,x1,p2,x2,p3,x3,value"
+        assert lines[1] == "-3,-3,-3,-3,-3,-3,1" and len(lines) == 1 + 4**6
 
 
 class TestWavefunctionAndMatrix:

@@ -55,8 +55,18 @@ def superposition(grid, spec, seed=7, n_top=3):
 
 class TestPhaseGridTypes:
     def test_minimum_resolution(self):
-        with pytest.raises(InvalidInputError):
-            PhasePair(-8, 8, 16, -8, 8, 128)
+        # an axis needs two points for a spacing; past that only the budget counts
+        for n_p, n_x in ((1, 128), (128, 1), (0, 2)):
+            with pytest.raises(InvalidInputError, match="at least 2 points"):
+                PhasePair(-8, 8, n_p, -8, 8, n_x)
+        assert PhasePair(-8, 8, 2, -8, 8, 2).p_points().tolist() == [-4.0, 4.0]
+
+    def test_any_number_of_pairs_within_budget(self):
+        assert PhaseGrid.symmetric(8.0, 16, npairs=3).shape == (16,) * 6  # 2^24 samples
+        with pytest.raises(InvalidInputError, match="budget"):
+            PhaseGrid((PhasePair(-8, 8, 32, -8, 8, 16),) + (PhasePair(-8, 8, 16, -8, 8, 16),) * 2)
+        with pytest.raises(InvalidInputError, match="at least one pair"):
+            PhaseGrid(())
 
     def test_midpoint_samples(self):
         pair = PhasePair(-8, 8, 32, -8, 8, 32)
@@ -353,6 +363,14 @@ class TestHypervolume:
         for name, psi in states.items():
             vol = microstate_hypervolume(psi, family, pg2)
             assert vol == pytest.approx(H**2, rel=1e-3), name
+
+    def test_three_pair_coherent_state(self):
+        # h^3 for a displaced D = 3 coherent state on 32^3 points and 12^6 phase samples
+        family = JointStateSpec.from_covariance(X=np.diag([0.5] * 3))
+        grid3 = CoordinateGrid(((-8.0, 8.0, 32),) * 3)
+        psi = coordinate_wavefunction(family.displaced([0.3, -0.2, 0.1], [0.2, 0.4, -0.3]), grid3)
+        vol = microstate_hypervolume(psi, family, PhaseGrid.symmetric(8.0, 12, npairs=3))
+        assert abs(vol - H**3) <= 3 * 1e-3 * H**3
 
     def test_analyzing_family_independence(self, spec, grid):
         # the law holds for any fixed analyzing covariance

@@ -216,6 +216,26 @@ class TestContinuousKernel:
         assert np.abs(via_kernel - direct).max() < 1e-3
 
 
+    def test_two_pair_kernel(self):
+        # rows and columns run over the 4^4 phase points in row-major order
+        family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
+        grid2 = CoordinateGrid.square(-8.0, 8.0, 64)
+        pgrid2 = PhaseGrid.symmetric(3.0, 4, npairs=2)
+        position = continuous_kernel(lambda s: apply_position(s, 1), family, pgrid2, grid2)
+        assert position.hermiticity_defect() < 1e-8
+        identity = continuous_kernel(lambda s: s, family, pgrid2, grid2)
+        pair = pgrid2.pairs[0]
+        qs, ys = pair.p_points(), pair.x_points()
+        points = list(np.ndindex(*pgrid2.shape))
+        for row in (0, 37, 255):
+            for col in (0, 90, 200):
+                (j1, k1, j2, k2), (l1, m1, l2, m2) = points[row], points[col]
+                a = family.displaced([qs[j1], qs[j2]], [ys[k1], ys[k2]])
+                b = family.displaced([qs[l1], qs[l2]], [ys[m1], ys[m2]])
+                assert identity.values[row, col] == pytest.approx(
+                    analytic_overlap(a, b), abs=1e-8)
+
+
 class TestConsistency:
     def test_coherent_state(self, spec, grid, pgrid):
         psi = coordinate_wavefunction(spec.displaced([0.4], [0.6]), grid)
