@@ -270,22 +270,26 @@ def moments(psi: GridWavefunction) -> StatMoments:
 
     xs = [along(psi.grid.axis_points(mu), mu, d) for mu in range(d)]
     mean_x = np.array([float((x * prob).sum()) for x in xs])
-    centered_x = [(x - m) * psi.values for x, m in zip(xs, mean_x)]
 
-    p_psi = [apply_momentum(psi, mu).values for mu in range(d)]
-    mean_p = np.array(
-        [float(np.real(np.sum(np.conj(psi.values) * p_psi[mu]) * dvol)) for mu in range(d)]
-    )
-    centered_p = [p_psi[mu] - mean_p[mu] * psi.values for mu in range(d)]
+    # keep the D centred p psi only; centre each x psi where it is used
+    mean_p = np.zeros(d)
+    centered_p = []
+    for mu in range(d):
+        p_psi = apply_momentum(psi, mu).values
+        mean_p[mu] = float(np.real(np.sum(np.conj(psi.values) * p_psi) * dvol))
+        centered_p.append(p_psi - mean_p[mu] * psi.values)
+    del p_psi
 
     X = np.zeros((d, d))
     P = np.zeros((d, d))
     rho = np.zeros((d, d))
     for mu in range(d):
+        x_mu = (xs[mu] - mean_x[mu]) * psi.values
         for nu in range(d):
-            X[mu, nu] = float(np.real(np.sum(np.conj(centered_x[mu]) * centered_x[nu]) * dvol))
+            x_nu = x_mu if nu == mu else (xs[nu] - mean_x[nu]) * psi.values
+            X[mu, nu] = float(np.real(np.sum(np.conj(x_mu) * x_nu) * dvol))
             P[mu, nu] = float(np.real(np.sum(np.conj(centered_p[mu]) * centered_p[nu]) * dvol))
-            rho[mu, nu] = float(np.real(np.sum(np.conj(centered_p[mu]) * centered_x[nu]) * dvol))
+            rho[mu, nu] = float(np.real(np.sum(np.conj(centered_p[mu]) * x_nu) * dvol))
     X = 0.5 * (X + X.T)
     P = 0.5 * (P + P.T)
     return StatMoments(mean_p=mean_p, mean_x=mean_x, P=P, X=X, rho=rho)

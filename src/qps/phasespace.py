@@ -176,8 +176,9 @@ class PhaseAnalyzer:
     y and a momentum phase in q, so psi~ is one windowed Fourier sum per
     pair: grid axis m maps to phase axes (j, k) through E[j, m] W[m, k].
     The transform applies that map pair by pair and then the gauge phase
-    exp(-i sum K); synthesis is its adjoint.  Requires the family shape
-    matrix to be diagonal, so that the window factorizes by pair.
+    exp(-i sum K), built once in place and skipped when every K is zero;
+    synthesis is its adjoint.  Requires the family shape matrix to be
+    diagonal, so that the window factorizes by pair.
     """
 
     def __init__(self, family: JointStateSpec, pgrid: PhaseGrid, grid: CoordinateGrid):
@@ -239,7 +240,13 @@ class PhaseAnalyzer:
                 out = np.moveaxis(np.tensordot(E, weighted, axes=1), 0, -2)
             else:
                 out = np.tensordot(out, E[:, None, :] * W.T[None, :, :], axes=([0], [2]))
-        return self.norm * np.exp(-1j * reduce(np.add.outer, self.kphases)) * out
+        if not any(K.any() for K in self.kphases):  # out is a contraction's own array
+            return np.multiply(out, self.norm, out=out)
+        phase = np.multiply(-1j, reduce(np.add.outer, self.kphases))
+        np.exp(phase, out=phase)
+        phase *= self.norm
+        phase *= out
+        return phase
 
     def synthesize(self, pw_values: np.ndarray) -> np.ndarray:
         """Adjoint map: sum_z psi~(z) (family state at z) dq dy / h.
@@ -247,7 +254,11 @@ class PhaseAnalyzer:
         Each pass contracts the leading (j, k) with the conjugated tables and
         appends m.
         """
-        out = np.exp(1j * reduce(np.add.outer, self.kphases)) * pw_values
+        out = pw_values
+        if any(K.any() for K in self.kphases):
+            out = np.multiply(1j, reduce(np.add.outer, self.kphases))
+            np.exp(out, out=out)
+            out *= pw_values
         for E, W in zip(self.kernels, self.windows):
             if out.size // (len(E) * W.shape[1]) <= len(E):
                 acc = np.tensordot(E.conj(), out, axes=([0], [0]))        # (m, k, ...)
@@ -476,8 +487,8 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
 def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
                            pgrid: PhaseGrid) -> float:
     """integral of |psi~|^2 dq dy with no 1/h factors; equals h^D = (2 pi hbar)^D."""
-    pw = phase_wavefunction(state, family, pgrid)
-    return float(np.sum(np.abs(pw.values) ** 2) * pgrid.cell)
+    pw = phase_wavefunction(state, family, pgrid).values.ravel()
+    return float(np.vdot(pw, pw).real * pgrid.cell)
 
 
 def write_distribution(dist, csv_path, gauge_label: str | None = None):

@@ -149,7 +149,63 @@ class TestOperators:
             apply_momentum(psi, 1)
 
 
+def reference_moments(psi):
+    """The quadrature of `moments` with all 3 D state-sized images kept at
+    once: the value reference for the streamed form."""
+    from qps.grids import along
+
+    d, dvol = psi.grid.ndim, psi.grid.cell_volume
+    prob = np.abs(psi.values) ** 2 * dvol
+    xs = [along(psi.grid.axis_points(mu), mu, d) for mu in range(d)]
+    mean_x = np.array([float((x * prob).sum()) for x in xs])
+    centered_x = [(x - m) * psi.values for x, m in zip(xs, mean_x)]
+    p_psi = [apply_momentum(psi, mu).values for mu in range(d)]
+    mean_p = np.array(
+        [float(np.real(np.sum(np.conj(psi.values) * p_psi[mu]) * dvol)) for mu in range(d)]
+    )
+    centered_p = [p_psi[mu] - mean_p[mu] * psi.values for mu in range(d)]
+    X, P, rho = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
+    for mu in range(d):
+        for nu in range(d):
+            X[mu, nu] = float(np.real(np.sum(np.conj(centered_x[mu]) * centered_x[nu]) * dvol))
+            P[mu, nu] = float(np.real(np.sum(np.conj(centered_p[mu]) * centered_p[nu]) * dvol))
+            rho[mu, nu] = float(np.real(np.sum(np.conj(centered_p[mu]) * centered_x[nu]) * dvol))
+    return mean_p, mean_x, 0.5 * (P + P.T), 0.5 * (X + X.T), rho
+
+
+def skewed_state(axes):
+    """A displaced, correlated Gaussian with unequal widths on the given axes."""
+    d = len(axes)
+    spec = JointStateSpec.from_covariance(
+        X=np.diag([0.5, 0.7, 0.6][:d]), rho=np.diag([0.2, -0.1, 0.1][:d]),
+        mean_x=[0.3, -0.2, 0.1][:d], mean_p=[0.2, 0.4, -0.3][:d])
+    return coordinate_wavefunction(spec, CoordinateGrid(axes))
+
+
 class TestMoments:
+    @pytest.mark.parametrize("axes", [
+        ((-12.0, 12.0, 1024),),
+        ((-12.0, 12.0, 128), (-10.0, 10.0, 64)),
+        ((-8.0, 8.0, 32),) * 3,
+    ], ids=["D1", "D2", "D3"])
+    def test_streamed_images_keep_every_bit(self, axes):
+        psi = skewed_state(axes)
+        m = moments(psi)
+        got = (m.mean_p, m.mean_x, m.P, m.X, m.rho)
+        for a, b in zip(got, reference_moments(psi)):
+            assert np.array_equal(a, b)
+
+    def test_three_axis_peak_memory(self):
+        # D centred momentum images plus a few working arrays, not 3 D images
+        psi = skewed_state(((-8.0, 8.0, 64),) * 3)
+        tracemalloc.start()
+        try:
+            moments(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * psi.values.nbytes
+
     def test_construction_parameters_recovered(self, line_grid):
         psi = gaussian(line_grid, x0=1.0, p0=0.0, X=0.5)
         m = moments(psi)

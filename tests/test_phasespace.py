@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,6 +375,21 @@ class TestHypervolume:
         vol = microstate_hypervolume(psi, family, PhaseGrid.symmetric(8.0, 12, npairs=3))
         assert abs(vol - H**3) <= 3 * 1e-3 * H**3
 
+    def test_two_pair_peak_memory(self):
+        # verify's two-pair row: the 48^4 phase wavefunction is the one
+        # phase-grid-sized array; the zero gauge phase and |psi~|^2 add none
+        family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
+        psi = coordinate_wavefunction(family, CoordinateGrid.square(-12.0, 12.0, 128))
+        pg2 = PhaseGrid.symmetric(8.0, 48, npairs=2)
+        tracemalloc.start()
+        try:
+            vol = microstate_hypervolume(psi, family, pg2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vol == pytest.approx(H**2, rel=1e-3)
+        assert peak < 1.5 * 16 * 48**4
+
     def test_analyzing_family_independence(self, spec, grid):
         # the law holds for any fixed analyzing covariance
         fam = JointStateSpec.from_covariance(X=[[0.3]])
@@ -530,16 +548,19 @@ ANALYZER_CASES = {
 }
 
 
-def build_analyzer(case):
-    """An analyzer with a complex window (rho != 0) and a nonzero gauge phase."""
+def build_analyzer(case, gauge="full"):
+    """An analyzer with a complex window (rho != 0) and, in the full gauge, a
+    nonzero gauge phase; "zero" and "const(0)" make every K table zero."""
     from qps import GaugeChoice
     from qps.phasespace import PhaseAnalyzer
 
     grid, pgrid = ANALYZER_CASES[case]
     d = grid.ndim
+    gauge = {"full": GaugeChoice.full(), "zero": GaugeChoice.zero(),
+             "const(0)": GaugeChoice.const(0.0)}[gauge]
     family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.3][:d]),
                                             rho=np.diag([0.2, -0.1][:d]),
-                                            gauge=GaugeChoice.full(), hbar=0.9)
+                                            gauge=gauge, hbar=0.9)
     return PhaseAnalyzer(family, pgrid, grid)
 
 
@@ -604,6 +625,38 @@ class TestSeparableAnalyzer:
         analyzer = build_analyzer(case)
         v = random_complex(analyzer.grid.shape, 1)
         assert np.array_equal(analyzer.transform(v), oracle_transform(analyzer, v))
+
+    @pytest.mark.parametrize("gauge", ["zero", "const(0)"])
+    @pytest.mark.parametrize("case", ["1024->128^2", "256^2->32^4"])
+    def test_zero_phase_keeps_every_bit(self, case, gauge):
+        # every K is 0, so exp(-/+ i sum K) = 1 + 0j is skipped, not applied
+        analyzer = build_analyzer(case, gauge)
+        assert not any(K.any() for K in gauge_tables(analyzer))
+        v = random_complex(analyzer.grid.shape, 1)
+        assert np.array_equal(analyzer.transform(v), oracle_transform(analyzer, v))
+        # the oracle synthesis sums in another order, so only its value is
+        # compared; the bits are those of the passes behind the applied factor,
+        # also for a real input such as family_state's unit sample
+        w = random_complex(analyzer.pgrid.shape, 2)
+        expected = oracle_synthesize(analyzer, w)
+        assert np.abs(analyzer.synthesize(w) - expected).max() <= 1e-13 * np.abs(expected).max()
+        unit = np.zeros(analyzer.pgrid.shape)
+        unit[(3, 7) * analyzer.pgrid.npairs] = 1.0
+        phase = np.exp(1j * reduce(np.add.outer, gauge_tables(analyzer)))
+        for pw in (w, unit):
+            assert np.array_equal(analyzer.synthesize(pw), analyzer.synthesize(phase * pw))
+
+    @pytest.mark.parametrize("gauge", ["zero", "full"])
+    @pytest.mark.parametrize("case", sorted(ANALYZER_CASES))
+    def test_inputs_are_not_written(self, case, gauge):
+        # the zero-phase transform scales its last contraction in place
+        analyzer = build_analyzer(case, gauge)
+        v = random_complex(analyzer.grid.shape, 6)
+        w = random_complex(analyzer.pgrid.shape, 7)
+        v0, w0 = v.copy(), w.copy()
+        pw, rec = analyzer.transform(v), analyzer.synthesize(w)
+        assert np.array_equal(v, v0) and np.array_equal(w, w0)
+        assert not np.shares_memory(pw, v) and not np.shares_memory(rec, w)
 
     def test_synthesize_matches_explicit_contraction(self, analyzer):
         w = random_complex(analyzer.pgrid.shape, 2)
