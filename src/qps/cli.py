@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import InvalidInputError, QpsError, UnsupportedError
+from .errors import InvalidInputError, QpsError
 from .suites import SUITES, TOLERANCES
 
 # Each command imports the modules it runs, so `qps --help` loads no numpy
@@ -34,8 +34,8 @@ _MAX_SNAPSHOTS = 1000  # each snapshot writes files
 
 @dataclass
 class RunConfig:
-    """Parsed global options shared by every subcommand; the field defaults
-    are the only defaults of those options."""
+    """The parsed options; each field is read by some command, and its
+    default is the only default of its option."""
 
     hbar: float = 1.0
     gauge: GaugeChoice = "zero"  # a kind name, made a GaugeChoice when built
@@ -126,16 +126,38 @@ def _parse_tols(items) -> dict:
     return out
 
 
-# how the value of each option becomes its RunConfig field
-_FIELDS = {"hbar": float, "gauge": str, "grid": _parse_grid, "pgrid": _parse_pgrid,
-           "out": Path, "tols": _parse_tols, "family_x": float}
+# The option table: each option sets one RunConfig field (whose default is its only
+# default), and only the commands that read it accept it, after the command.
+_OPTIONS = {  # option: (RunConfig field, text -> field, add_argument settings, commands)
+    "--hbar": ("hbar", float, dict(type=float), ("verify",)),
+    "--gauge": ("gauge", str, dict(choices=("zero", "full", "half")), ("dist",)),
+    "--grid": ("grid", _parse_grid, dict(help='coordinate grid "min:max:n[;min:max:n]"'),
+               ("state synth", "evolve")),
+    "--pgrid": ("pgrid", _parse_pgrid, dict(help='phase grid "pmin:pmax:np,xmin:xmax:nx[;...]"'),
+                ("dist", "evolve")),
+    "--out": ("out", Path, dict(help="output directory"),
+              ("state synth", "dist", "verify", "evolve")),
+    "--tol": ("tols", _parse_tols, dict(action="append", metavar="NAME=VAL",
+                                        help="tolerance override (repeatable)"), ("verify",)),
+    "--family-x": ("family_x", float, dict(type=float, help="coordinate variance of the "
+                                           "analyzing family (default hbar/2)"), ("dist",)),
+}
+
+
+def _command(sub, name: str, text: str) -> argparse.ArgumentParser:
+    """The parser of one command, holding the options of the table it reads."""
+    parser = sub.add_parser(name, help=text)
+    for option, (field, _, settings, commands) in _OPTIONS.items():
+        if parser.prog.removeprefix("qps ") in commands:
+            parser.add_argument(option, dest=field, default=argparse.SUPPRESS, **settings)
+    return parser
 
 
 def _config_from_args(args) -> RunConfig:
     """RunConfig of the options given; an option not given, or an empty
     --grid, --pgrid or --out, keeps RunConfig's default."""
-    given = {name: parse(getattr(args, name)) for name, parse in _FIELDS.items()
-             if getattr(args, name, "") != ""}
+    given = {field: parse(getattr(args, field)) for field, parse, _, _ in _OPTIONS.values()
+             if getattr(args, field, "") != ""}
     cfg = RunConfig(**given)
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -150,12 +172,10 @@ def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
     from .metric import Signature
     from .states import JointStateSpec
 
-    d = psi.grid.ndim
-    d_plus = sum(1 for s in psi.signs if s > 0)
-    sig = Signature(d_plus, d - d_plus)
+    sig = Signature(psi.signs.count(1.0), psi.signs.count(-1.0))
     width = cfg.family_x if cfg.family_x is not None else psi.hbar / 2.0
     return JointStateSpec.from_covariance(
-        X=np.diag([width] * d), signature=sig, gauge=cfg.gauge, hbar=psi.hbar
+        X=np.diag([width] * sig.dim), signature=sig, gauge=cfg.gauge, hbar=psi.hbar
     )
 
 
@@ -196,8 +216,6 @@ def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
                              write_distribution)
 
     psi = read_wavefunction(state_file)
-    if kind == "wigner" and psi.grid.ndim > 1:
-        raise UnsupportedError("the Wigner fixture supports one pair only")
     family = _analyzing_family(cfg, psi)
     pgrid = cfg.phase_grid(psi.grid.ndim)
     gauge_label = family.gauge.label
@@ -205,10 +223,8 @@ def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
         dist = husimi_distribution(psi, family, pgrid)
     elif kind == "wigner":
         dist, gauge_label = wigner_distribution(psi, pgrid), None
-    elif kind == "phasewave":
+    else:  # phasewave: argparse admits no other kind
         dist = phase_wavefunction(psi, family, pgrid)
-    else:
-        raise InvalidInputError(f"unknown distribution kind {kind!r}")
     out = cfg.out / f"{kind}.csv"
     write_distribution(dist, out, gauge_label=gauge_label)
     print(f"distribution -> {out}")
@@ -311,46 +327,27 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
     return 0
 
 
-def _common_options() -> argparse.ArgumentParser:
-    """The options shared by every command, accepted before or after it.
-    None has a default here, so RunConfig holds the only defaults, and a
-    value given after the command replaces one given before it."""
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--hbar", type=float)
-    common.add_argument("--gauge", choices=("zero", "full", "half"))
-    common.add_argument("--grid", help='coordinate grid "min:max:n[;min:max:n]"')
-    common.add_argument("--pgrid", help='phase grid "pmin:pmax:np,xmin:xmax:nx[;...]"')
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--tol", dest="tols", action="append", metavar="NAME=VAL",
-                        help="tolerance override (repeatable)")
-    common.add_argument("--family-x", type=float,
-                        help="coordinate variance of the analyzing family (default hbar/2)")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = [_common_options()]
-    parser = argparse.ArgumentParser(prog="qps", description=__doc__, parents=common,
+    parser = argparse.ArgumentParser(prog="qps", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_state = sub.add_parser("state", help="state construction")
     state_sub = p_state.add_subparsers(dest="state_command", required=True)
-    p_synth = state_sub.add_parser("synth", parents=common,
-                                   help="sample a joint state from a JSON spec")
+    p_synth = _command(state_sub, "synth", "sample a joint state from a JSON spec")
     p_synth.add_argument("spec_file")
     p_synth.set_defaults(run=lambda cfg, a: cmd_state_synth(cfg, a.spec_file))
 
-    p_dist = sub.add_parser("dist", parents=common, help="phase-space distribution export")
+    p_dist = _command(sub, "dist", "phase-space distribution export")
     p_dist.add_argument("state_file")
     p_dist.add_argument("--kind", choices=("husimi", "wigner", "phasewave"), required=True)
     p_dist.set_defaults(run=lambda cfg, a: cmd_dist(cfg, a.state_file, a.kind))
 
-    p_verify = sub.add_parser("verify", parents=common, help="run a verification suite")
+    p_verify = _command(sub, "verify", "run a verification suite")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
     p_verify.set_defaults(run=lambda cfg, a: cmd_verify(cfg, a.suite))
 
-    p_evolve = sub.add_parser("evolve", parents=common, help="unitary density evolution")
+    p_evolve = _command(sub, "evolve", "unitary density evolution")
     p_evolve.add_argument("density_file")
     p_evolve.add_argument("--hamiltonian", default="number_omega:1.0",
                           help="generator, e.g. number_omega:1.0")

@@ -109,7 +109,8 @@ class CoordinateGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridWavefunction:
-    """Complex samples psi(x) on a grid, with hbar and per-axis metric signs."""
+    """Complex samples psi(x) on a grid, with hbar and per-axis metric signs
+    (+1 axes first)."""
 
     grid: CoordinateGrid
     values: np.ndarray
@@ -129,8 +130,9 @@ class GridWavefunction:
         if signs is None:
             signs = (-1.0,) * self.grid.ndim
         signs = tuple(float(s) for s in signs)
-        if len(signs) != self.grid.ndim or any(s not in (-1.0, 1.0) for s in signs):
-            raise InvalidInputError("signs must be +-1 per axis")
+        if (len(signs) != self.grid.ndim or any(s not in (-1.0, 1.0) for s in signs)
+                or signs != tuple(sorted(signs, reverse=True))):  # as a Signature orders them
+            raise InvalidInputError("signs must be +-1 per axis, the +1 axes first")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "signs", signs)

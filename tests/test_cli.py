@@ -44,7 +44,7 @@ def write_spec(tmp_path, name="spec.json", **overrides):
 class TestStateSynth:
     def test_ground_spec_outputs(self, tmp_path, capsys):
         spec = write_spec(tmp_path)
-        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert (tmp_path / "wavefunction.csv").exists()
@@ -54,7 +54,7 @@ class TestStateSynth:
 
     def test_non_saturating_spec_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, P=[[1.0]])
-        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "saturation" in err
@@ -69,7 +69,7 @@ class TestStateSynth:
             X=[[0.5, 0.0], [0.0, 0.5]],
             rho=[[0.0, 0.0], [0.0, 0.0]],
         )
-        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
         assert code == 0
         header = (tmp_path / "wavefunction.csv").read_text().splitlines()[0]
         assert header == "x1,x2,re,im"
@@ -81,7 +81,7 @@ class TestStateSynth:
         m = saturating_moments(X=[[0.5, 0.1], [0.1, 0.8]], rho=np.diag([0.2, 0.0]))
         spec = write_spec(tmp_path, signature={"d_plus": 0, "d_minus": 2},
                           **m.to_dict())
-        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
         assert code == 2
         assert "saturation violated: residual 2.96" in capsys.readouterr().err
 
@@ -91,27 +91,27 @@ class TestStateSynth:
     ])
     def test_mistyped_spec_exit_2(self, tmp_path, capsys, override):
         spec = write_spec(tmp_path, **override)
-        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "malformed state spec" in err and "Traceback" not in err
 
     def test_nested_mean_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, mean_p=[[]])
-        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "inconsistent dimensions" in err and "Traceback" not in err
 
     def test_coverage_exit_3(self, tmp_path):
         spec = write_spec(tmp_path, mean_x=[11.0])
-        code = main(["--out", str(tmp_path), "--grid=-12:12:1024", "state", "synth", spec])
+        code = main(["state", "synth", spec, "--grid=-12:12:1024", "--out", str(tmp_path)])
         assert code == 3
 
     def test_aliased_momentum_exit_3(self, tmp_path, capsys):
         # pi hbar / dx = 134 on the default grid: <p> = 200 would be sampled aliased
         spec = write_spec(tmp_path, mean_p=[200.0])
-        code = main(["--out", str(tmp_path), "state", "synth", spec])
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
         assert code == 3
         assert "momentum range of grid axis 0" in capsys.readouterr().err
         assert not (tmp_path / "moments.json").exists()
@@ -119,13 +119,13 @@ class TestStateSynth:
     def test_malformed_spec_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        assert main(["--out", str(tmp_path), "state", "synth", str(path)]) == 2
+        assert main(["state", "synth", str(path), "--out", str(tmp_path)]) == 2
 
     def test_non_utf8_spec_exit_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(ground_payload(note="r\xe9sum\xe9"), ensure_ascii=False)
                          .encode("latin-1"))
-        code = main(["--out", str(tmp_path), "state", "synth", str(path)])
+        code = main(["state", "synth", str(path), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read spec file" in err and "Traceback" not in err
@@ -144,13 +144,13 @@ def benchmark_inputs():
 @pytest.fixture()
 def synth_state(tmp_path):
     spec = write_spec(tmp_path)
-    assert main(["--out", str(tmp_path), "state", "synth", spec]) == 0
+    assert main(["state", "synth", spec, "--out", str(tmp_path)]) == 0
     return tmp_path / "wavefunction.csv"
 
 
 class TestDist:
     def test_husimi_output(self, tmp_path, synth_state, capsys):
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi"])
+        code = main(["dist", str(synth_state), "--kind", "husimi", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "normalization" in out and "minimum" in out
@@ -160,7 +160,7 @@ class TestDist:
         assert minimum >= -1e-12
 
     def test_phasewave_normalization(self, tmp_path, synth_state, capsys):
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "phasewave"])
+        code = main(["dist", str(synth_state), "--kind", "phasewave", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         norm = float(next(l.split()[1] for l in out.splitlines() if l.startswith("normalization")))
@@ -176,7 +176,7 @@ class TestDist:
         n1 = number_state(1, TruncatedBasis((3,), spec), CoordinateGrid.line())
         path = tmp_path / "n1.csv"
         write_wavefunction(n1, path)
-        code = main(["--out", str(tmp_path), "dist", str(path), "--kind", "wigner"])
+        code = main(["dist", str(path), "--kind", "wigner", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         minimum = float(next(l.split()[1] for l in out.splitlines() if l.startswith("minimum")))
@@ -189,7 +189,7 @@ class TestDist:
         psi = coordinate_wavefunction(spec, CoordinateGrid.square(-12.0, 12.0, 128))
         path = tmp_path / "wf2.csv"
         write_wavefunction(psi, path)
-        code = main(["--out", str(tmp_path), "dist", str(path), "--kind", "phasewave"])
+        code = main(["dist", str(path), "--kind", "phasewave", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         norm = float(next(l.split()[1] for l in out.splitlines() if l.startswith("normalization")))
@@ -209,10 +209,10 @@ class TestDist:
             rho=np.zeros((3, 3)).tolist(),
         )
         out = ["--out", str(tmp_path)]
-        assert main([*out, "state", "synth", spec, "--grid=-8:8:32;-8:8:32;-8:8:32"]) == 0
+        assert main(["state", "synth", spec, "--grid=-8:8:32;-8:8:32;-8:8:32", *out]) == 0
         pgrid = "--pgrid=" + ";".join(["-5:5:8,-5:5:8"] * 3)
-        assert main([*out, "dist", str(tmp_path / "wavefunction.csv"), "--kind", "husimi",
-                     pgrid]) == 0
+        assert main(["dist", str(tmp_path / "wavefunction.csv"), "--kind", "husimi",
+                     pgrid, *out]) == 0
         stdout = capsys.readouterr().out
         norm = float(next(l.split()[1] for l in stdout.splitlines()
                           if l.startswith("normalization")))
@@ -221,10 +221,10 @@ class TestDist:
         assert lines[0] == "p1,x1,p2,x2,p3,x3,value"
         assert len(lines) == 1 + 8**6
         # a single spec is duplicated for two axes or pairs only
-        assert main([*out, "dist", str(tmp_path / "wavefunction.csv"), "--kind", "husimi",
-                     "--pgrid=-5:5:8,-5:5:8"]) == 2
+        assert main(["dist", str(tmp_path / "wavefunction.csv"), "--kind", "husimi",
+                     "--pgrid=-5:5:8,-5:5:8", *out]) == 2
         assert "--pgrid provides 1 pairs, need 3" in capsys.readouterr().err
-        assert main([*out, "state", "synth", spec, "--grid=-8:8:32"]) == 2
+        assert main(["state", "synth", spec, "--grid=-8:8:32", *out]) == 2
         assert "--grid provides 1 axes, need 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["husimi", "phasewave", "wigner"])
@@ -241,8 +241,8 @@ class TestDist:
 
         monkeypatch.setattr(PhasePair, "p_points", unbuilt)
         monkeypatch.setattr(PhasePair, "x_points", unbuilt)
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", kind,
-                     f"--pgrid={pgrid}"])
+        code = main(["dist", str(synth_state), "--kind", kind,
+                     f"--pgrid={pgrid}", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "budget is 16777216" in err and "Traceback" not in err
@@ -255,7 +255,7 @@ class TestDist:
         psi = coordinate_wavefunction(spec, CoordinateGrid.square(-10.0, 10.0, 64))
         path = tmp_path / "wf2.csv"
         write_wavefunction(psi, path)
-        assert main(["--out", str(tmp_path), "dist", str(path), "--kind", "wigner"]) == 4
+        assert main(["dist", str(path), "--kind", "wigner", "--out", str(tmp_path)]) == 4
 
     @pytest.mark.parametrize("index", range(benchmark_inputs().GENERATOR["state_cases"]["1"]))
     def test_wigner_bytes_match_cubic_spline_on_benchmark_pool(self, tmp_path, capsys,
@@ -267,9 +267,9 @@ class TestDist:
         cubic_spline = pytest.importorskip("scipy.interpolate").CubicSpline
         inputs = benchmark_inputs()
         spec = inputs.write_spec(inputs.state_case(1, index), tmp_path / "spec.json")
-        assert main(["--out", str(tmp_path), "state", "synth", str(spec)]) == 0
-        argv = ["--out", str(tmp_path / "dist"), "dist", str(tmp_path / "wavefunction.csv"),
-                "--kind", "wigner"]
+        assert main(["state", "synth", str(spec), "--out", str(tmp_path)]) == 0
+        argv = ["dist", str(tmp_path / "wavefunction.csv"),
+                "--kind", "wigner", "--out", str(tmp_path / "dist")]
         written = []
         for spline in (phasespace._not_a_knot,
                        lambda x, y: cubic_spline(x, y, extrapolate=False)):
@@ -283,7 +283,7 @@ class TestDist:
 
 class TestVerify:
     def test_microstate_report(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "verify", "microstate"])
+        code = main(["verify", "microstate", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
         report = json.loads((tmp_path / "report_microstate.json").read_text())
@@ -295,7 +295,7 @@ class TestVerify:
 
     def test_failing_tolerance_nonzero_exit(self, tmp_path):
         code = main(
-            ["--out", str(tmp_path), "--tol", "microstate=1e-18", "verify", "microstate"]
+            ["verify", "microstate", "--tol", "microstate=1e-18", "--out", str(tmp_path)]
         )
         assert code == 1
 
@@ -305,14 +305,14 @@ class TestVerify:
         assert (tmp_path / "report_fock.json").exists()
 
     def test_reports_are_deterministic(self, tmp_path):
-        main(["--out", str(tmp_path / "a"), "verify", "closure"])
-        main(["--out", str(tmp_path / "b"), "verify", "closure"])
+        main(["verify", "closure", "--out", str(tmp_path / "a")])
+        main(["verify", "closure", "--out", str(tmp_path / "b")])
         ra = json.loads((tmp_path / "a" / "report_closure.json").read_text())
         rb = json.loads((tmp_path / "b" / "report_closure.json").read_text())
         assert ra == rb
 
     def test_fock_suite_exports_matrices(self, tmp_path):
-        code = main(["--out", str(tmp_path), "verify", "fock"])
+        code = main(["verify", "fock", "--out", str(tmp_path)])
         assert code == 0
         from qps.fock import read_matrix
 
@@ -339,7 +339,7 @@ class TestVerify:
         assert all(row["pass"] for row in report["checks"])
 
     def test_all_suite_aggregates_and_passes(self, tmp_path):
-        code = main(["--out", str(tmp_path), "verify", "all"])
+        code = main(["verify", "all", "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "report_all.json").read_text())
         prefixes = {c["name"].split(".")[0] for c in report["checks"]}
@@ -371,9 +371,8 @@ class TestEvolve:
         write_density(rho, rho_path)
 
         code = main([
-            "--out", str(tmp_path / "evo"), "evolve", str(rho_path),
-            "--hamiltonian", "number_omega:1.0",
-            "--t", str(2 * np.pi), "--snapshots", "2",
+            "evolve", str(rho_path), "--hamiltonian", "number_omega:1.0",
+            "--t", str(2 * np.pi), "--snapshots", "2", "--out", str(tmp_path / "evo"),
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -389,8 +388,8 @@ class TestEvolve:
         build = qps.fock.grid_number_states
         monkeypatch.setattr(qps.fock, "grid_number_states",
                             lambda *a: calls.append(1) or build(*a))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
-                     "--t", "1.0", "--snapshots", "4", "--husimi"])
+        code = main(["evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--snapshots", "4", "--husimi", "--out", str(tmp_path / "evo")])
         assert code == 0
         assert len(calls) == 1
         assert (tmp_path / "evo" / "husimi_0003.csv").exists()
@@ -402,8 +401,8 @@ class TestEvolve:
         init = PhaseAnalyzer.__init__
         monkeypatch.setattr(PhaseAnalyzer, "__init__",
                             lambda self, *a: calls.append(1) or init(self, *a))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
-                     "--t", "1.0", "--snapshots", "4", "--husimi"])
+        code = main(["evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--snapshots", "4", "--husimi", "--out", str(tmp_path / "evo")])
         assert code == 0
         assert len(calls) == 1
         assert (tmp_path / "evo" / "husimi_0003.csv").exists()
@@ -412,8 +411,8 @@ class TestEvolve:
     def test_husimi_normalization_min(self, tmp_path, capsys, pgrid):
         # only the coordinate grid is checked for coverage, so a phase grid
         # that misses most of the density shows up here, not in the exit code
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
-                     "--t", "1.0", "--snapshots", "2", "--husimi"]
+        code = main(["evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--snapshots", "2", "--husimi", "--out", str(tmp_path / "evo")]
                     + ([f"--pgrid={pgrid}"] if pgrid else []))
         out = capsys.readouterr().out
         assert code == 0
@@ -425,8 +424,8 @@ class TestEvolve:
             assert mass < 0.1
 
     def test_no_husimi_line_without_husimi(self, tmp_path, capsys):
-        assert main(["--out", str(tmp_path / "evo"), "evolve", str(write_rho(tmp_path)),
-                     "--t", "1.0"]) == 0
+        assert main(["evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--out", str(tmp_path / "evo")]) == 0
         assert "husimi_normalization_min" not in capsys.readouterr().out
 
     def test_unknown_hamiltonian_exit_2(self, tmp_path):
@@ -436,8 +435,8 @@ class TestEvolve:
         rho = from_pure(FockVector.unit(TruncatedBasis((4,), spec), 0))
         rho_path = tmp_path / "rho.csv"
         write_density(rho, rho_path)
-        code = main(["--out", str(tmp_path), "evolve", str(rho_path),
-                     "--hamiltonian", "kerr:1.0", "--t", "1.0"])
+        code = main(["evolve", str(rho_path),
+                     "--hamiltonian", "kerr:1.0", "--t", "1.0", "--out", str(tmp_path)])
         assert code == 2
 
 
@@ -453,6 +452,48 @@ def write_rho(tmp_path, n_max=(4,)):
     return rho_path
 
 
+# the options each command reads; every other (command, option) pair exits 2
+READS = {
+    "state synth": {"--grid", "--out"},
+    "dist": {"--gauge", "--pgrid", "--out", "--family-x"},
+    "verify": {"--hbar", "--tol", "--out"},
+    "evolve": {"--grid", "--pgrid", "--out"},
+}
+VALUES = {"--hbar": "2", "--gauge": "full", "--grid": "-12:12:128",
+          "--pgrid": "-8:8:32,-8:8:32", "--tol": "closure=1e-3", "--family-x": "0.5"}
+UNREAD = [(command, option) for command, reads in READS.items()
+          for option in sorted(VALUES) if option not in reads]
+
+
+def runnable(command, tmp_path, state) -> list:
+    """An argv of `command`, less its --out, that exits 0."""
+    return {"state synth": ["state", "synth", write_spec(tmp_path)],
+            "dist": ["dist", str(state), "--kind", "husimi"],
+            "verify": ["verify", "closure"],
+            "evolve": ["evolve", str(write_rho(tmp_path)), "--t", "1.0"]}[command]
+
+
+def reader_of(option, tmp_path, state) -> list:
+    """`runnable` of the first command that reads `option`."""
+    return runnable(next(c for c, reads in READS.items() if option in reads), tmp_path, state)
+
+
+def command_parsers() -> tuple:
+    """The main parser and each command's parser, by command name."""
+    import argparse
+
+    from qps.cli import build_parser
+
+    def walk(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from [sub] if sub.get_default("run") else walk(sub)
+
+    top = build_parser()
+    return top, {sub.prog.removeprefix("qps "): sub for sub in walk(top)}
+
+
 class TestDamagedInputs:
     """Damaged input files exit 2 with a message, never a traceback."""
 
@@ -464,7 +505,7 @@ class TestDamagedInputs:
         else:
             lines = [line.rsplit(",", 1)[0] + "\n" for line in lines]
         synth_state.write_text("".join(lines))
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi"])
+        code = main(["dist", str(synth_state), "--kind", "husimi", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read wavefunction" in err and "Traceback" not in err
@@ -477,7 +518,7 @@ class TestDamagedInputs:
         else:
             rows = ["999" + row[row.index(","):] for row in rows]
         synth_state.write_text(header + "".join(rows))
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi"])
+        code = main(["dist", str(synth_state), "--kind", "husimi", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read wavefunction: data row 1 has x1" in err and "Traceback" not in err
@@ -494,7 +535,7 @@ class TestDamagedInputs:
         else:
             lines[7] = lines[3]
         rho_path.write_text("".join(lines))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")])
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read matrix" in err and "Traceback" not in err
@@ -505,8 +546,8 @@ class TestDamagedInputs:
         ["--tol", "closure=abc"],
     ])
     def test_malformed_grid_or_tol_exit_2(self, tmp_path, synth_state, capsys, option):
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi",
-                     *option])
+        code = main([*reader_of(option[0].split("=")[0], tmp_path, synth_state), *option,
+                     "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
@@ -518,8 +559,8 @@ class TestDamagedInputs:
     ])
     def test_bad_evolve_parameters_exit_2(self, tmp_path, capsys, option):
         rho_path = write_rho(tmp_path)
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0",
-                     *option])
+        code = main(["evolve", str(rho_path), "--t", "1.0",
+                     *option, "--out", str(tmp_path / "evo")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
@@ -530,8 +571,8 @@ class TestDamagedInputs:
 
         rho_path = write_rho(tmp_path, n_max=(16,))
         monkeypatch.setattr(qps.fock, "coordinate_wavefunction", None)  # nothing is built
-        code = main(["--out", str(tmp_path / "evo"), "--grid=-12:12:2097152", "evolve",
-                     str(rho_path), "--t", "1.0", "--husimi"])
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--husimi",
+                     "--grid=-12:12:2097152", "--out", str(tmp_path / "evo")])
         assert code == 2
         assert "16 number states on the grid are 33554432 samples" in capsys.readouterr().err
 
@@ -543,7 +584,7 @@ class TestDamagedInputs:
         row, col, _, im = lines[line].split(",")
         lines[line] = ",".join([row, col, value, im])
         rho_path.write_text("".join(lines))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")])
         err = capsys.readouterr().err
         assert code == 2
         assert "non-finite" in err and "Traceback" not in err
@@ -554,7 +595,7 @@ class TestDamagedInputs:
         meta = json.loads(sidecar.read_text())
         meta["basis"]["reference"]["gauge"] = "zero"
         sidecar.write_text(json.dumps(meta))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")])
         err = capsys.readouterr().err
         assert code == 2
         assert "gauge must be an object" in err and "Traceback" not in err
@@ -565,7 +606,7 @@ class TestDamagedInputs:
         meta = json.loads(sidecar.read_text())
         meta["basis"]["n_max"] = [5]
         sidecar.write_text(json.dumps(meta))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")])
         assert code == 2
         assert "n_max [5] needs (5, 5)" in capsys.readouterr().err
 
@@ -584,10 +625,29 @@ class TestDamagedInputs:
         else:
             target[key] = value
         sidecar.write_text(json.dumps(meta))
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi"])
+        code = main(["dist", str(synth_state), "--kind", "husimi", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read wavefunction" in err and "Traceback" not in err
+
+    def test_swapped_signs_exit_2(self, tmp_path, capsys):
+        # a Signature lists its +1 axes first; a state read with its signs
+        # swapped would be analyzed against the mirrored metric
+        spec = write_spec(tmp_path, signature={"d_plus": 1, "d_minus": 1},
+                          mean_p=[-0.5, 0.3], mean_x=[0.0, 0.0],
+                          P=np.diag([0.5, 0.5]).tolist(), X=np.diag([0.5, 0.5]).tolist(),
+                          rho=np.zeros((2, 2)).tolist())
+        assert main(["state", "synth", spec, "--out", str(tmp_path)]) == 0
+        sidecar = tmp_path / "wavefunction.csv.json"
+        meta = json.loads(sidecar.read_text())
+        assert meta["signs"] == [1.0, -1.0]
+        sidecar.write_text(json.dumps(dict(meta, signs=[-1.0, 1.0])))
+        code = main(["dist", str(tmp_path / "wavefunction.csv"), "--kind", "husimi",
+                     "--out", str(tmp_path / "dist")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "the +1 axes first" in err and "Traceback" not in err
+        assert not (tmp_path / "dist" / "husimi.csv").exists()
 
     def test_density_n_max_over_budget_exit_2(self, tmp_path, capsys):
         rho_path = write_rho(tmp_path, n_max=(2, 2))
@@ -595,7 +655,7 @@ class TestDamagedInputs:
         meta = json.loads(sidecar.read_text())
         meta["basis"]["n_max"] = [2**32, 2**32]
         sidecar.write_text(json.dumps(meta))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")])
         assert code == 2
         assert ("truncated dimension 18446744073709551616 makes matrices of "
                 "340282366920938463463374607431768211456 entries, budget is 16777216"
@@ -607,12 +667,12 @@ class TestDamagedInputs:
         if source == "spec":
             argv = ["state", "synth", write_spec(tmp_path, "big.json", hbar=1e308)]
         elif source == "option":
-            argv = ["--hbar", "1e308", "verify", "density"]
+            argv = ["verify", "density", "--hbar", "1e308"]
         else:
             sidecar = tmp_path / "wavefunction.csv.json"
             sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), hbar=1e308)))
             argv = ["dist", str(synth_state), "--kind", "husimi"]
-        code = main(["--out", str(tmp_path / "out"), *argv])
+        code = main([*argv, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert "hbar must be in [1e-150, 1e+150], got 1e+308" in err and "Traceback" not in err
@@ -624,7 +684,7 @@ class TestDamagedInputs:
         meta = json.loads(sidecar.read_text())
         meta["basis"]["n_max"] = n_max
         sidecar.write_text(json.dumps(meta))
-        code = main(["--out", str(tmp_path / "evo"), "evolve", str(rho_path), "--t", "1.0"])
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
@@ -637,21 +697,21 @@ class TestGlobalOptions:
         ["--tol", "closure=nan"], ["--tol", "closure=inf"],
     ])
     def test_nonpositive_or_nonfinite_exit_2(self, tmp_path, synth_state, capsys, option):
-        code = main(["--out", str(tmp_path), "dist", str(synth_state), "--kind", "husimi",
-                     *option])
+        code = main([*reader_of(option[0], tmp_path, synth_state), *option,
+                     "--out", str(tmp_path)])
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("hbar", ["1e-151", "1e-320"])
     def test_tiny_hbar_exit_2(self, tmp_path, capsys, hbar):
         # below 1e-150, 1/hbar^2 overflows and hbar^2 underflows
-        code = main(["--out", str(tmp_path), "--hbar", hbar, "verify", "fock"])
+        code = main(["verify", "fock", "--hbar", hbar, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert f"hbar must be in [1e-150, 1e+150], got {float(hbar)!r}" in err
 
     def test_unknown_tolerance_name_exit_2(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "--tol", "clsoure=1e-30", "verify", "closure"])
+        code = main(["verify", "closure", "--tol", "clsoure=1e-30", "--out", str(tmp_path)])
         assert code == 2
         assert "unknown tolerance 'clsoure'" in capsys.readouterr().err
         assert not (tmp_path / "report_closure.json").exists()
@@ -665,56 +725,80 @@ class TestGlobalOptions:
             "overlap": 1e-8, "purity": 1e-10,
         }
 
-    def test_option_after_command_wins(self, tmp_path):
-        first, last = tmp_path / "first", tmp_path / "last"
-        code = main(["--out", str(first), "--hbar", "2", "verify", "fock", "--out", str(last)])
-        assert code == 0
-        assert (last / "report_fock.json").exists() and not first.exists()
-        for name in ("lowering", "raising", "number"):
-            assert json.loads((last / f"fock_{name}.csv.json").read_text())["hbar"] == 2.0
+    @pytest.mark.parametrize("command, option", UNREAD)
+    def test_unread_option_exit_2(self, tmp_path, synth_state, command, option):
+        # at the parser, before any file is read or written
+        out = tmp_path / "out"
+        code, err = run_main([*runnable(command, tmp_path, synth_state),
+                              f"{option}={VALUES[option]}", "--out", str(out)])
+        assert code == 2
+        assert f"unrecognized arguments: {option}=" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", sorted(set().union(*READS.values())))
+    def test_option_before_command_exit_2(self, tmp_path, synth_state, option):
+        before, out = tmp_path / "before", tmp_path / "out"
+        value = before if option == "--out" else VALUES[option]
+        code, err = run_main([f"{option}={value}", *reader_of(option, tmp_path, synth_state),
+                              "--out", str(out)])
+        assert code == 2
+        assert f"unrecognized arguments: {option}=" in err and "Traceback" not in err
+        assert not before.exists() and not out.exists()
 
     def test_shared_options_declared_once(self):
-        """Each option string appears in one `add_argument` call of cli.py, and
-        every command parser holds the main parser's own shared actions."""
+        """Each option string of cli.py is declared once, in one `add_argument`
+        call or as one key of the option table; each command parser holds
+        exactly the table options that list it, none with a default, and the
+        main parser holds none."""
         import argparse
 
         import qps.cli
-        from qps.cli import build_parser
 
         tree = ast.parse(Path(qps.cli.__file__).read_text())
         declared = [arg.value for node in ast.walk(tree) if isinstance(node, ast.Call)
                     and getattr(node.func, "attr", None) == "add_argument"
                     for arg in node.args if str(getattr(arg, "value", "")).startswith("-")]
-        assert [opt for opt in set(declared) if declared.count(opt) > 1] == []
+        declared += [key.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["_OPTIONS"]
+                     for key in node.value.keys]
+        assert sorted(set(declared)) == sorted(declared)
+        assert set(qps.cli._OPTIONS) <= set(declared)
 
-        def commands(parser):
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for sub in action.choices.values():
-                        yield from [sub] if sub.get_default("run") else commands(sub)
+        top, parsers = command_parsers()
+        assert set(top._option_string_actions) == {"-h", "--help"}
+        assert list(parsers) == ["state synth", "dist", "verify", "evolve"]
+        for command, parser in parsers.items():
+            table = {opt: action for opt, action in parser._option_string_actions.items()
+                     if opt in qps.cli._OPTIONS}
+            assert set(table) == READS[command], command
+            assert all(action.default is argparse.SUPPRESS for action in table.values())
 
-        top = build_parser()
-        shared = {opt: action for opt, action in top._option_string_actions.items()
-                  if action.dest != "help"}
-        assert len(set(shared.values())) == 7
-        assert all(action.default is argparse.SUPPRESS for action in shared.values())
-        progs = []
-        for sub in commands(top):
-            progs.append(sub.prog)
-            assert all(sub._option_string_actions[opt] is shared[opt] for opt in shared)
-        assert progs == ["qps state synth", "qps dist", "qps verify", "qps evolve"]
+    def test_readme_lists_each_commands_options(self):
+        """The README's table of the options each command reads is the parser's."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = readme.split("| command | options |\n| --- | --- |\n", 1)[1].split("\n\n")[0]
+        listed = {}
+        for row in rows.splitlines():
+            command, options = row.strip("|").split("|")
+            listed[command.strip(" `")] = {opt.strip(" `") for opt in options.split(",")}
+        _, parsers = command_parsers()
+        from qps.cli import _OPTIONS
+
+        assert listed == {command: {opt for opt in parser._option_string_actions
+                                    if opt in _OPTIONS}
+                          for command, parser in parsers.items()}
 
     def test_family_x_is_used(self, tmp_path, synth_state):
         out = {}
         for label, extra in (("default", []), ("wide", ["--family-x", "2.0"])):
-            assert main(["--out", str(tmp_path / label), "dist", str(synth_state),
-                         "--kind", "phasewave", *extra]) == 0
+            assert main(["dist", str(synth_state),
+                         "--kind", "phasewave", *extra, "--out", str(tmp_path / label)]) == 0
             out[label] = (tmp_path / label / "phasewave.csv").read_bytes()
         assert out["default"] != out["wide"]
 
     def test_qps_threads_set_before_numpy_loads(self, tmp_path):
         # `import qps.cli` loads no numpy: the first command that needs it does
-        argv = ["--out", str(tmp_path), "state", "synth", write_spec(tmp_path)]
+        argv = ["state", "synth", write_spec(tmp_path), "--out", str(tmp_path)]
         probe = textwrap.dedent(f"""
             import os, sys
             seen = []
@@ -734,13 +818,13 @@ class TestGlobalOptions:
         # the number-state ladder roots eta X and the Wigner fixture splines
         # its wavefunction with numpy alone
         rho_path = write_rho(tmp_path)
-        assert main(["--out", str(tmp_path / "state"), "state", "synth", write_spec(tmp_path)]) == 0
+        assert main(["state", "synth", write_spec(tmp_path), "--out", str(tmp_path / "state")]) == 0
         for argv in (["verify", "fock"], ["evolve", str(rho_path), "--t", "1.0", "--husimi"],
                      ["dist", str(tmp_path / "state" / "wavefunction.csv"), "--kind", "wigner"]):
             command = textwrap.dedent(f"""
                 import sys
                 from qps.cli import main
-                assert main({["--out", str(tmp_path / argv[0]), *argv]!r}) == 0
+                assert main({[*argv, "--out", str(tmp_path / argv[0])]!r}) == 0
                 print([m for m in sys.modules if m.split('.')[0] == 'scipy'])
             """)
             assert run_python(command).splitlines()[-1] == "[]", argv
@@ -795,20 +879,23 @@ class TestImportGraph:
     def test_each_command_loads_only_its_layers(self, tmp_path):
         state = tmp_path / "state"
         out = ["--out", str(tmp_path / "out")]
-        synth = self.loaded(["--out", str(state), "state", "synth", write_spec(tmp_path)])
+        synth = self.loaded(["state", "synth", write_spec(tmp_path), "--out", str(state)])
         assert {f"qps.{m}" for m in self.LAYERS} & synth == set()
         assert {"numpy", "qps.states", "qps.grids", "qps.metric", "qps.io"} <= synth
         for kind in ("husimi", "wigner", "phasewave"):
-            dist = self.loaded([*out, "dist", str(state / "wavefunction.csv"), "--kind", kind])
+            dist = self.loaded(["dist", str(state / "wavefunction.csv"), "--kind", kind, *out])
             assert {f"qps.{m}" for m in self.LAYERS} - dist == {
                 "qps.fock", "qps.density", "qps.psops", "qps.verify"}, kind
-        evolve = self.loaded([*out, "evolve", str(write_rho(tmp_path)), "--t", "1.0", "--husimi"])
+        evolve = self.loaded(["evolve", str(write_rho(tmp_path)), "--t", "1.0", "--husimi", *out])
         assert {f"qps.{m}" for m in self.LAYERS} - evolve == {"qps.psops", "qps.verify"}
 
-    @pytest.mark.parametrize("argv, golden", [(["--help"], "help_qps.txt"),
-                                              (["verify", "--help"], "help_qps_verify.txt")])
+    @pytest.mark.parametrize("argv, golden", [
+        (["--help"], "help_qps.txt"), (["verify", "--help"], "help_qps_verify.txt"),
+        (["state", "synth", "--help"], "help_qps_state_synth.txt"),
+        (["dist", "--help"], "help_qps_dist.txt"), (["evolve", "--help"], "help_qps_evolve.txt"),
+    ])
     def test_help_text_unchanged(self, argv, golden):
-        # the text `qps` printed when it imported every layer eagerly
+        # each command's help lists exactly the options it reads
         env = dict(os.environ, COLUMNS="80", PYTHONPATH=qps_src())
         run = subprocess.run([sys.executable, "-m", "qps.cli", *argv], env=env,
                              capture_output=True, timeout=60)
@@ -871,16 +958,19 @@ def run_main(argv) -> tuple:
 
 class TestOptionFuzz:
     """Arbitrary option text never escapes the exit-code contract.  The
-    input file is missing, so every example stops right after parsing."""
+    input file is missing, or (for --tol) the tolerance name is unknown, so
+    every example stops right after parsing."""
 
     @pytest.mark.parametrize("option", sorted(OPTION_TEXT))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_option_text(self, fuzz_out, option, data):
         text = data.draw(st.one_of(st.text(), OPTION_TEXT[option]), label=option)
-        command = (["evolve", "missing.csv", "--t", "1.0"] if option == "--hamiltonian"
-                   else ["dist", "missing.csv", "--kind", "husimi"])
-        code, err = run_main(["--out", fuzz_out, *command, f"{option}={text}"])
+        command = {"--grid": ["state", "synth", "missing.json"],
+                   "--pgrid": ["dist", "missing.csv", "--kind", "husimi"],
+                   "--tol": ["verify", "closure"],
+                   "--hamiltonian": ["evolve", "missing.csv", "--t", "1.0"]}[option]
+        code, err = run_main([*command, f"{option}={text}", "--out", fuzz_out])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
@@ -905,7 +995,7 @@ class TestVerifyOptionFuzz:
     @given(data=st.data())
     def test_option_value(self, fuzz_out, suite, option, data):
         text = data.draw(VERIFY_TEXT[option], label=option)
-        code, err = run_main(["--out", fuzz_out, "verify", suite, f"{option}={text}"])
+        code, err = run_main(["verify", suite, f"{option}={text}", "--out", fuzz_out])
         event(f"exit {code}")
         assert code in (0, 1, 2)
         assert "Traceback" not in err
@@ -954,7 +1044,7 @@ class TestSpecFuzz:
         spec_path.write_text(json.dumps(payload))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["--out", fuzz_out, "state", "synth", str(spec_path)])
+            code = main(["state", "synth", str(spec_path), "--out", fuzz_out])
         event(f"exit {code}")
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
@@ -965,14 +1055,15 @@ class TestSpecFuzz:
             assert z_eigencheck(spec, grid) < 1e-7
 
 
-SMALL_GRIDS = ["--grid=-12:12:128", "--pgrid=-8:8:32,-8:8:32"]
-# the command run on each damaged file; names of pristine files become paths
+GRID, PGRID = "--grid=-12:12:128", "--pgrid=-8:8:32,-8:8:32"
+# the command run on each damaged file, with the small grids that it reads;
+# names of pristine files become paths
 DAMAGE_TARGETS = {
-    "spec.json": ["state", "synth", "spec.json"],
-    "wavefunction.csv": ["dist", "wavefunction.csv", "--kind", "husimi"],
-    "wavefunction.csv.json": ["dist", "wavefunction.csv", "--kind", "phasewave"],
-    "rho.csv": ["evolve", "rho.csv", "--t", "1.0", "--husimi"],
-    "rho.csv.json": ["evolve", "rho.csv", "--t", "1.0", "--husimi"],
+    "spec.json": ["state", "synth", "spec.json", GRID],
+    "wavefunction.csv": ["dist", "wavefunction.csv", "--kind", "husimi", PGRID],
+    "wavefunction.csv.json": ["dist", "wavefunction.csv", "--kind", "phasewave", PGRID],
+    "rho.csv": ["evolve", "rho.csv", "--t", "1.0", "--husimi", GRID, PGRID],
+    "rho.csv.json": ["evolve", "rho.csv", "--t", "1.0", "--husimi", GRID, PGRID],
 }
 
 
@@ -984,7 +1075,7 @@ def run_on(workdir: Path, command) -> tuple:
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["--out", str(workdir / "out"), *SMALL_GRIDS, *argv])
+        code = main([*argv, "--out", str(workdir / "out")])
     shown = [warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
              for w in caught]
     return code, err.getvalue() + "".join(shown)
