@@ -28,13 +28,14 @@ def main():
     args = parser.parse_args()
     hbar = args.hbar
     h = 2.0 * np.pi * hbar
+    s = np.sqrt(hbar)  # every length scales with the family width
 
     family = JointStateSpec.from_covariance(X=[[hbar / 2.0]], hbar=hbar)
-    grid = CoordinateGrid.line(-16.0, 16.0, 1024)
-    pgrid = PhaseGrid.symmetric(12.0 * np.sqrt(hbar), 128)
+    grid = CoordinateGrid.line(-16.0 * s, 16.0 * s, 1024)
+    pgrid = PhaseGrid.symmetric(12.0 * s, 128)
 
     cases = {
-        "coherent": coordinate_wavefunction(family.displaced([0.4], [0.7]), grid),
+        "coherent": coordinate_wavefunction(family.displaced([0.4 * s], [0.7 * s]), grid),
         "squeezed x0.5": coordinate_wavefunction(
             JointStateSpec.from_covariance(X=[[hbar / 4.0]], hbar=hbar), grid
         ),
@@ -55,15 +56,12 @@ def main():
               f"omega {count.omega:.8f}  entropy {count.entropy:+.2e}")
 
     spec2 = JointStateSpec.from_covariance(X=np.diag([hbar / 2.0, hbar / 2.0]), hbar=hbar)
-    psi2 = coordinate_wavefunction(spec2, CoordinateGrid.square(-12.0, 12.0, 128))
-    vol2 = microstate_hypervolume(
-        psi2, spec2, PhaseGrid.symmetric(8.0 * np.sqrt(hbar), 48, npairs=2)
-    )
+    psi2 = coordinate_wavefunction(spec2, CoordinateGrid.square(-12.0 * s, 12.0 * s, 128))
+    vol2 = microstate_hypervolume(psi2, spec2, PhaseGrid.symmetric(8.0 * s, 48, npairs=2))
     print(f"{'2-pair product':16s} integral {vol2:.10g}  target h^2 = {h**2:.10g}  "
           f"rel dev {abs(vol2 - h**2) / h**2:8.1e}")
 
     spec3 = JointStateSpec.from_covariance(X=np.diag([hbar / 2.0] * 3), hbar=hbar)
-    s = np.sqrt(hbar)
     psi3 = coordinate_wavefunction(
         spec3.displaced([0.3 * s, -0.2 * s, 0.1 * s], [0.2 * s, 0.4 * s, -0.3 * s]),
         CoordinateGrid(((-8.0 * s, 8.0 * s, 32),) * 3),

@@ -70,6 +70,15 @@ class RunConfig:
             raise InvalidInputError(f"--grid provides {len(axes)} axes, need {ndim}")
         return CoordinateGrid(axes=tuple(GridAxis(*a) for a in axes))
 
+    def output(self, name: str) -> Path:
+        """Path of an output file in --out, creating the directory at the first
+        write, so that a command rejected on its input leaves none behind."""
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInputError(f"output directory is not writable: {exc}") from exc
+        return self.out / name
+
     def phase_grid(self, npairs: int) -> PhaseGrid:
         from .phasespace import PhaseGrid, PhasePair
 
@@ -158,12 +167,7 @@ def _config_from_args(args) -> RunConfig:
     --grid, --pgrid or --out, keeps RunConfig's default."""
     given = {field: parse(getattr(args, field)) for field, parse, _, _ in _OPTIONS.values()
              if getattr(args, field, "") != ""}
-    cfg = RunConfig(**given)
-    try:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInputError(f"output directory is not writable: {exc}") from exc
-    return cfg
+    return RunConfig(**given)
 
 
 def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
@@ -193,7 +197,7 @@ def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
     measured = moments(psi)
     residual = check_saturation(measured, spec.signature, spec.hbar)
 
-    wf_csv = cfg.out / "wavefunction.csv"
+    wf_csv = cfg.output("wavefunction.csv")
     write_wavefunction(psi, wf_csv)
     report = measured.to_dict()
     report.update(
@@ -203,7 +207,7 @@ def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
         saturation_residual=residual,
         norm=psi.norm(),
     )
-    write_json(cfg.out / "moments.json", report)
+    write_json(cfg.output("moments.json"), report)
     print(f"wavefunction -> {wf_csv}")
     print(f"norm {_FMT.format(psi.norm())}")
     print(f"saturation_residual {_FMT.format(residual)}")
@@ -225,7 +229,7 @@ def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
         dist, gauge_label = wigner_distribution(psi, pgrid), None
     else:  # phasewave: argparse admits no other kind
         dist = phase_wavefunction(psi, family, pgrid)
-    out = cfg.out / f"{kind}.csv"
+    out = cfg.output(f"{kind}.csv")
     write_distribution(dist, out, gauge_label=gauge_label)
     print(f"distribution -> {out}")
     if kind == "phasewave":
@@ -241,7 +245,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     from .io import write_json
 
     report = verify_mod.run_suite(suite, hbar=cfg.hbar, tols=cfg.tols)
-    path = cfg.out / f"report_{suite}.json"
+    path = cfg.output(f"report_{suite}.json")
     write_json(path, report)
     if suite in ("fock", "all"):
         _export_fock_matrices(cfg)
@@ -270,7 +274,7 @@ def _export_fock_matrices(cfg: RunConfig):
     for name, matrix in (("lowering", lad.lowering[0]),
                          ("raising", lad.raising[0]),
                          ("number", lad.number)):
-        fock.write_matrix(matrix, cfg.out / f"fock_{name}.csv", meta=dict(meta, kind=name))
+        fock.write_matrix(matrix, cfg.output(f"fock_{name}.csv"), meta=dict(meta, kind=name))
 
 
 def _parse_hamiltonian(text: str):
@@ -312,12 +316,12 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
         states = fock.grid_number_states(rho.basis, grid)
     for i, ti in enumerate(times):
         rho_t = density_mod.evolve_lvn(rho, H, ti, hbar)
-        out = cfg.out / f"rho_{i:04d}.csv"
+        out = cfg.output(f"rho_{i:04d}.csv")
         density_mod.write_density(rho_t, out)
         drift = max(drift, abs(density_mod.purity(rho_t) - purity0))
         if with_husimi:
             hus = husimi_distribution(rho_t, family, pgrid, states)
-            write_distribution(hus, cfg.out / f"husimi_{i:04d}.csv",
+            write_distribution(hus, cfg.output(f"husimi_{i:04d}.csv"),
                                gauge_label=family.gauge.label)
             husimi_min = min(husimi_min, hus.integral())
     print(f"snapshots {snapshots} -> {cfg.out}")

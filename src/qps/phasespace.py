@@ -174,10 +174,15 @@ class PhaseAnalyzer:
 
     For each pair the family state factorizes into a Gaussian window around
     y and a momentum phase in q, so psi~ is one windowed Fourier sum per
-    pair: grid axis m maps to phase axes (j, k) through E[j, m] W[m, k].
-    The transform applies that map pair by pair and then the gauge phase
-    exp(-i sum K), built once in place and skipped when every K is zero;
-    synthesis is its adjoint.  Requires the family shape matrix to be
+    pair: grid axis m maps to phase axes (j, k) through T[(j, k), m] =
+    E[j, m] W[m, k].  The transform applies that map pair by pair and then
+    the gauge phase exp(-i sum K), built once in place and skipped when
+    every K is zero; synthesis is its adjoint.  The mass sum |psi~|^2 needs
+    no psi~: the phase has unit modulus, and T^H T, the sampled frame
+    operator of the family, is the per-pair Gram matrix
+    G[m, m'] = (E^H E)[m, m'] (conj(W) W^T)[m, m'], so each pair either
+    takes the transform's pass or keeps its grid axis for G, whichever
+    costs fewer multiply-adds.  Requires the family shape matrix to be
     diagonal, so that the window factorizes by pair.
     """
 
@@ -223,11 +228,6 @@ class PhaseAnalyzer:
                 family.gauge.phase(q[:, None], y[None, :], signs[mu], hbar)
             )
 
-    # Each pass below contracts one pair through either of two intermediates
-    # of equal multiply-add count, the window-weighted samples or the
-    # (j, k, m) table E W, and builds the smaller: the first while the `rest`
-    # of the axes hold at most n_p samples.  One pair is thus E @ (v * W).
-
     def transform(self, values: np.ndarray) -> np.ndarray:
         """Grid samples -> psi~ samples, axis order (p1, x1, p2, x2, ...).
 
@@ -235,11 +235,7 @@ class PhaseAnalyzer:
         """
         out = values
         for E, W in zip(self.kernels, self.windows):
-            if out.size // len(W) <= len(E):
-                weighted = out[..., None] * np.expand_dims(W, tuple(range(1, out.ndim)))
-                out = np.moveaxis(np.tensordot(E, weighted, axes=1), 0, -2)
-            else:
-                out = np.tensordot(out, E[:, None, :] * W.T[None, :, :], axes=([0], [2]))
+            out = _pass(out, E, W)
         if not any(K.any() for K in self.kphases):  # out is a contraction's own array
             return np.multiply(out, self.norm, out=out)
         phase = np.multiply(-1j, reduce(np.add.outer, self.kphases))
@@ -247,6 +243,36 @@ class PhaseAnalyzer:
         phase *= self.norm
         phase *= out
         return phase
+
+    def mass(self, values: np.ndarray) -> float:
+        """sum |transform(values)|^2, with no array the size of the phase grid
+        where a Gram matrix is cheaper.
+
+        A pass on an array of S samples costs S n_p n_x multiply-adds; the
+        pair's Gram matrix costs n^2 (n_p + n_x) to build and n S to apply,
+        and keeps the grid axis m in place of (j, k).  The mass is then
+        vdot(A, (x G) A) for the array A the passes leave.
+        """
+        out, grams = values, []
+        for E, W in zip(self.kernels, self.windows):
+            n, n_p, n_x = len(W), len(E), W.shape[1]
+            if n * n * (n_p + n_x) + n * out.size < out.size * n_p * n_x:
+                check_budget(f"a Gram matrix of {n} x {n} grid points", n * n)
+                grams.append((E.conj().T @ E) * (W.conj() @ W.T))
+                out = np.moveaxis(out, 0, -1)
+            else:
+                grams.append(None)
+                out = _pass(out, E, W)
+        # the unit-modulus gauge phase drops out; a pass makes out its own array
+        out = np.multiply(out, self.norm, out=out if any(G is None for G in grams) else None)
+        image, axis = out, 0
+        for G in grams:
+            if G is None:
+                axis += 2
+            else:
+                image = np.moveaxis(np.tensordot(G, image, axes=(1, axis)), 0, axis)
+                axis += 1
+        return float(np.vdot(out, image).real)
 
     def synthesize(self, pw_values: np.ndarray) -> np.ndarray:
         """Adjoint map: sum_z psi~(z) (family state at z) dq dy / h.
@@ -274,6 +300,21 @@ class PhaseAnalyzer:
         unit = np.zeros(self.pgrid.shape)
         unit[index] = 1.0
         return self.synthesize(unit) / self.pgrid.measure(self.family.hbar)
+
+
+def _pass(out: np.ndarray, E: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Contract the leading grid axis m of `out` with one pair's tables and
+    append its phase axes (j, k).
+
+    Of the two intermediates of equal multiply-add count, the window-weighted
+    samples and the (j, k, m) table E W, build the smaller: the first while
+    the `rest` of the axes hold at most n_p samples.  One pair is thus
+    E @ (v * W).
+    """
+    if out.size // len(W) <= len(E):
+        weighted = out[..., None] * np.expand_dims(W, tuple(range(1, out.ndim)))
+        return np.moveaxis(np.tensordot(E, weighted, axes=1), 0, -2)
+    return np.tensordot(out, E[:, None, :] * W.T[None, :, :], axes=([0], [2]))
 
 
 @lru_cache(maxsize=1)
@@ -487,8 +528,8 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
 def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
                            pgrid: PhaseGrid) -> float:
     """integral of |psi~|^2 dq dy with no 1/h factors; equals h^D = (2 pi hbar)^D."""
-    pw = phase_wavefunction(state, family, pgrid).values.ravel()
-    return float(np.vdot(pw, pw).real * pgrid.cell)
+    _check_phase_coverage(state, pgrid, 6.0)
+    return _shared_analyzer(family, pgrid, state.grid).mass(state.values) * pgrid.cell
 
 
 def write_distribution(dist, csv_path, gauge_label: str | None = None):

@@ -178,6 +178,14 @@ def suite_microstate(hbar=1.0, tols=None):
     vol2 = phasespace.microstate_hypervolume(psi2, spec2, pg2)
     checks.append(_row("integral_h2_product", vol2, 2.0 * rel * h**2, target=h**2))
 
+    spec3 = JointStateSpec.from_covariance(X=np.diag([hbar / 2.0] * 3), hbar=hbar)
+    grid3 = CoordinateGrid(((-8 * s, 8 * s, 32),) * 3)
+    psi3 = coordinate_wavefunction(spec3.displaced([0.3 * s, -0.2 * s, 0.1 * s],
+                                                   [0.2 * s, 0.4 * s, -0.3 * s]), grid3)
+    pg3 = PhaseGrid.symmetric(8.0 * s, 12, npairs=3)
+    vol3 = phasespace.microstate_hypervolume(psi3, spec3, pg3)
+    checks.append(_row("integral_h3_product", vol3, 3.0 * rel * h**3, target=h**3))
+
     count = density.count_microstates(vol, 1, hbar)
     checks.append(_row("omega_single_state", count.omega, rel, target=1.0))
     checks.append(_row("entropy_ten_h", density.boltzmann_entropy(10.0), 1e-12, target=np.log(10.0)))

@@ -647,7 +647,28 @@ class TestDamagedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert "the +1 axes first" in err and "Traceback" not in err
-        assert not (tmp_path / "dist" / "husimi.csv").exists()
+        assert not (tmp_path / "dist").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "synth", "missing.json"],
+        ["dist", "missing.csv", "--kind", "husimi"],
+        ["evolve", "missing.csv", "--t", "1.0"],
+    ], ids=["state synth", "dist", "evolve"])
+    def test_rejected_input_creates_no_out(self, tmp_path, monkeypatch, argv):
+        # the --out directory is made at the first write, after the input is read
+        monkeypatch.chdir(tmp_path)
+        code, err = run_main([*argv, "--out", "newdir"])
+        assert code == 2
+        assert "cannot read" in err and "Traceback" not in err
+        assert not (tmp_path / "newdir").exists()
+
+    def test_unwritable_out_exit_2(self, tmp_path, synth_state):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, err = run_main(["dist", str(synth_state), "--kind", "husimi",
+                              "--out", str(blocker / "sub")])
+        assert code == 2
+        assert "output directory is not writable" in err and "Traceback" not in err
 
     def test_density_n_max_over_budget_exit_2(self, tmp_path, capsys):
         rho_path = write_rho(tmp_path, n_max=(2, 2))

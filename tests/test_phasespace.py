@@ -375,20 +375,51 @@ class TestHypervolume:
         vol = microstate_hypervolume(psi, family, PhaseGrid.symmetric(8.0, 12, npairs=3))
         assert abs(vol - H**3) <= 3 * 1e-3 * H**3
 
-    def test_two_pair_peak_memory(self):
-        # verify's two-pair row: the 48^4 phase wavefunction is the one
-        # phase-grid-sized array; the zero gauge phase and |psi~|^2 add none
-        family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
-        psi = coordinate_wavefunction(family, CoordinateGrid.square(-12.0, 12.0, 128))
-        pg2 = PhaseGrid.symmetric(8.0, 48, npairs=2)
+    @staticmethod
+    def traced_peak(psi, family, pgrid):
         tracemalloc.start()
         try:
-            vol = microstate_hypervolume(psi, family, pg2)
+            vol = microstate_hypervolume(psi, family, pgrid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return vol, peak
+
+    def test_two_pair_peak_memory(self):
+        # verify's two-pair row: both pairs take their 128 x 128 Gram matrix,
+        # so no array of the 48^4 phase grid is built
+        family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
+        psi = coordinate_wavefunction(family, CoordinateGrid.square(-12.0, 12.0, 128))
+        vol, peak = self.traced_peak(psi, family, PhaseGrid.symmetric(8.0, 48, npairs=2))
         assert vol == pytest.approx(H**2, rel=1e-3)
-        assert peak < 1.5 * 16 * 48**4
+        assert peak < 0.1 * 16 * 48**4
+
+    def test_three_pair_peak_memory(self):
+        # verify's three-pair row: 32^3 samples, no array of the 12^6 phase grid
+        family = JointStateSpec.from_covariance(X=np.diag([0.5] * 3))
+        psi = coordinate_wavefunction(family.displaced([0.3, -0.2, 0.1], [0.2, 0.4, -0.3]),
+                                      CoordinateGrid(((-8.0, 8.0, 32),) * 3))
+        vol, peak = self.traced_peak(psi, family, PhaseGrid.symmetric(8.0, 12, npairs=3))
+        assert abs(vol - H**3) <= 3 * 1e-3 * H**3
+        assert peak < 0.1 * 16 * 12**6
+
+    def test_needs_no_transform(self, monkeypatch, spec, grid):
+        # one, two and three pairs: the mass comes from the passes and Gram
+        # matrices, never from a phase wavefunction
+        from qps.phasespace import PhaseAnalyzer
+
+        def no_transform(self, values):
+            raise AssertionError("microstate_hypervolume built psi~")
+
+        monkeypatch.setattr(PhaseAnalyzer, "transform", no_transform)
+        psi = coordinate_wavefunction(spec.displaced([0.5], [0.5]), grid)
+        assert microstate_hypervolume(psi, spec, PhaseGrid.symmetric(12.0, 128)) == \
+            pytest.approx(H, rel=1e-3)
+        for d, n, extent, n_phase in [(2, 128, 12.0, 48), (3, 32, 8.0, 12)]:
+            family = JointStateSpec.from_covariance(X=np.diag([0.5] * d))
+            psi = coordinate_wavefunction(family, CoordinateGrid(((-extent, extent, n),) * d))
+            vol = microstate_hypervolume(psi, family, PhaseGrid.symmetric(8.0, n_phase, npairs=d))
+            assert abs(vol - H**d) <= d * 1e-3 * H**d
 
     def test_analyzing_family_independence(self, spec, grid):
         # the law holds for any fixed analyzing covariance
@@ -549,17 +580,18 @@ ANALYZER_CASES = {
 
 
 def build_analyzer(case, gauge="full"):
-    """An analyzer with a complex window (rho != 0) and, in the full gauge, a
-    nonzero gauge phase; "zero" and "const(0)" make every K table zero."""
+    """An analyzer with a complex window (rho != 0) and, in the full, half and
+    const(0.3) gauges, a nonzero gauge phase; "zero" and "const(0)" make every
+    K table zero."""
     from qps import GaugeChoice
     from qps.phasespace import PhaseAnalyzer
 
-    grid, pgrid = ANALYZER_CASES[case]
+    grid, pgrid = (ANALYZER_CASES | MASS_CASES)[case]
     d = grid.ndim
-    gauge = {"full": GaugeChoice.full(), "zero": GaugeChoice.zero(),
-             "const(0)": GaugeChoice.const(0.0)}[gauge]
-    family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.3][:d]),
-                                            rho=np.diag([0.2, -0.1][:d]),
+    gauge = {"full": GaugeChoice.full(), "half": GaugeChoice.half(), "zero": GaugeChoice.zero(),
+             "const(0)": GaugeChoice.const(0.0), "const(0.3)": GaugeChoice.const(0.3)}[gauge]
+    family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.3, 0.4][:d]),
+                                            rho=np.diag([0.2, -0.1, 0.05][:d]),
                                             gauge=gauge, hbar=0.9)
     return PhaseAnalyzer(family, pgrid, grid)
 
@@ -698,6 +730,58 @@ class TestSeparableAnalyzer:
         expected = np.multiply.outer(*singles)
         got = PhaseAnalyzer(family, pgrid, grid).family_state(*index)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+# pairs that take different routes in `mass`: a 1024-point axis passes to 8 x 8
+# phase samples while a 32-point axis keeps its Gram matrix for 16 x 16, in
+# either order, and three pairs that all take the Gram route
+MASS_CASES = {
+    "1024x32->8^2x16^2": (uneven_grid(1024, 32), PhaseGrid(((-8.0, 8.0, 8, -8.0, 8.0, 8),
+                                                           (-8.0, 8.0, 16, -8.0, 8.0, 16)))),
+    "32x1024->16^2x8^2": (uneven_grid(32, 1024), PhaseGrid(((-8.0, 8.0, 16, -8.0, 8.0, 16),
+                                                           (-8.0, 8.0, 8, -8.0, 8.0, 8)))),
+    "16^3->8^6": (CoordinateGrid(((-8.0, 8.0, 16),) * 3), PhaseGrid.symmetric(8.0, 8, npairs=3)),
+}
+
+
+class TestMass:
+    @pytest.mark.parametrize("gauge", ["zero", "const(0)", "const(0.3)", "full", "half"])
+    @pytest.mark.parametrize("case", sorted(ANALYZER_CASES) + sorted(MASS_CASES))
+    def test_matches_the_transform(self, case, gauge):
+        analyzer = build_analyzer(case, gauge)
+        v = random_complex(analyzer.grid.shape, 8)
+        t = analyzer.transform(v)
+        expected = np.vdot(t, t).real
+        got = analyzer.mass(v)
+        assert abs(got - expected) <= 1e-12 * expected
+        if analyzer.pgrid.npairs == 1 and gauge in ("zero", "const(0)"):
+            # the transform's own pass and scaling: verify's one-pair rows keep every bit
+            assert got == expected
+
+    def test_real_and_read_only_inputs(self):
+        # a real state is scaled into a new array, never in place
+        analyzer = build_analyzer("256^2->32^4", "zero")
+        v = np.random.default_rng(9).normal(size=analyzer.grid.shape)
+        v.setflags(write=False)
+        t = analyzer.transform(v)
+        assert analyzer.mass(v) == pytest.approx(np.vdot(t, t).real, rel=1e-12)
+
+    def test_gram_over_budget_takes_the_pass(self, monkeypatch):
+        # an 8192-point axis: its Gram matrix would hold 2^26 > 2^24 entries,
+        # and the analyzer's sizing leaves the pass the cheaper route
+        from qps.grids import SAMPLE_BUDGET, check_budget
+        from qps.phasespace import PhaseAnalyzer
+
+        sizes = []
+        monkeypatch.setattr(phasespace, "check_budget",
+                            lambda what, n: sizes.append(n) or check_budget(what, n))
+        family = JointStateSpec.from_covariance(X=[[0.5]])
+        grid = CoordinateGrid.line(-24.0, 24.0, 8192)
+        analyzer = PhaseAnalyzer(family, PhaseGrid.symmetric(8.0, 16), grid)
+        psi = coordinate_wavefunction(family, grid)
+        t = analyzer.transform(psi.values)
+        assert analyzer.mass(psi.values) == np.vdot(t, t).real
+        assert max(sizes) <= SAMPLE_BUDGET
 
 
 class TestAnalyzerBudget:

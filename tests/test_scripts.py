@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("hypervolume_scan.py", []),
     ("rotation_demo.py", []),
     ("phase_portraits.py", ["--out", "portraits"]),  # inside tmp_path, the cwd
+    ("hypervolume_scan.py", ["--hbar", "16"]),  # grids and displacements scale with hbar
 ])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
