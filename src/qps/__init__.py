@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it exports at the package level
 _EXPORTS = {
-    "errors": ("CoverageError", "GaugeMismatchError", "InvalidInputError", "QpsError",
-               "SaturationError", "UnsupportedError"),
+    "errors": ("CoverageError", "InvalidInputError", "QpsError", "SaturationError",
+               "UnsupportedError"),
     "metric": ("HBAR_SI", "CovarianceFactors", "ShapeParams", "Signature", "StatMoments",
                "UncertaintyCheck", "block_covariance", "build_shape", "check_saturation",
                "decompose_covariance", "particle_from_wave", "raise_lower",

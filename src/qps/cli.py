@@ -46,9 +46,12 @@ class RunConfig:
     family_x: float | None = None
 
     def __post_init__(self):
+        from .grids import GridAxis
         from .states import GaugeChoice
 
         self.gauge = GaugeChoice(self.gauge)
+        for axis in self.grid:  # checked here, as evolve fits the grid only for --husimi
+            GridAxis(*axis)
         unknown = sorted(set(self.tols) - set(TOLERANCES))
         if unknown:
             raise InvalidInputError(f"unknown tolerance {unknown[0]!r}; known: "
@@ -302,20 +305,19 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
         raise InvalidInputError(f"--t must be finite, got {t!r}")
     omega = _parse_hamiltonian(hamiltonian)
     rho = density_mod.read_density(density_file)
-    hbar = rho.basis.reference.hbar
-    H = density_mod.number_hamiltonian(rho.basis, omega, hbar)
+    H = density_mod.number_hamiltonian(rho.basis, omega)
     times = [t * (i + 1) / snapshots for i in range(snapshots)]
     purity0 = density_mod.purity(rho)
     drift = 0.0
     husimi_min = math.inf
     family = rho.basis.reference
-    grid = cfg.coordinate_grid(family.dim)
     if with_husimi:
         # every snapshot expands rho_t in the same number states: build them once
+        grid = cfg.coordinate_grid(family.dim)
         pgrid = cfg.phase_grid(family.dim)
         states = fock.grid_number_states(rho.basis, grid)
     for i, ti in enumerate(times):
-        rho_t = density_mod.evolve_lvn(rho, H, ti, hbar)
+        rho_t = density_mod.evolve_lvn(rho, H, ti)
         out = cfg.output(f"rho_{i:04d}.csv")
         density_mod.write_density(rho_t, out)
         drift = max(drift, abs(density_mod.purity(rho_t) - purity0))

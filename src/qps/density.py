@@ -3,6 +3,7 @@
 Time evolution under a Hermitian Hamiltonian is exact unitary conjugation by
 the eigendecomposition, rho(t) = U rho U^dagger with U = V exp(-i L t/hbar)
 V^dagger, so trace, purity and the full spectrum are conserved to round-off.
+hbar is always that of the basis's reference state.
 """
 
 from __future__ import annotations
@@ -108,15 +109,15 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
 
-def evolve_lvn(rho: DensityMatrix, H: np.ndarray, t: float,
-               hbar: float = 1.0) -> DensityMatrix:
-    """Evolve for time t under the Hermitian generator H by exact conjugation."""
+def evolve_lvn(rho: DensityMatrix, H: np.ndarray, t: float) -> DensityMatrix:
+    """Evolve for time t under the Hermitian generator H by exact conjugation,
+    with the hbar of rho's basis (`rho.basis.reference.hbar`)."""
     H = np.asarray(H, dtype=complex)
     if H.shape != rho.matrix.shape:
         raise InvalidInputError("Hamiltonian dimension does not match")
     check_hermitian("Hamiltonian", H)
     evals, vecs = np.linalg.eigh(H)
-    phases = np.exp(-1j * evals * t / hbar)
+    phases = np.exp(-1j * evals * t / rho.basis.reference.hbar)
     U = (vecs * phases[None, :]) @ vecs.conj().T
     out = U @ rho.matrix @ U.conj().T
     out = 0.5 * (out + out.conj().T)
@@ -147,10 +148,11 @@ def count_microstates(hypervolume: float, dim: int, hbar: float = 1.0) -> Micros
     )
 
 
-def number_hamiltonian(basis: TruncatedBasis, omega: float, hbar: float = 1.0) -> np.ndarray:
-    """Oscillator generator hbar omega (N + 1/2) in the truncated basis."""
+def number_hamiltonian(basis: TruncatedBasis, omega: float) -> np.ndarray:
+    """Oscillator generator hbar omega (N + 1/2) in the truncated basis, with
+    the basis's hbar (`basis.reference.hbar`)."""
     lad = build_ladder(basis)
-    return hbar * omega * (lad.number + 0.5 * np.eye(basis.dim))
+    return basis.reference.hbar * omega * (lad.number + 0.5 * np.eye(basis.dim))
 
 
 def write_density(rho: DensityMatrix, csv_path):

@@ -25,7 +25,3 @@ class UnsupportedError(QpsError):
 
 class SaturationError(InvalidInputError):
     """Moments do not saturate the uncertainty relation."""
-
-
-class GaugeMismatchError(InvalidInputError):
-    """Two objects carry incompatible gauge choices."""

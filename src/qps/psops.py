@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaugeMismatchError, InvalidInputError
+from .errors import InvalidInputError
 from .grids import (
     CoordinateGrid,
     GridWavefunction,
@@ -36,7 +36,7 @@ from .grids import (
     check_budget,
     spectral_derivative,
 )
-from .phasespace import PhaseGrid, PhaseWavefunction, _check_phase_coverage, _shared_analyzer
+from .phasespace import PhaseGrid, PhaseWavefunction, _shared_analyzer, phase_wavefunction
 from .states import GaugeChoice, JointStateSpec
 
 
@@ -165,20 +165,15 @@ class ConsistencyReport:
 
 
 def consistency_check(state: GridWavefunction, family: JointStateSpec,
-                      pgrid: PhaseGrid, gauge: GaugeChoice) -> ConsistencyReport:
-    """Compare <z|p|psi> and <z|x|psi> computed two ways.
+                      pgrid: PhaseGrid) -> ConsistencyReport:
+    """Compare <z|p|psi> and <z|x|psi> computed two ways, in the family's gauge.
 
     Direct route: apply the grid operator, then analyze.  Phase route: analyze
-    first, then apply the representative operator.  The sup-norm discrepancy
-    is grid-limited (~1e-3 on default grids).
+    first (`phase_wavefunction`), then apply the representative operator.
+    The sup-norm discrepancy is grid-limited (~1e-3 on default grids).
     """
-    if gauge != family.gauge:
-        raise GaugeMismatchError(
-            f"requested gauge {gauge.label} but the family carries {family.gauge.label}"
-        )
-    _check_phase_coverage(state, pgrid, 6.0)
-    analyzer = _shared_analyzer(family, pgrid, state.grid)
-    pw = PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
+    pw = phase_wavefunction(state, family, pgrid)
+    analyzer = _shared_analyzer(family, pgrid, state.grid)  # the one pw was built with
     p_err = 0.0
     x_err = 0.0
     for axis in range(family.dim):

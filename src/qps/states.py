@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GaugeMismatchError, InvalidInputError, SaturationError
+from .errors import InvalidInputError, SaturationError
 from .grids import (
     CoordinateGrid,
     GridWavefunction,
@@ -281,8 +281,6 @@ def _require_overlap_domain(a: JointStateSpec, b: JointStateSpec):
         raise InvalidInputError("overlap needs matching dimensions and signature")
     if abs(a.hbar - b.hbar) > 1e-12:
         raise InvalidInputError("overlap needs matching hbar")
-    if a.gauge != b.gauge:
-        raise GaugeMismatchError("overlap formula needs a common gauge")
     for m in (a.moments, b.moments):
         if np.abs(m.rho).max() > 0.0:
             raise InvalidInputError("closed-form overlap holds for rho = 0 only")
@@ -297,9 +295,9 @@ def analytic_overlap(a: JointStateSpec, b: JointStateSpec) -> complex:
     """Closed-form <a|b> for two states of the same diagonal covariance.
 
     Per axis: exp(-dp^2/(8P) - dx^2/(8X) + (i/2hbar) s dp (<x>+<x'>)), then a
-    factor exp(i (K_b - K_a)).  With the zero gauge this is exactly the
-    quadrature overlap of the sampled wavefunctions; the modulus is
-    gauge-independent.
+    factor exp(i (K_b - K_a)) with each state's own gauge phase, so a and b
+    may carry different gauges.  This is the quadrature overlap of the sampled
+    wavefunctions in any pair of gauges; the modulus is gauge-independent.
     """
     _require_overlap_domain(a, b)
     signs = a.signature.signs

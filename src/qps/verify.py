@@ -233,7 +233,7 @@ def suite_gauge(hbar=1.0, tols=None):
     pg = PhaseGrid.symmetric(12.0 * s, 192)
     pw = phasespace.phase_wavefunction(psi, spec_zero, pg)
     # run while spec_zero's analyzer is the cached one: the other gauges evict it
-    rep = psops.consistency_check(psi, spec_zero, pg, GaugeChoice.zero())
+    rep = psops.consistency_check(psi, spec_zero, pg)
     ccr_tol = _tol(tols, "ccr")
     checks = []
 
@@ -294,7 +294,7 @@ def suite_density(hbar=1.0, tols=None):
     for _ in range(100):
         H = _random_hermitian(rng, 8)
         rho = density.from_mixture(_random_mixture(rng, basis, 3))
-        rho_t = density.evolve_lvn(rho, H, rng.uniform(0.1, 5.0), hbar)
+        rho_t = density.evolve_lvn(rho, H, rng.uniform(0.1, 5.0))
         drift = max(
             drift,
             abs(np.trace(rho_t.matrix).real - 1.0),
@@ -320,8 +320,8 @@ def suite_density(hbar=1.0, tols=None):
     states_c = fock.grid_number_states(basis_c, grid)
     coeffs = np.array([inner_product(s, coh) for s in states_c])
     rho0 = density.from_pure(fock.FockVector(basis_c, coeffs / np.linalg.norm(coeffs)))
-    H = density.number_hamiltonian(basis_c, omega=1.0, hbar=hbar)
-    rho_q = density.evolve_lvn(rho0, H, np.pi / 2.0, hbar)
+    H = density.number_hamiltonian(basis_c, omega=1.0)
+    rho_q = density.evolve_lvn(rho0, H, np.pi / 2.0)
     xm = fock.position_matrix(basis_c)
     pm = fock.momentum_matrix(basis_c)
     checks.append(_row("quarter_turn_x", density.expectation(rho_q, xm).real, 1e-6 * s, target=0.0))
@@ -333,7 +333,7 @@ def suite_density(hbar=1.0, tols=None):
     cell = np.hypot(pg.pairs[0].dp, pg.pairs[0].dx)
     checks.append(_row("quarter_turn_husimi_peak", np.hypot(peak[0] + 1.0 * s, peak[1]), cell))
 
-    rho_full = density.evolve_lvn(rho0, H, 2.0 * np.pi, hbar)
+    rho_full = density.evolve_lvn(rho0, H, 2.0 * np.pi)
     checks.append(
         _row("full_period_return", float(np.abs(rho_full.matrix - rho0.matrix).max()), 1e-8)
     )

@@ -428,6 +428,16 @@ class TestEvolve:
                      "--t", "1.0", "--out", str(tmp_path / "evo")]) == 0
         assert "husimi_normalization_min" not in capsys.readouterr().out
 
+    def test_any_number_of_pairs_without_husimi(self, tmp_path, capsys):
+        # the coordinate grid is fitted to the density only for --husimi
+        rho_path = write_rho(tmp_path, n_max=(2, 2, 2))
+        assert main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")]) == 0
+        assert (tmp_path / "evo" / "rho_0000.csv").exists()
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--husimi",
+                     "--out", str(tmp_path / "hus")])
+        assert code == 2
+        assert "--grid provides 1 axes, need 3" in capsys.readouterr().err
+
     def test_unknown_hamiltonian_exit_2(self, tmp_path):
         from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
 

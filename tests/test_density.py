@@ -38,6 +38,12 @@ def basis(spec):
     return TruncatedBasis((6,), spec)
 
 
+@pytest.fixture(scope="module")
+def hbar2_basis():
+    """Four number states of the hbar = 2 ground family (X = hbar/2 = 1)."""
+    return TruncatedBasis((4,), JointStateSpec.from_covariance(X=[[1.0]], hbar=2.0))
+
+
 def coherent_vector(basis, mean_p, mean_x, grid=None):
     grid = grid or CoordinateGrid.line()
     target = coordinate_wavefunction(
@@ -212,6 +218,20 @@ class TestEvolution:
         H = number_hamiltonian(basis, omega=1.0)
         rho_T = evolve_lvn(rho, H, 2.0 * np.pi)
         assert np.abs(rho_T.matrix - rho.matrix).max() < 1e-8
+
+    def test_number_hamiltonian_reads_basis_hbar(self, hbar2_basis):
+        H = number_hamiltonian(hbar2_basis, 1.0)
+        assert np.abs(H - np.diag(2.0 * (np.arange(4) + 0.5))).max() < 1e-12
+
+    def test_evolution_reads_basis_hbar(self, hbar2_basis):
+        # H = hbar (N + 1/2) at hbar = 2: t = pi is a half turn, <x> goes +1 -> -1
+        from qps import position_matrix
+
+        rho = from_pure(FockVector(hbar2_basis, np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)))
+        H = np.diag(2.0 * (np.arange(4) + 0.5))
+        x = position_matrix(hbar2_basis)
+        assert expectation(rho, x).real == pytest.approx(1.0, abs=1e-12)
+        assert expectation(evolve_lvn(rho, H, np.pi), x).real == pytest.approx(-1.0, abs=1e-12)
 
     def test_non_hermitian_rejected(self, basis):
         rho = from_pure(FockVector.unit(basis, 0))

@@ -356,7 +356,8 @@ def test_coverage_and_budget_decided_only_in_grids():
     point count (`n_p`, `n_x`), except the CLI's documented default that
     duplicates a single `--grid` or `--pgrid` spec for two axes or pairs.
     The suite names `SUITES` and the tolerance table `TOLERANCES` are each
-    assigned once, in `suites`."""
+    assigned once, in `suites`, and the phase-grid coverage rule
+    `_check_phase_coverage` is named (imported or called) only in `phasespace`."""
 
     def name(node):
         return getattr(node, "id", None) or getattr(node, "attr", None)
@@ -405,6 +406,9 @@ def test_coverage_and_budget_decided_only_in_grids():
                 found.add((path.name, owner.get(id(node)), compared(node)))
             elif path.name != "grids.py" and str(name(node)).endswith("_BUDGET"):
                 found.add((path.name, owner.get(id(node)), "*_BUDGET"))
+            elif path.name != "phasespace.py" and "_check_phase_coverage" in (
+                    name(node), getattr(node, "name", None)):
+                found.add((path.name, owner.get(id(node)), "_check_phase_coverage"))
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 assigned += [(path.name, sub.id) for target in targets for sub in ast.walk(target)
@@ -418,3 +422,32 @@ def test_coverage_and_budget_decided_only_in_grids():
                      ("cli.py", "phase_grid", "size cap")}
     assert sorted(assigned) == [("suites.py", "SUITES"), ("suites.py", "TOLERANCES")]
 
+
+def test_every_public_name_resolves_through_exports():
+    """`qps.__all__` is the lazy `_EXPORTS` table, and each name it lists is
+    defined in the module that table names, so no stale entry survives."""
+    import importlib
+
+    assert qps.__all__ == [n for names in qps._EXPORTS.values() for n in names]
+    for name in qps.__all__:
+        home = importlib.import_module(f"qps.{qps._HOME[name]}")
+        assert name in vars(home), name
+        assert getattr(qps, name) is vars(home)[name]
+
+
+def test_every_error_class_is_raised():
+    """Each exception class of `qps.errors` other than the base `QpsError` is
+    raised (`raise Name(...)` or `raise Name`) somewhere in `src/qps`."""
+    import inspect
+
+    import qps.errors
+
+    classes = {name for name, obj in vars(qps.errors).items()
+               if inspect.isclass(obj) and issubclass(obj, qps.errors.QpsError)}
+    raised = set()
+    for path in Path(qps.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    assert classes - {"QpsError"} <= raised, sorted(classes - {"QpsError"} - raised)

@@ -6,7 +6,6 @@ import pytest
 from qps import (
     CoordinateGrid,
     GaugeChoice,
-    GaugeMismatchError,
     InvalidInputError,
     JointStateSpec,
     PhaseGrid,
@@ -239,13 +238,13 @@ class TestContinuousKernel:
 class TestConsistency:
     def test_coherent_state(self, spec, grid, pgrid):
         psi = coordinate_wavefunction(spec.displaced([0.4], [0.6]), grid)
-        rep = consistency_check(psi, spec, pgrid, GaugeChoice.zero())
+        rep = consistency_check(psi, spec, pgrid)
         assert rep.p_error <= 1e-3
         assert rep.x_error <= 1e-3
 
     def test_number_state(self, spec, grid, pgrid):
         n1 = number_state(1, TruncatedBasis((3,), spec), grid)
-        rep = consistency_check(n1, spec, pgrid, GaugeChoice.zero())
+        rep = consistency_check(n1, spec, pgrid)
         assert rep.p_error <= 1e-3
         assert rep.x_error <= 1e-3
 
@@ -253,11 +252,6 @@ class TestConsistency:
         psi = coordinate_wavefunction(spec.displaced([0.2], [0.5]), grid)
         for gauge in (GaugeChoice.full(), GaugeChoice.half()):
             fam = dataclasses.replace(spec, gauge=gauge)
-            rep = consistency_check(psi, fam, pgrid, gauge)
+            rep = consistency_check(psi, fam, pgrid)
             assert rep.p_error <= 1e-3
             assert rep.x_error <= 1e-3
-
-    def test_gauge_mismatch_is_loud(self, spec, grid, pgrid):
-        psi = coordinate_wavefunction(spec, grid)
-        with pytest.raises(GaugeMismatchError):
-            consistency_check(psi, spec, pgrid, GaugeChoice.full())

@@ -9,7 +9,6 @@ from qps import (
     CoordinateGrid,
     CoverageError,
     GaugeChoice,
-    GaugeMismatchError,
     InvalidInputError,
     JointStateSpec,
     SaturationError,
@@ -313,10 +312,19 @@ class TestAnalyticOverlap:
         with pytest.raises(InvalidInputError):
             analytic_overlap(ground_spec, other)
 
-    def test_gauge_mismatch_rejected(self, ground_spec):
-        other = dataclasses.replace(ground_spec, gauge=GaugeChoice.full())
-        with pytest.raises(GaugeMismatchError):
-            analytic_overlap(ground_spec, other)
+    def test_every_gauge_pair_matches_quadrature(self, line_grid, rng):
+        # each state carries its own exp(iK), so specs in different gauges overlap too
+        gauges = (GaugeChoice.zero(), GaugeChoice.full(), GaugeChoice.half())
+        for ga in gauges:
+            for gb in gauges:
+                for _ in range(5):
+                    a = JointStateSpec.from_covariance(X=[[0.5]], gauge=ga).displaced(
+                        [rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
+                    b = JointStateSpec.from_covariance(X=[[0.5]], gauge=gb).displaced(
+                        [rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
+                    quad = inner_product(coordinate_wavefunction(a, line_grid),
+                                         coordinate_wavefunction(b, line_grid))
+                    assert abs(quad - analytic_overlap(a, b)) < 1e-10, (ga.kind, gb.kind)
 
     def test_two_axis_product(self):
         base = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
