@@ -45,8 +45,8 @@ _EXPORTS = {
     "density": ("DensityMatrix", "MicrostateCount", "MixtureSpec", "boltzmann_entropy",
                 "count_microstates", "evolve_lvn", "expectation", "from_mixture", "from_pure",
                 "number_hamiltonian", "purity", "read_density", "write_density"),
-    "psops": ("ConsistencyReport", "ContinuousKernel", "PhaseOperator", "apply_ptilde",
-              "apply_xtilde", "ccr_residual", "consistency_check", "continuous_kernel"),
+    "psops": ("ConsistencyReport", "ContinuousKernel", "apply_ptilde", "apply_xtilde",
+              "ccr_residual", "consistency_check", "continuous_kernel"),
     "io": (),
     "suites": (),
     "verify": (),

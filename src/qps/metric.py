@@ -245,11 +245,10 @@ class ShapeParams:
 def build_shape(moments: StatMoments, sig: Signature, hbar: float = 1.0) -> ShapeParams:
     """Shape parameters of the joint-state Gaussian for the given moments.
 
-    Raises if X is singular or if the resulting exponent would not decay
-    along some axis (reported by axis index).
+    Raises if hbar fails `check_hbar`, if X is singular or if the resulting
+    exponent would not decay along some axis (reported by axis index).
     """
-    if hbar <= 0.0:
-        raise InvalidInputError("hbar must be positive")
+    check_hbar(hbar)
     if sig.dim != moments.dim:
         raise InvalidInputError("signature dimension does not match moments")
     eta = sig.matrix()

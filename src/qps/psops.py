@@ -1,7 +1,8 @@
 """Representative operators acting on phase-space wavefunctions.
 
 With phase-plane coordinates (q, y) = (<p>, <x>) and metric sign s per axis,
-the momentum and coordinate operators act on psi~ as
+the momentum and coordinate operators act on psi~, in the gauge K of the
+family psi~ was analyzed in (`pw.family.gauge`; none takes a second one), as
 
     ptilde = i hbar s d/dy + q - s hbar dK/dy
     xtilde = -i hbar s d/dq + s hbar dK/dq
@@ -20,7 +21,6 @@ derivative terms use the closed forms, not numerics.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -37,30 +37,20 @@ from .grids import (
     spectral_derivative,
 )
 from .phasespace import PhaseGrid, PhaseWavefunction, _shared_analyzer, phase_wavefunction
-from .states import GaugeChoice, JointStateSpec
+from .states import JointStateSpec
 
 
-def _resolve_gauge(pw: PhaseWavefunction, gauge):
-    gauge = gauge or pw.family.gauge
-    if gauge != pw.family.gauge:
-        family = dataclasses.replace(pw.family, gauge=gauge)
-    else:
-        family = pw.family
-    return gauge, family
-
-
-def _apply_representative(pw: PhaseWavefunction, axis: int, gauge,
+def _apply_representative(pw: PhaseWavefunction, axis: int,
                           momentum: bool) -> PhaseWavefunction:
-    """ptilde (momentum) or xtilde along one pair.
+    """ptilde (momentum) or xtilde along one pair, in the gauge of pw.family.
 
     ptilde differentiates along y and multiplies by functions of q; xtilde
     does the reverse with the opposite sign and no mean term.
     """
-    gauge, family = _resolve_gauge(pw, gauge)
     if not 0 <= axis < pw.grid.npairs:
         raise InvalidInputError(f"axis {axis} out of range")
     hbar = pw.hbar
-    s = family.signature.signs[axis]
+    s = pw.family.signature.signs[axis]
     pair = pw.grid.pairs[axis]
     sign = 1.0 if momentum else -1.0
     d_axis, m_axis = (2 * axis + 1, 2 * axis) if momentum else (2 * axis, 2 * axis + 1)
@@ -70,53 +60,35 @@ def _apply_representative(pw: PhaseWavefunction, axis: int, gauge,
     out = sign * 1j * hbar * s * dmu
     if momentum:
         out += along(m_points, m_axis, pw.values.ndim) * pw.values
-    dk = gauge.phase_slope(m_points, s, hbar)
+    dk = pw.family.gauge.phase_slope(m_points, s, hbar)
     if np.any(dk != 0.0):
         out -= sign * s * hbar * along(dk, m_axis, pw.values.ndim) * pw.values
-    return PhaseWavefunction(pw.grid, out, family)
+    return PhaseWavefunction(pw.grid, out, pw.family)
 
 
-def apply_ptilde(pw: PhaseWavefunction, axis: int = 0,
-                 gauge: GaugeChoice | None = None) -> PhaseWavefunction:
+def apply_ptilde(pw: PhaseWavefunction, axis: int = 0) -> PhaseWavefunction:
     """Representative momentum operator along one pair."""
-    return _apply_representative(pw, axis, gauge, momentum=True)
+    return _apply_representative(pw, axis, momentum=True)
 
 
-def apply_xtilde(pw: PhaseWavefunction, axis: int = 0,
-                 gauge: GaugeChoice | None = None) -> PhaseWavefunction:
+def apply_xtilde(pw: PhaseWavefunction, axis: int = 0) -> PhaseWavefunction:
     """Representative coordinate operator along one pair."""
-    return _apply_representative(pw, axis, gauge, momentum=False)
+    return _apply_representative(pw, axis, momentum=False)
 
 
-@dataclass(frozen=True)
-class PhaseOperator:
-    """A composition of ptilde/xtilde applications, applied right to left."""
-
-    kinds: tuple  # sequence of ("ptilde"|"xtilde", axis)
-    gauge: GaugeChoice | None = None
-
-    def apply(self, pw: PhaseWavefunction) -> PhaseWavefunction:
-        out = pw
-        for kind, axis in reversed(self.kinds):
-            if kind not in ("ptilde", "xtilde"):
-                raise InvalidInputError(f"unknown operator kind {kind!r}")
-            out = _apply_representative(out, axis, self.gauge, kind == "ptilde")
-        return out
-
-
-def ccr_residual(gauge: GaugeChoice, pw: PhaseWavefunction) -> float:
+def ccr_residual(pw: PhaseWavefunction) -> float:
     """Max over pairs of ||(pt xt - xt pt) f - i hbar eta f|| / ||f||."""
     hbar = pw.hbar
     eta = pw.family.signature.matrix()
     fnorm = np.linalg.norm(pw.values)
     pairs = range(pw.grid.npairs)
-    xt = [apply_xtilde(pw, nu, gauge) for nu in pairs]
-    pt = [apply_ptilde(pw, mu, gauge) for mu in pairs]
+    xt = [apply_xtilde(pw, nu) for nu in pairs]
+    pt = [apply_ptilde(pw, mu) for mu in pairs]
     worst = 0.0
     for mu in pairs:
         for nu in pairs:
-            pt_xt = apply_ptilde(xt[nu], mu, gauge).values
-            xt_pt = apply_xtilde(pt[mu], nu, gauge).values
+            pt_xt = apply_ptilde(xt[nu], mu).values
+            xt_pt = apply_xtilde(pt[mu], nu).values
             res = pt_xt - xt_pt - 1j * hbar * eta[mu, nu] * pw.values
             worst = max(worst, float(np.linalg.norm(res) / fnorm))
     return worst

@@ -423,6 +423,34 @@ def test_coverage_and_budget_decided_only_in_grids():
     assert sorted(assigned) == [("suites.py", "SUITES"), ("suites.py", "TOLERANCES")]
 
 
+def test_gauge_set_only_on_the_spec():
+    """The gauge of an analysis is the one its family carries: the only
+    function in `src/qps` with a parameter named `gauge` is
+    `JointStateSpec.from_covariance`, and `psops` never names `GaugeChoice`,
+    so its operators and CCR can read no gauge but `pw.family.gauge`."""
+    takes_gauge = set()
+    psops_names_gauge_choice = []  # line numbers
+    for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # function node -> enclosing class name
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update((id(n), cls.name) for n in cls.body)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if "gauge" in [p.arg for p in params if p is not None]:
+                    takes_gauge.add((path.name, owner.get(id(node)),
+                                     getattr(node, "name", "<lambda>")))
+            if path.name == "psops.py" and "GaugeChoice" in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None)):
+                psops_names_gauge_choice.append(node.lineno)
+    assert takes_gauge == {("states.py", "JointStateSpec", "from_covariance")}
+    assert psops_names_gauge_choice == []
+
+
 def test_every_public_name_resolves_through_exports():
     """`qps.__all__` is the lazy `_EXPORTS` table, and each name it lists is
     defined in the module that table names, so no stale entry survives."""

@@ -104,6 +104,12 @@ class TestBuildShape:
             assert np.allclose(shape.matrix, shape.matrix.T, atol=1e-12)
             assert np.linalg.eigvalsh(shape.exponent.real).min() > 0.0
 
+    @pytest.mark.parametrize("hbar", [float("nan"), 0.0, 1e200])
+    def test_hbar_outside_check_hbar_rejected(self, hbar):
+        # NaN fails no comparison and 1e200 overflows hbar**2: `check_hbar` rejects both first
+        with pytest.raises(InvalidInputError, match="hbar must be in"):
+            build_shape(saturating_moments(X=[[0.5]]), Signature(0, 1), hbar)
+
 
 class TestUncertaintyDeterminant:
     def test_ground_case_saturates(self):

@@ -9,7 +9,6 @@ from qps import (
     InvalidInputError,
     JointStateSpec,
     PhaseGrid,
-    PhaseOperator,
     Signature,
     TruncatedBasis,
     analytic_overlap,
@@ -43,40 +42,59 @@ def pgrid():
 
 
 @pytest.fixture(scope="module")
-def pw(spec, grid, pgrid):
-    psi = coordinate_wavefunction(spec.displaced([0.4], [0.6]), grid)
+def psi(spec, grid):
+    return coordinate_wavefunction(spec.displaced([0.4], [0.6]), grid)
+
+
+@pytest.fixture(scope="module")
+def pw(spec, psi, pgrid):
     return phase_wavefunction(psi, spec, pgrid)
+
+
+@pytest.fixture(scope="module")
+def analyzed(spec, psi, pgrid):
+    """psi~ of the displaced state analyzed in the given gauge."""
+    return lambda gauge: phase_wavefunction(psi, dataclasses.replace(spec, gauge=gauge), pgrid)
+
+
+GAUGES = (GaugeChoice.zero(), GaugeChoice.full(), GaugeChoice.half())
 
 
 class TestGaugeBlocks:
     def test_zero_gauge_xtilde_is_bare_derivative(self, pw):
         # spatial axis: xtilde = +i hbar d/dq with no additive term
-        out = apply_xtilde(pw, 0, GaugeChoice.zero())
+        out = apply_xtilde(pw, 0)
         q = pw.grid.pairs[0].p_points()
         bare = 1j * spectral_derivative(pw.values, q[1] - q[0], 0)
         assert np.abs(out.values - bare).max() < 1e-12
 
-    def test_full_gauge_ptilde_is_bare_derivative(self, pw):
+    def test_full_gauge_ptilde_is_bare_derivative(self, analyzed):
         # spatial axis: ptilde = -i hbar d/dy with no additive term
-        out = apply_ptilde(pw, 0, GaugeChoice.full())
-        y = pw.grid.pairs[0].x_points()
-        bare = -1j * spectral_derivative(pw.values, y[1] - y[0], 1)
+        pw_full = analyzed(GaugeChoice.full())
+        out = apply_ptilde(pw_full, 0)
+        y = pw_full.grid.pairs[0].x_points()
+        bare = -1j * spectral_derivative(pw_full.values, y[1] - y[0], 1)
         assert np.abs(out.values - bare).max() < 1e-12
 
-    def test_half_gauge_carries_half_means(self, pw):
-        q = pw.grid.pairs[0].p_points()[:, None]
-        y = pw.grid.pairs[0].x_points()[None, :]
-        pt = apply_ptilde(pw, 0, GaugeChoice.half())
-        pt_full = apply_ptilde(pw, 0, GaugeChoice.full())
-        assert np.abs(pt.values - (pt_full.values + 0.5 * q * pw.values)).max() < 1e-12
-        xt = apply_xtilde(pw, 0, GaugeChoice.half())
-        xt_zero = apply_xtilde(pw, 0, GaugeChoice.zero())
-        assert np.abs(xt.values - (xt_zero.values + 0.5 * y * pw.values)).max() < 1e-12
+    def test_half_gauge_carries_half_means(self, analyzed):
+        # spatial axis: ptilde = -i hbar d/dy + q/2 and xtilde = +i hbar d/dq + y/2
+        pw_half = analyzed(GaugeChoice.half())
+        q_points, y_points = pw_half.grid.pairs[0].p_points(), pw_half.grid.pairs[0].x_points()
+        q, y = q_points[:, None], y_points[None, :]
+        d_y = spectral_derivative(pw_half.values, y_points[1] - y_points[0], 1)
+        pt = apply_ptilde(pw_half, 0)
+        assert np.abs(pt.values - (-1j * d_y + 0.5 * q * pw_half.values)).max() < 1e-12
+        d_q = spectral_derivative(pw_half.values, q_points[1] - q_points[0], 0)
+        xt = apply_xtilde(pw_half, 0)
+        assert np.abs(xt.values - (1j * d_q + 0.5 * y * pw_half.values)).max() < 1e-12
 
-    def test_const_gauge_matches_zero_operators(self, pw):
-        a = apply_ptilde(pw, 0, GaugeChoice.zero())
-        b = apply_ptilde(pw, 0, GaugeChoice.const(0.37))
-        assert np.abs(a.values - b.values).max() < 1e-15
+    def test_const_gauge_matches_zero_operators(self, analyzed):
+        # a constant K has no slope, so ptilde is the zero gauge's i hbar s d/dy + q
+        pw_const = analyzed(GaugeChoice.const(0.37))
+        q_points, y_points = pw_const.grid.pairs[0].p_points(), pw_const.grid.pairs[0].x_points()
+        d_y = spectral_derivative(pw_const.values, y_points[1] - y_points[0], 1)
+        zero_rule = -1j * d_y + q_points[:, None] * pw_const.values
+        assert np.abs(apply_ptilde(pw_const, 0).values - zero_rule).max() < 1e-15
 
     def test_linearity(self, pw, rng):
         alpha = complex(rng.normal(), rng.normal())
@@ -90,15 +108,12 @@ class TestGaugeBlocks:
 
 
 class TestCcr:
-    def test_all_gauges_small_residual(self, pw):
-        for gauge in (GaugeChoice.zero(), GaugeChoice.full(), GaugeChoice.half()):
-            assert ccr_residual(gauge, pw) <= 1e-8
+    def test_all_gauges_small_residual(self, analyzed):
+        for gauge in GAUGES:
+            assert ccr_residual(analyzed(gauge)) <= 1e-8
 
-    def test_gauge_agreement(self, pw):
-        vals = [
-            ccr_residual(g, pw)
-            for g in (GaugeChoice.zero(), GaugeChoice.full(), GaugeChoice.half())
-        ]
+    def test_gauge_agreement(self, analyzed):
+        vals = [ccr_residual(analyzed(g)) for g in GAUGES]
         assert max(vals) - min(vals) <= 1e-10
 
     def test_plus_axis_sign(self, grid):
@@ -106,14 +121,14 @@ class TestCcr:
         spec_p = JointStateSpec.from_covariance(X=[[0.5]], signature=Signature(1, 0))
         psi = coordinate_wavefunction(spec_p, grid)
         pw_p = phase_wavefunction(psi, spec_p, PhaseGrid.symmetric(12.0, 192))
-        assert ccr_residual(GaugeChoice.zero(), pw_p) <= 1e-8
+        assert ccr_residual(pw_p) <= 1e-8
 
     def test_cross_pair_commutators_vanish(self):
         spec2 = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
         grid2 = CoordinateGrid.square(-12.0, 12.0, 128)
         psi2 = coordinate_wavefunction(spec2, grid2)
         pw2 = phase_wavefunction(psi2, spec2, PhaseGrid.symmetric(10.0, 48, npairs=2))
-        assert ccr_residual(GaugeChoice.zero(), pw2) <= 1e-8
+        assert ccr_residual(pw2) <= 1e-8
 
     def test_two_pairs_apply_each_single_operator_once(self, monkeypatch):
         import qps.psops as psops
@@ -121,15 +136,15 @@ class TestCcr:
         spec2 = JointStateSpec.from_covariance(X=np.diag([0.5, 0.7]), mean_p=[0.3, -0.2],
                                                mean_x=[0.5, 0.1])
         psi2 = coordinate_wavefunction(spec2, CoordinateGrid.square(-12.0, 12.0, 64))
-        pw2 = phase_wavefunction(psi2, spec2, PhaseGrid.symmetric(10.0, 32, npairs=2))
-        gauge = GaugeChoice.half()
+        pw2 = phase_wavefunction(psi2, dataclasses.replace(spec2, gauge=GaugeChoice.half()),
+                                 PhaseGrid.symmetric(10.0, 32, npairs=2))
         # the formula before the single applications were shared
         eta = pw2.family.signature.matrix()
         reference = 0.0
         for mu in range(2):
             for nu in range(2):
-                pt_xt = apply_ptilde(apply_xtilde(pw2, nu, gauge), mu, gauge).values
-                xt_pt = apply_xtilde(apply_ptilde(pw2, mu, gauge), nu, gauge).values
+                pt_xt = apply_ptilde(apply_xtilde(pw2, nu), mu).values
+                xt_pt = apply_xtilde(apply_ptilde(pw2, mu), nu).values
                 res = pt_xt - xt_pt - 1j * pw2.hbar * eta[mu, nu] * pw2.values
                 reference = max(reference,
                                 float(np.linalg.norm(res) / np.linalg.norm(pw2.values)))
@@ -143,14 +158,9 @@ class TestCcr:
 
         monkeypatch.setattr(psops, "apply_ptilde", counted(apply_ptilde))
         monkeypatch.setattr(psops, "apply_xtilde", counted(apply_xtilde))
-        assert ccr_residual(gauge, pw2) == reference
+        assert ccr_residual(pw2) == reference
         # 2 x 2 single applications, then one more on each of 2 x 4 products
         assert len(calls) == 12
-
-    def test_phase_operator_composition(self, pw):
-        composed = PhaseOperator((("ptilde", 0), ("xtilde", 0)), GaugeChoice.zero())
-        manual = apply_ptilde(apply_xtilde(pw, 0, GaugeChoice.zero()), 0, GaugeChoice.zero())
-        assert np.abs(composed.apply(pw).values - manual.values).max() < 1e-15
 
 
 @pytest.fixture(scope="module")
