@@ -25,11 +25,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CoverageError", "InvalidInputError", "QpsError", "SaturationError",
                "UnsupportedError"),
-    "metric": ("HBAR_SI", "CovarianceFactors", "ShapeParams", "Signature", "StatMoments",
-               "UncertaintyCheck", "block_covariance", "build_shape", "check_saturation",
-               "decompose_covariance", "particle_from_wave", "raise_lower",
-               "reconstruct_covariance", "saturating_moments", "uncertainty_determinant",
-               "wave_from_particle"),
+    "metric": ("CovarianceFactors", "ShapeParams", "Signature", "StatMoments",
+               "block_covariance", "build_shape", "check_saturation", "decompose_covariance",
+               "reconstruct_covariance", "saturating_moments"),
     "grids": ("CoordinateGrid", "GridAxis", "GridWavefunction", "apply_momentum",
               "apply_position", "inner_product", "inverse_momentum_transform", "moments",
               "momentum_transform", "read_wavefunction", "write_wavefunction"),
@@ -45,8 +43,8 @@ _EXPORTS = {
     "density": ("DensityMatrix", "MicrostateCount", "MixtureSpec", "boltzmann_entropy",
                 "count_microstates", "evolve_lvn", "expectation", "from_mixture", "from_pure",
                 "number_hamiltonian", "purity", "read_density", "write_density"),
-    "psops": ("ConsistencyReport", "ContinuousKernel", "apply_ptilde", "apply_xtilde",
-              "ccr_residual", "consistency_check", "continuous_kernel"),
+    "psops": ("ConsistencyReport", "apply_ptilde", "apply_xtilde", "ccr_residual",
+              "consistency_check"),
     "io": (),
     "suites": (),
     "verify": (),

@@ -52,14 +52,6 @@ class TruncatedBasis:
     def naxes(self) -> int:
         return len(self.n_max)
 
-    def indices(self):
-        """Multi-indices in row-major order, matching the flat coefficient layout."""
-        return list(np.ndindex(*self.n_max))
-
-    def flat_index(self, n) -> int:
-        n = (n,) if np.isscalar(n) else tuple(n)
-        return int(np.ravel_multi_index(n, self.n_max))
-
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
@@ -81,13 +73,10 @@ class FockVector:
     def is_normalized(self) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= 1e-9
 
-    def normalized(self) -> "FockVector":
-        return FockVector(self.basis, self.coeffs / self.norm())
-
     @classmethod
     def unit(cls, basis: TruncatedBasis, n) -> "FockVector":
         c = np.zeros(basis.dim, dtype=complex)
-        c[basis.flat_index(n)] = 1.0
+        c[np.ravel_multi_index((n,) if np.isscalar(n) else tuple(n), basis.n_max)] = 1.0
         return cls(basis, c)
 
 

@@ -24,9 +24,6 @@ import numpy as np
 
 from .errors import InvalidInputError, SaturationError
 
-# 2019 SI value, h = 6.62607015e-34 J s exactly
-HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)
-
 # largest saturation residual decompose_covariance factors
 _FACTOR_SATURATION_TOL = 1e-6
 
@@ -96,20 +93,6 @@ class Signature:
     def spatial(cls, dim: int = 1) -> "Signature":
         """All-minus signature of an ordinary D-dimensional quantum system."""
         return cls(0, dim)
-
-
-def raise_lower(components, metric) -> np.ndarray:
-    """Flip index position of a component vector: multiply by the metric diagonal.
-
-    Involutive since the metric squares to the identity.
-    """
-    components = np.asarray(components, dtype=float)
-    diag = np.diag(np.asarray(metric, dtype=float))
-    if components.shape != diag.shape:
-        raise InvalidInputError(
-            f"size mismatch: {components.shape} components vs {diag.shape} metric"
-        )
-    return components * diag
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,33 +251,6 @@ def build_shape(moments: StatMoments, sig: Signature, hbar: float = 1.0) -> Shap
     return shape
 
 
-@dataclass(frozen=True)
-class UncertaintyCheck:
-    determinant: float
-    bound: float
-    saturated: bool
-    violated: bool
-
-
-def uncertainty_determinant(P11: float, X11: float, rho11: float,
-                            hbar: float = 1.0) -> UncertaintyCheck:
-    """Covariance-matrix determinant P X - rho^2 against the hbar^2/4 floor.
-
-    A violation is reported, not raised: callers feed arbitrary numbers.
-    """
-    if P11 <= 0.0 or X11 <= 0.0:
-        raise InvalidInputError("variances must be positive")
-    det = P11 * X11 - rho11**2
-    bound = hbar**2 / 4.0
-    tol = 1e-9 * bound
-    return UncertaintyCheck(
-        determinant=det,
-        bound=bound,
-        saturated=abs(det - bound) <= tol,
-        violated=det < bound - tol,
-    )
-
-
 def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) -> float:
     """Relative Frobenius residual of the conditions for a joint state.
 
@@ -379,21 +335,3 @@ def decompose_covariance(moments: StatMoments, sig: Signature,
     if not np.allclose(rebuilt, target, atol=1e-10 * max(1.0, np.abs(target).max())):
         raise InvalidInputError("covariance factor reconstruction failed")
     return factors
-
-
-def wave_from_particle(energy, momentum, hbar: float = 1.0):
-    """Planck-Einstein-De Broglie map: (energy, momentum) -> (omega, wavevector)."""
-    energy = np.asarray(energy, dtype=float)
-    momentum = np.asarray(momentum, dtype=float)
-    if not (np.all(np.isfinite(energy)) and np.all(np.isfinite(momentum))):
-        raise InvalidInputError("non-finite input")
-    return energy / hbar, momentum / hbar
-
-
-def particle_from_wave(omega, wavevector, hbar: float = 1.0):
-    """Inverse of :func:`wave_from_particle`; the round trip is exact."""
-    omega = np.asarray(omega, dtype=float)
-    wavevector = np.asarray(wavevector, dtype=float)
-    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(wavevector))):
-        raise InvalidInputError("non-finite input")
-    return hbar * omega, hbar * wavevector

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, check_budget, check_coverage, moments
 from .io import write_grid_csv
-from .metric import check_weights
 from .states import JointStateSpec
 
 
@@ -128,9 +127,6 @@ class PhaseWavefunction:
         """Mass against the dq dy / h measure (1 for a normalized source)."""
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.measure(self.hbar))
 
-    def with_values(self, values) -> "PhaseWavefunction":
-        return PhaseWavefunction(self.grid, values, self.family)
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseDistribution:
@@ -155,9 +151,6 @@ class PhaseDistribution:
 
     def minimum(self) -> float:
         return float(self.values.min())
-
-    def maximum(self) -> float:
-        return float(self.values.max())
 
     def argmax_point(self) -> tuple:
         """(p, x, ...) coordinates of the largest sample."""
@@ -294,13 +287,6 @@ class PhaseAnalyzer:
                 out = np.tensordot(out, table, axes=([0, 1], [0, 1]))
         return out * (self.norm / self.grid.cell_volume * self.pgrid.measure(self.family.hbar))
 
-    def family_state(self, *index: int) -> np.ndarray:
-        """Sampled family state at phase point (j1, k1, j2, k2, ...): the
-        synthesis of a unit sample there, without the measure."""
-        unit = np.zeros(self.pgrid.shape)
-        unit[index] = 1.0
-        return self.synthesize(unit) / self.pgrid.measure(self.family.hbar)
-
 
 def _pass(out: np.ndarray, E: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Contract the leading grid axis m of `out` with one pair's tables and
@@ -349,19 +335,20 @@ def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
 
 def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
                         states: list | None = None) -> PhaseDistribution:
-    """Positive phase-space density of a pure state, a mixture, or a density matrix.
+    """Positive phase-space density of a pure state or a density matrix.
 
-    Every source is an eigenvalue-weighted sum of pure Husimi functions,
-    sum_k w_k |psi~_k|^2, transformed with one analyzer.  Pure state: one
-    term of weight 1.  Mixture (sequence of (weight, GridWavefunction) on one
-    grid): its components.  Density matrix: the eigenvectors of rho realized
-    as sums of its built basis `states` (as from `fock.grid_number_states`,
-    so many snapshots share one build), keeping only eigenvalues above the
-    resolution of a ``%.12g`` density file, 1e-11 sqrt(dim) lam_max; that
-    drops the tolerated round-off negatives too, so the result is >= 0 by
+    Both sources are an eigenvalue-weighted sum of pure Husimi functions,
+    sum_k w_k |psi~_k|^2, transformed with one analyzer.  Pure state (a
+    GridWavefunction): one term of weight 1, on a phase grid that covers it.
+    Density matrix: the eigenvectors of rho realized as sums of its built
+    basis `states` (as from `fock.grid_number_states`, so many snapshots
+    share one build), keeping only eigenvalues above the resolution of a
+    ``%.12g`` density file, 1e-11 sqrt(dim) lam_max; that drops the
+    tolerated round-off negatives too, so the result is >= 0 by
     construction and costs one transform per eigenvector the stored matrix
-    resolves.  Calls with the same family, phase grid and coordinate grid
-    (the snapshots of one command) share one analyzer.
+    resolves.  Any other source is rejected.  Calls with the same family,
+    phase grid and coordinate grid (the snapshots of one command) share one
+    analyzer.
     """
     if hasattr(source, "basis") and hasattr(source, "matrix"):
         if states is None or len(states) != source.dim:
@@ -376,21 +363,13 @@ def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
         weights = lam[keep]
         grid = states[0].grid
         psis = np.tensordot(V[:, keep].T, np.stack([s.values for s in states]), axes=1)
+    elif isinstance(source, GridWavefunction):
+        _check_phase_coverage(source, pgrid, 6.0)
+        weights = np.ones(1)
+        grid = source.grid
+        psis = [source.values]
     else:
-        if isinstance(source, GridWavefunction):
-            source = [(1.0, source)]
-        try:
-            components = [(float(w), s) for w, s in source]
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError("unsupported husimi source") from exc
-        weights = np.array([w for w, _ in components])
-        check_weights(weights)
-        for _, s in components:
-            if not (isinstance(s, GridWavefunction) and s.grid == components[0][1].grid):
-                raise InvalidInputError("mixture components must be wavefunctions on one grid")
-            _check_phase_coverage(s, pgrid, 6.0)
-        grid = components[0][1].grid
-        psis = [s.values for _, s in components]
+        raise InvalidInputError("unsupported husimi source")
     analyzer = _shared_analyzer(family, pgrid, grid)
     values = 0.0
     for w, psi in zip(weights, psis):

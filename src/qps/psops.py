@@ -21,23 +21,13 @@ derivative terms use the closed forms, not numerics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .grids import (
-    CoordinateGrid,
-    GridWavefunction,
-    along,
-    apply_momentum,
-    apply_position,
-    check_budget,
-    spectral_derivative,
-)
-from .phasespace import PhaseGrid, PhaseWavefunction, _shared_analyzer, phase_wavefunction
-from .states import JointStateSpec
+from .grids import GridWavefunction, along, apply_momentum, apply_position, spectral_derivative
+from .phasespace import PhaseWavefunction, _shared_analyzer
 
 
 def _apply_representative(pw: PhaseWavefunction, axis: int,
@@ -94,61 +84,24 @@ def ccr_residual(pw: PhaseWavefunction) -> float:
     return worst
 
 
-@dataclass(frozen=True, eq=False)
-class ContinuousKernel:
-    """Samples A(z, z') of an operator between family states at phase points."""
-
-    grid: PhaseGrid
-    values: np.ndarray  # (n_phase, n_phase), row = unprimed z
-    family: JointStateSpec
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.values - self.values.conj().T).max())
-
-    def contract(self, pw: PhaseWavefunction) -> np.ndarray:
-        """(A psi~)(z) = sum_z' A(z, z') psi~(z') dq dy / h."""
-        if pw.grid != self.grid:
-            raise InvalidInputError("kernel and wavefunction grids differ")
-        flat = pw.values.reshape(-1)
-        out = self.values @ flat * self.grid.measure(self.family.hbar)
-        return out.reshape(self.grid.shape)
-
-
-def continuous_kernel(op, family: JointStateSpec, pgrid: PhaseGrid,
-                      grid: CoordinateGrid) -> ContinuousKernel:
-    """Quadrature matrix <z|A|z'> over all pairs of phase points, both in the
-    row-major order of the phase grid."""
-    n_phase = math.prod(pgrid.shape)
-    check_budget(f"kernel over {n_phase} phase points has {n_phase**2} entries", n_phase**2)
-    analyzer = _shared_analyzer(family, pgrid, grid)
-    out = np.zeros((n_phase, n_phase), dtype=complex)
-    for col, index in enumerate(np.ndindex(*pgrid.shape)):
-        phi = GridWavefunction(grid, analyzer.family_state(*index),
-                               family.hbar, tuple(family.signature.signs))
-        image = op(phi)
-        out[:, col] = analyzer.transform(image.values).reshape(-1)
-    return ContinuousKernel(grid=pgrid, values=out, family=family)
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     p_error: float
     x_error: float
 
 
-def consistency_check(state: GridWavefunction, family: JointStateSpec,
-                      pgrid: PhaseGrid) -> ConsistencyReport:
-    """Compare <z|p|psi> and <z|x|psi> computed two ways, in the family's gauge.
+def consistency_check(state: GridWavefunction, pw: PhaseWavefunction) -> ConsistencyReport:
+    """Compare <z|p|psi> and <z|x|psi> computed two ways, in the gauge of
+    `pw.family`; `pw` is the caller's `phase_wavefunction` of `state`.
 
-    Direct route: apply the grid operator, then analyze.  Phase route: analyze
-    first (`phase_wavefunction`), then apply the representative operator.
-    The sup-norm discrepancy is grid-limited (~1e-3 on default grids).
+    Direct route: apply the grid operator, then analyze with the analyzer
+    `pw` was built with.  Phase route: apply the representative operator to
+    `pw`.  The sup-norm discrepancy is grid-limited (~1e-3 on default grids).
     """
-    pw = phase_wavefunction(state, family, pgrid)
-    analyzer = _shared_analyzer(family, pgrid, state.grid)  # the one pw was built with
+    analyzer = _shared_analyzer(pw.family, pw.grid, state.grid)  # the one pw was built with
     p_err = 0.0
     x_err = 0.0
-    for axis in range(family.dim):
+    for axis in range(pw.family.dim):
         direct_p = analyzer.transform(apply_momentum(state, axis).values)
         via_pt = apply_ptilde(pw, axis)
         p_err = max(p_err, float(np.abs(direct_p - via_pt.values).max()))

@@ -81,10 +81,6 @@ class GaugeChoice:
     def half(cls):
         return cls("half")
 
-    @classmethod
-    def const(cls, value: float):
-        return cls("const", float(value))
-
     @property
     def label(self) -> str:
         return self.kind if self.kind != "const" else f"const({self.value:.12g})"

@@ -229,13 +229,12 @@ def suite_gauge(hbar=1.0, tols=None):
     grid = CoordinateGrid.line(-16 * s, 16 * s, 1024)
     psi = coordinate_wavefunction(spec_zero.displaced([0.4 * s], [0.6 * s]), grid)
     pg = PhaseGrid.symmetric(12.0 * s, 192)
-    # run while spec_zero's analyzer is the cached one: the other gauges evict it
-    rep = psops.consistency_check(psi, spec_zero, pg)
-    # the same state analyzed in each gauge; the zero gauge reuses spec_zero
-    # itself, since specs hash by identity and a copy would miss the cache
-    pws = [phasespace.phase_wavefunction(psi, spec, pg) for spec in
-           (spec_zero, *(dataclasses.replace(spec_zero, gauge=g)
-                         for g in (GaugeChoice.full(), GaugeChoice.half())))]
+    # the same state analyzed in each gauge; the zero gauge is checked while
+    # its analyzer is the cached one, before the other gauges evict it
+    pws = [phasespace.phase_wavefunction(psi, spec_zero, pg)]
+    rep = psops.consistency_check(psi, pws[0])
+    pws += [phasespace.phase_wavefunction(psi, dataclasses.replace(spec_zero, gauge=g), pg)
+            for g in (GaugeChoice.full(), GaugeChoice.half())]
     ccr_tol = _tol(tols, "ccr")
     checks = []
 

@@ -206,10 +206,10 @@ def test_06_positivity_contrast(grid, ground):
         husimi_distribution(psi, ground, pg).minimum() for psi in tested.values()
     )
     wig = wigner_distribution(n1, pg)
-    contrast = wig.minimum() <= -0.25 * wig.maximum()
+    contrast = wig.minimum() <= -0.25 * wig.values.max()
     report(6, "positivity-contrast",
            f"husimi min {husimi_min:.2e} (floor -1e-12), wigner min/max "
-           f"{wig.minimum() / wig.maximum():.2f} (need <= -0.25)",
+           f"{wig.minimum() / wig.values.max():.2f} (need <= -0.25)",
            husimi_min >= -1e-12 and contrast, time.time() - t0, 60.0)
 
 

@@ -52,6 +52,18 @@ class TestStateSynth:
         assert report["saturation_residual"] <= 1e-9
         assert "saturation_residual" in out
 
+    def test_const_gauge_spec(self, tmp_path, capsys):
+        # spec files are the one way to the "const" gauge kind
+        spec = write_spec(tmp_path, gauge={"kind": "const", "value": 0.3})
+        assert main(["state", "synth", spec, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "moments.json").read_text())["gauge"] == "const(0.3)"
+        capsys.readouterr()
+        wavefunction = str(tmp_path / "wavefunction.csv")
+        assert main(["dist", wavefunction, "--kind", "phasewave", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        norm = float(next(l.split()[1] for l in out.splitlines() if l.startswith("normalization")))
+        assert abs(norm - 1.0) <= 1e-9
+
     def test_non_saturating_spec_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, P=[[1.0]])
         code = main(["state", "synth", spec, "--out", str(tmp_path)])
@@ -321,17 +333,23 @@ class TestVerify:
 
     def test_gauge_suite_builds_one_analyzer_per_gauge(self, monkeypatch):
         # spec_zero's analyzer serves its phase wavefunction, the consistency
-        # rows and the zero entry of the covariance rows
+        # rows and the zero entry of the covariance rows; the consistency
+        # check takes that phase wavefunction, so the zero-gauge state is
+        # transformed once, plus once per consistency operator and gauge
         from qps.phasespace import PhaseAnalyzer
         from qps.verify import run_suite
 
-        built = []
-        init = PhaseAnalyzer.__init__
+        built, transformed = [], []
+        init, transform = PhaseAnalyzer.__init__, PhaseAnalyzer.transform
         monkeypatch.setattr(PhaseAnalyzer, "__init__",
                             lambda self, family, *a: built.append(family.gauge.kind)
                             or init(self, family, *a))
+        monkeypatch.setattr(PhaseAnalyzer, "transform",
+                            lambda self, values: transformed.append(self.family.gauge.kind)
+                            or transform(self, values))
         report = run_suite("gauge")
         assert built == ["zero", "full", "half"]
+        assert transformed == ["zero"] * 3 + ["full", "half"]
         assert [row["name"] for row in report["checks"]] == [
             "ccr_zero", "ccr_full", "ccr_half", "ccr_pairwise_agreement",
             "ptilde_modulus_gauge_invariance", "consistency_p", "consistency_x",

@@ -89,7 +89,7 @@ class TestBuildLadder:
         assert lad.lowering[0].shape == (12, 12)
         cross = lad.lowering[0] @ lad.raising[1] - lad.raising[1] @ lad.lowering[0]
         assert np.abs(cross).max() < 1e-12
-        expected = [n0 + n1 for n0, n1 in basis2.indices()]
+        expected = [n0 + n1 for n0, n1 in np.ndindex(*basis2.n_max)]
         assert np.allclose(np.diag(lad.number).real, expected, atol=1e-12)
 
     def test_budget_enforced(self, ground_spec_module):
@@ -199,7 +199,7 @@ class TestNumberState:
         res = np.sqrt(np.sum(np.abs(total - 3.0 * psi.values) ** 2) * grid.cell_volume)
         assert res < 1e-7
         # number_state walks the same ladder as grid_number_states
-        family = grid_number_states(basis, grid)[basis.flat_index((1, 2))]
+        family = grid_number_states(basis, grid)[np.ravel_multi_index((1, 2), basis.n_max)]
         assert np.abs(psi.values - family.values).max() <= 1e-12 * np.abs(psi.values).max()
 
 

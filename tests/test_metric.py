@@ -2,8 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qps import (
     InvalidInputError,
@@ -14,12 +12,8 @@ from qps import (
     build_shape,
     check_saturation,
     decompose_covariance,
-    particle_from_wave,
-    raise_lower,
     reconstruct_covariance,
     saturating_moments,
-    uncertainty_determinant,
-    wave_from_particle,
 )
 
 
@@ -39,31 +33,6 @@ class TestMetric:
             Signature(0, 0)
         with pytest.raises(InvalidInputError):
             Signature(-1, 2)
-
-
-class TestRaiseLower:
-    def test_flips_sign_on_minus_axis(self):
-        assert raise_lower([2.0], Signature(0, 1).matrix())[0] == -2.0
-
-    def test_zero_vector(self):
-        out = raise_lower(np.zeros(3), Signature(1, 2).matrix())
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_size_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            raise_lower([1.0, 2.0], Signature(0, 1).matrix())
-
-    @settings(deadline=None, max_examples=50)
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
-        st.data(),
-    )
-    def test_involution(self, comps, data):
-        d = len(comps)
-        d_plus = data.draw(st.integers(0, d))
-        metric = Signature(d_plus, d - d_plus).matrix()
-        once = raise_lower(comps, metric)
-        assert np.array_equal(raise_lower(once, metric), np.asarray(comps))
 
 
 class TestBuildShape:
@@ -109,39 +78,6 @@ class TestBuildShape:
         # NaN fails no comparison and 1e200 overflows hbar**2: `check_hbar` rejects both first
         with pytest.raises(InvalidInputError, match="hbar must be in"):
             build_shape(saturating_moments(X=[[0.5]]), Signature(0, 1), hbar)
-
-
-class TestUncertaintyDeterminant:
-    def test_ground_case_saturates(self):
-        rep = uncertainty_determinant(0.5, 0.5, 0.0, 1.0)
-        assert rep.determinant == pytest.approx(0.25)
-        assert rep.saturated and not rep.violated
-
-    def test_loose_state(self):
-        rep = uncertainty_determinant(1.0, 1.0, 0.0, 1.0)
-        assert rep.determinant == pytest.approx(1.0)
-        assert not rep.saturated and not rep.violated
-
-    def test_correlated_saturating(self):
-        # P = hbar^2/(4X) + rho^2/X at X=0.5, rho=0.5 gives P = 1.0
-        rep = uncertainty_determinant(1.0, 0.5, 0.5, 1.0)
-        assert rep.determinant == pytest.approx(0.25)
-        assert rep.saturated
-
-    def test_violation_flagged_not_raised(self):
-        rep = uncertainty_determinant(0.1, 0.1, 0.0, 1.0)
-        assert rep.violated and not rep.saturated
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        st.floats(0.05, 5.0),
-        st.floats(-2.0, 2.0),
-        st.floats(0.1, 4.0),
-    )
-    def test_saturating_construction_never_violates(self, X, rho, hbar):
-        P = hbar**2 / (4 * X) + rho**2 / X
-        rep = uncertainty_determinant(P, X, rho, hbar)
-        assert not rep.violated
 
 
 class TestCheckSaturation:
@@ -274,26 +210,3 @@ class TestDecomposeCovariance:
         assert abs(f.a[1, 1].real) < 1e-12 and f.a[1, 1].imag > 0.0
         rebuilt = reconstruct_covariance(f, sig)
         assert np.abs(rebuilt - block_covariance(m)).max() < 1e-10
-
-
-class TestWaveParticle:
-    def test_energy_to_frequency(self):
-        omega, _ = wave_from_particle(1.0, np.zeros(3), 1.0)
-        assert omega == 1.0
-
-    def test_momentum_to_wavevector(self):
-        _, k = wave_from_particle(0.0, np.array([2.0, 0.0, 0.0]), 1.0)
-        assert np.array_equal(k, np.array([2.0, 0.0, 0.0]))
-
-    def test_round_trip_exact(self):
-        energy, momentum = particle_from_wave(3.5, np.array([1.0, -2.0]), hbar=1.0)
-        omega, k = wave_from_particle(energy, momentum, hbar=1.0)
-        assert omega == 3.5
-        assert np.array_equal(k, np.array([1.0, -2.0]))
-
-    def test_round_trip_nontrivial_hbar(self):
-        hbar = 1.7
-        omega, k = wave_from_particle(2.0, np.array([0.3]), hbar)
-        energy, momentum = particle_from_wave(omega, k, hbar)
-        assert energy == pytest.approx(2.0, rel=1e-15)
-        assert momentum[0] == pytest.approx(0.3, rel=1e-15)

@@ -134,16 +134,13 @@ class TestHusimi:
         assert abs(x_peak - 2.0) <= pgrid.pairs[0].dx
         assert abs(p_peak) <= pgrid.pairs[0].dp
 
-    def test_mixture_two_bumps(self, spec, grid, pgrid):
-        a = coordinate_wavefunction(spec.displaced([0.0], [3.0]), grid)
-        b = coordinate_wavefunction(spec.displaced([0.0], [-3.0]), grid)
-        dist = husimi_distribution([(0.5, a), (0.5, b)], spec, pgrid)
-        pair = pgrid.pairs[0]
-        x = pair.x_points()
-        mass_right = dist.values[:, x > 0].sum() * pgrid.measure(1.0)
-        mass_left = dist.values[:, x < 0].sum() * pgrid.measure(1.0)
-        assert mass_right == pytest.approx(0.5, abs=1e-3)
-        assert mass_left == pytest.approx(0.5, abs=1e-3)
+    def test_pure_source_checked_like_any_analysis(self, spec, grid, pgrid):
+        psi = coordinate_wavefunction(spec, grid)
+        far = coordinate_wavefunction(spec.displaced([0.0], [7.0]), grid)
+        with pytest.raises(InvalidInputError, match="normalized"):
+            husimi_distribution(psi.with_values(2.0 * psi.values), spec, pgrid)
+        with pytest.raises(CoverageError):
+            husimi_distribution(far, spec, pgrid)
 
     def test_number_state_positivity(self, spec, grid, pgrid):
         basis = TruncatedBasis((3,), spec)
@@ -174,16 +171,25 @@ class TestHusimi:
             with pytest.raises(InvalidInputError, match="needs its 4 grid number states"):
                 husimi_distribution(rho, spec, pgrid, wrong)
 
+    @staticmethod
+    def mixture_source(spec, grid, pgrid, weights):
+        # a mixture reaches Husimi as a density source, its weights checked
+        # where the mixture is built
+        from qps import FockVector, MixtureSpec, from_mixture
+
+        basis = TruncatedBasis((3,), spec)
+        mix = MixtureSpec(tuple((w, FockVector.unit(basis, 0)) for w in weights))
+        return husimi_distribution(from_mixture(mix), spec, pgrid,
+                                   grid_number_states(basis, grid))
+
     def test_bad_weights_rejected(self, spec, grid, pgrid):
-        psi = coordinate_wavefunction(spec, grid)
         with pytest.raises(InvalidInputError):
-            husimi_distribution([(0.7, psi), (0.7, psi)], spec, pgrid)
+            self.mixture_source(spec, grid, pgrid, [0.7, 0.7])
 
     @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 1.0], []])
     def test_nan_or_no_weights_rejected(self, spec, grid, pgrid, weights):
-        psi = coordinate_wavefunction(spec, grid)
         with pytest.raises(InvalidInputError, match="must be >= 0 and sum to 1"):
-            husimi_distribution([(w, psi) for w in weights], spec, pgrid)
+            self.mixture_source(spec, grid, pgrid, weights)
 
 
 class TestWigner:
@@ -197,7 +203,7 @@ class TestWigner:
         n1 = number_state(1, TruncatedBasis((3,), spec), grid)
         dist = wigner_distribution(n1, pgrid)
         assert dist.integral() == pytest.approx(1.0, abs=1e-3)
-        assert dist.minimum() <= -0.25 * dist.maximum()
+        assert dist.minimum() <= -0.25 * dist.values.max()
 
     def test_origin_value_matches_closed_form(self, spec, grid):
         # W_1(0,0) = -1/(pi hbar); stored density carries the extra h
@@ -537,30 +543,22 @@ class TestDensityHusimi:
 
 class TestMixtureHusimi:
     def test_weighted_sum_of_pure_densities(self, spec, grid, pgrid):
-        a = coordinate_wavefunction(spec.displaced([0.5], [1.0]), grid)
-        b = number_state(2, TruncatedBasis((3,), spec), grid)
-        dist = husimi_distribution([(0.25, a), (0.75, b)], spec, pgrid)
-        pure = [husimi_distribution(s, spec, pgrid).values for s in (a, b)]
+        # a mixture is a density source: rho = 0.25 |1><1| + 0.75 |2><2|
+        from qps import FockVector, MixtureSpec, from_mixture
+
+        basis = TruncatedBasis((3,), spec)
+        states = grid_number_states(basis, grid)
+        mix = MixtureSpec(((0.25, FockVector.unit(basis, 1)), (0.75, FockVector.unit(basis, 2))))
+        dist = husimi_distribution(from_mixture(mix), spec, pgrid, states)
+        pure = [husimi_distribution(states[n], spec, pgrid).values for n in (1, 2)]
         assert np.array_equal(dist.values, 0.25 * pure[0] + 0.75 * pure[1])
 
-    def test_components_checked_like_pure_states(self, spec, grid, pgrid):
+    @pytest.mark.parametrize("other", ["list", "array", "empty"])
+    def test_other_sources_rejected(self, spec, grid, pgrid, other):
+        # a (weight, state) list is no source: a mixture enters as a density
         psi = coordinate_wavefunction(spec, grid)
-        far = coordinate_wavefunction(spec.displaced([0.0], [7.0]), grid)
-        with pytest.raises(InvalidInputError, match="normalized"):
-            husimi_distribution([(0.5, psi), (0.5, psi.with_values(2.0 * psi.values))],
-                                spec, pgrid)
-        with pytest.raises(CoverageError):
-            husimi_distribution([(0.5, psi), (0.5, far)], spec, pgrid)
-
-    @pytest.mark.parametrize("other", ["grid", "type", "empty"])
-    def test_components_must_share_one_grid(self, spec, grid, pgrid, other):
-        psi = coordinate_wavefunction(spec, grid)
-        source = {
-            "grid": [(0.5, psi), (0.5, coordinate_wavefunction(spec, CoordinateGrid.line()))],
-            "type": [(0.5, psi), (0.5, psi.values)],
-            "empty": [],
-        }[other]
-        with pytest.raises(InvalidInputError):
+        source = {"list": [(1.0, psi)], "array": psi.values, "empty": []}[other]
+        with pytest.raises(InvalidInputError, match="unsupported husimi source"):
             husimi_distribution(source, spec, pgrid)
 
 
@@ -589,7 +587,7 @@ def build_analyzer(case, gauge="full"):
     grid, pgrid = (ANALYZER_CASES | MASS_CASES)[case]
     d = grid.ndim
     gauge = {"full": GaugeChoice.full(), "half": GaugeChoice.half(), "zero": GaugeChoice.zero(),
-             "const(0)": GaugeChoice.const(0.0), "const(0.3)": GaugeChoice.const(0.3)}[gauge]
+             "const(0)": GaugeChoice("const", 0.0), "const(0.3)": GaugeChoice("const", 0.3)}[gauge]
     family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.3, 0.4][:d]),
                                             rho=np.diag([0.2, -0.1, 0.05][:d]),
                                             gauge=gauge, hbar=0.9)
@@ -668,7 +666,7 @@ class TestSeparableAnalyzer:
         assert np.array_equal(analyzer.transform(v), oracle_transform(analyzer, v))
         # the oracle synthesis sums in another order, so only its value is
         # compared; the bits are those of the passes behind the applied factor,
-        # also for a real input such as family_state's unit sample
+        # also for a real input such as a unit sample
         w = random_complex(analyzer.pgrid.shape, 2)
         expected = oracle_synthesize(analyzer, w)
         assert np.abs(analyzer.synthesize(w) - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -704,16 +702,33 @@ class TestSeparableAnalyzer:
         rhs = np.vdot(v, analyzer.synthesize(w)) * analyzer.grid.cell_volume
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    def test_transform_is_the_overlap_with_family_states(self, analyzer):
-        v = random_complex(analyzer.grid.shape, 5)
+    @pytest.mark.parametrize("case", sorted(ANALYZER_CASES))
+    def test_transform_is_the_overlap_with_family_states(self, case):
+        # against the closed-form family state at (q, y), in a family wide
+        # enough in x for a 32-point axis on +-12 to sample its momenta
+        from qps import GaugeChoice
+        from qps.phasespace import PhaseAnalyzer
+
+        grid, pgrid = ANALYZER_CASES[case]
+        d = grid.ndim
+        family = JointStateSpec.from_covariance(X=np.diag([2.0, 1.5][:d]),
+                                                rho=np.diag([0.2, -0.1][:d]),
+                                                gauge=GaugeChoice.full(), hbar=0.9)
+        analyzer = PhaseAnalyzer(family, pgrid, grid)
+        v = random_complex(grid.shape, 5)
         pw = analyzer.transform(v)
-        for index in [(20, -1) * analyzer.pgrid.npairs, (3, 7) * analyzer.pgrid.npairs]:
-            state = analyzer.family_state(*index)
-            assert state.shape == analyzer.grid.shape
-            overlap = np.vdot(state, v) * analyzer.grid.cell_volume
+        for q0, y0 in [(-0.3, -2.7), (0.8, 2.3)]:
+            index = sum(((int(np.argmin(np.abs(p.p_points() - q0))),
+                          int(np.argmin(np.abs(p.x_points() - y0)))) for p in pgrid.pairs), ())
+            q = [p.p_points()[j] for p, j in zip(pgrid.pairs, index[0::2])]
+            y = [p.x_points()[k] for p, k in zip(pgrid.pairs, index[1::2])]
+            state = coordinate_wavefunction(family.displaced(q, y), grid)
+            overlap = np.vdot(state.values, v) * grid.cell_volume
             assert abs(pw[index] - overlap) <= 1e-12 * abs(overlap)
 
     def test_two_pair_family_state_is_an_outer_product(self):
+        # the synthesis of a unit sample is the family state at its phase
+        # point, the closed form of both pairs and the product of each pair's
         from qps import GaugeChoice
         from qps.phasespace import PhaseAnalyzer
 
@@ -721,14 +736,19 @@ class TestSeparableAnalyzer:
         X, rho, gauge = [0.5, 0.3], [0.2, -0.1], GaugeChoice.full()
         family = JointStateSpec.from_covariance(X=np.diag(X), rho=np.diag(rho), gauge=gauge)
         index = (3, 17, 29, 8)
+        q = [p.p_points()[j] for p, j in zip(pgrid.pairs, index[0::2])]
+        y = [p.x_points()[k] for p, k in zip(pgrid.pairs, index[1::2])]
         singles = []
         for mu in range(2):
             single = JointStateSpec.from_covariance(X=[[X[mu]]], rho=[[rho[mu]]], gauge=gauge)
-            analyzer = PhaseAnalyzer(single, PhaseGrid((pgrid.pairs[mu],)),
-                                     CoordinateGrid((grid.axes[mu],)))
-            singles.append(analyzer.family_state(*index[2 * mu:2 * mu + 2]))
-        expected = np.multiply.outer(*singles)
-        got = PhaseAnalyzer(family, pgrid, grid).family_state(*index)
+            singles.append(coordinate_wavefunction(single.displaced([q[mu]], [y[mu]]),
+                                                   CoordinateGrid((grid.axes[mu],))).values)
+        expected = coordinate_wavefunction(family.displaced(q, y), grid).values
+        product = np.multiply.outer(*singles)
+        assert np.abs(product - expected).max() <= 1e-13 * np.abs(expected).max()
+        unit = np.zeros(pgrid.shape)
+        unit[index] = 1.0
+        got = PhaseAnalyzer(family, pgrid, grid).synthesize(unit) / pgrid.measure(family.hbar)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 

@@ -6,24 +6,20 @@ import pytest
 from qps import (
     CoordinateGrid,
     GaugeChoice,
-    InvalidInputError,
     JointStateSpec,
     PhaseGrid,
     Signature,
     TruncatedBasis,
-    analytic_overlap,
-    apply_position,
     apply_ptilde,
     apply_xtilde,
     ccr_residual,
     coordinate_wavefunction,
     consistency_check,
-    continuous_kernel,
     number_state,
     phase_wavefunction,
 )
 from qps.grids import spectral_derivative
-from qps.phasespace import PhasePair
+from qps.phasespace import PhaseWavefunction
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +86,7 @@ class TestGaugeBlocks:
 
     def test_const_gauge_matches_zero_operators(self, analyzed):
         # a constant K has no slope, so ptilde is the zero gauge's i hbar s d/dy + q
-        pw_const = analyzed(GaugeChoice.const(0.37))
+        pw_const = analyzed(GaugeChoice("const", 0.37))
         q_points, y_points = pw_const.grid.pairs[0].p_points(), pw_const.grid.pairs[0].x_points()
         d_y = spectral_derivative(pw_const.values, y_points[1] - y_points[0], 1)
         zero_rule = -1j * d_y + q_points[:, None] * pw_const.values
@@ -99,8 +95,8 @@ class TestGaugeBlocks:
     def test_linearity(self, pw, rng):
         alpha = complex(rng.normal(), rng.normal())
         beta = complex(rng.normal(), rng.normal())
-        other = pw.with_values(np.roll(pw.values, 5, axis=1))
-        combo = pw.with_values(alpha * pw.values + beta * other.values)
+        other = PhaseWavefunction(pw.grid, np.roll(pw.values, 5, axis=1), pw.family)
+        combo = PhaseWavefunction(pw.grid, alpha * pw.values + beta * other.values, pw.family)
         for op in (apply_ptilde, apply_xtilde):
             direct = op(combo, 0).values
             split = alpha * op(pw, 0).values + beta * op(other, 0).values
@@ -163,98 +159,16 @@ class TestCcr:
         assert len(calls) == 12
 
 
-@pytest.fixture(scope="module")
-def small(spec):
-    grid = CoordinateGrid.line(-12.0, 12.0, 512)
-    pgrid = PhaseGrid((PhasePair(-6.0, 6.0, 32, -6.0, 6.0, 32),))
-    return spec, grid, pgrid
-
-
-class TestContinuousKernel:
-    def test_budget_checked_before_building(self, spec):
-        # 128x128 phase points would need a 16384^2 complex kernel (4.3 GB)
-        def op(_):
-            raise AssertionError("the operator must not be applied")
-
-        grid = CoordinateGrid.line(-12.0, 12.0, 512)
-        with pytest.raises(InvalidInputError, match="budget"):
-            continuous_kernel(op, spec, PhaseGrid.symmetric(6.0, 128), grid)
-
-    def test_budget_edge_is_allowed(self, spec):
-        # 64x64 phase points give exactly 2^24 kernel entries, the budget
-        class Reached(Exception):
-            pass
-
-        def op(_):
-            raise Reached
-
-        grid = CoordinateGrid.line(-12.0, 12.0, 512)
-        with pytest.raises(Reached):
-            continuous_kernel(op, spec, PhaseGrid.symmetric(6.0, 64), grid)
-
-    def test_identity_kernel_is_overlap_function(self, small):
-        spec, grid, pgrid = small
-        kernel = continuous_kernel(lambda s: s, spec, pgrid, grid)
-        pair = pgrid.pairs[0]
-        qs, ys = pair.p_points(), pair.x_points()
-        idx = [(3, 7), (16, 16), (25, 9)]
-        for (ja, ka) in idx:
-            for (jb, kb) in idx:
-                row = ja * pair.n_x + ka
-                col = jb * pair.n_x + kb
-                a = spec.displaced([qs[ja]], [ys[ka]])
-                b = spec.displaced([qs[jb]], [ys[kb]])
-                assert kernel.values[row, col] == pytest.approx(
-                    analytic_overlap(a, b), abs=1e-8
-                )
-
-    def test_hermitian_symmetry_for_position(self, small):
-        spec, grid, pgrid = small
-        kernel = continuous_kernel(lambda s: apply_position(s, 0), spec, pgrid, grid)
-        assert kernel.hermiticity_defect() < 1e-8
-
-    def test_contraction_reproduces_direct_action(self, small):
-        spec, grid, pgrid = small
-        psi = coordinate_wavefunction(spec.displaced([0.3], [-0.4]), grid)
-        pw = phase_wavefunction(psi, spec, pgrid)
-        kernel = continuous_kernel(lambda s: apply_position(s, 0), spec, pgrid, grid)
-        via_kernel = kernel.contract(pw)
-        from qps.phasespace import PhaseAnalyzer
-
-        direct = PhaseAnalyzer(spec, pgrid, grid).transform(apply_position(psi, 0).values)
-        assert np.abs(via_kernel - direct).max() < 1e-3
-
-
-    def test_two_pair_kernel(self):
-        # rows and columns run over the 4^4 phase points in row-major order
-        family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
-        grid2 = CoordinateGrid.square(-8.0, 8.0, 64)
-        pgrid2 = PhaseGrid.symmetric(3.0, 4, npairs=2)
-        position = continuous_kernel(lambda s: apply_position(s, 1), family, pgrid2, grid2)
-        assert position.hermiticity_defect() < 1e-8
-        identity = continuous_kernel(lambda s: s, family, pgrid2, grid2)
-        pair = pgrid2.pairs[0]
-        qs, ys = pair.p_points(), pair.x_points()
-        points = list(np.ndindex(*pgrid2.shape))
-        for row in (0, 37, 255):
-            for col in (0, 90, 200):
-                (j1, k1, j2, k2), (l1, m1, l2, m2) = points[row], points[col]
-                a = family.displaced([qs[j1], qs[j2]], [ys[k1], ys[k2]])
-                b = family.displaced([qs[l1], qs[l2]], [ys[m1], ys[m2]])
-                assert identity.values[row, col] == pytest.approx(
-                    analytic_overlap(a, b), abs=1e-8)
-
-
 class TestConsistency:
     def test_coherent_state(self, spec, grid, pgrid):
         psi = coordinate_wavefunction(spec.displaced([0.4], [0.6]), grid)
-        rep = consistency_check(psi, spec, pgrid)
+        rep = consistency_check(psi, phase_wavefunction(psi, spec, pgrid))
         assert rep.p_error <= 1e-3
         assert rep.x_error <= 1e-3
 
     def test_number_state(self, spec, grid, pgrid):
         n1 = number_state(1, TruncatedBasis((3,), spec), grid)
-        rep = consistency_check(n1, spec, pgrid)
+        rep = consistency_check(n1, phase_wavefunction(n1, spec, pgrid))
         assert rep.p_error <= 1e-3
         assert rep.x_error <= 1e-3
 
@@ -262,6 +176,6 @@ class TestConsistency:
         psi = coordinate_wavefunction(spec.displaced([0.2], [0.5]), grid)
         for gauge in (GaugeChoice.full(), GaugeChoice.half()):
             fam = dataclasses.replace(spec, gauge=gauge)
-            rep = consistency_check(psi, fam, pgrid)
+            rep = consistency_check(psi, phase_wavefunction(psi, fam, pgrid))
             assert rep.p_error <= 1e-3
             assert rep.x_error <= 1e-3
