@@ -50,7 +50,7 @@ def main():
     for name, psi in states.items():
         hus = husimi_distribution(psi, spec, pgrid)
         wig = wigner_distribution(psi, pgrid)
-        write_distribution(hus, out / f"{name}_husimi.csv", gauge_label="zero")
+        write_distribution(hus, out / f"{name}_husimi.csv")
         write_distribution(wig, out / f"{name}_wigner.csv")
         print(f"{name:9s} husimi min {hus.minimum():+.3e}  "
               f"wigner min {wig.minimum():+.3e}  masses "

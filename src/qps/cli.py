@@ -225,15 +225,14 @@ def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
     psi = read_wavefunction(state_file)
     family = _analyzing_family(cfg, psi)
     pgrid = cfg.phase_grid(psi.grid.ndim)
-    gauge_label = family.gauge.label
     if kind == "husimi":
         dist = husimi_distribution(psi, family, pgrid)
     elif kind == "wigner":
-        dist, gauge_label = wigner_distribution(psi, pgrid), None
+        dist = wigner_distribution(psi, pgrid)
     else:  # phasewave: argparse admits no other kind
         dist = phase_wavefunction(psi, family, pgrid)
     out = cfg.output(f"{kind}.csv")
-    write_distribution(dist, out, gauge_label=gauge_label)
+    write_distribution(dist, out)
     print(f"distribution -> {out}")
     if kind == "phasewave":
         print(f"normalization {_FMT.format(dist.norm_squared())}")
@@ -323,8 +322,7 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
         drift = max(drift, abs(density_mod.purity(rho_t) - purity0))
         if with_husimi:
             hus = husimi_distribution(rho_t, family, pgrid, states)
-            write_distribution(hus, cfg.output(f"husimi_{i:04d}.csv"),
-                               gauge_label=family.gauge.label)
+            write_distribution(hus, cfg.output(f"husimi_{i:04d}.csv"))
             husimi_min = min(husimi_min, hus.integral())
     print(f"snapshots {snapshots} -> {cfg.out}")
     print(f"purity_drift {_FMT.format(drift)}")

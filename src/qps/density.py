@@ -72,9 +72,7 @@ class MixtureSpec:
 class MicrostateCount:
     """Phase-space hypervolume converted to a microstate count and entropy."""
 
-    hypervolume: float
     dim: int
-    h: float
     omega: float
     entropy: float
 
@@ -137,15 +135,8 @@ def count_microstates(hypervolume: float, dim: int, hbar: float = 1.0) -> Micros
         raise InvalidInputError("hypervolume must be positive")
     if dim < 1:
         raise InvalidInputError("dimension must be at least 1")
-    h = 2.0 * math.pi * hbar
-    omega = hypervolume / h**dim
-    return MicrostateCount(
-        hypervolume=float(hypervolume),
-        dim=int(dim),
-        h=h,
-        omega=omega,
-        entropy=boltzmann_entropy(omega),
-    )
+    omega = hypervolume / (2.0 * math.pi * hbar) ** dim
+    return MicrostateCount(dim=int(dim), omega=omega, entropy=boltzmann_entropy(omega))
 
 
 def number_hamiltonian(basis: TruncatedBasis, omega: float) -> np.ndarray:

@@ -226,7 +226,6 @@ def operator_matrix(op, states: list) -> np.ndarray:
 class RobertsonCheck:
     lhs: float
     rhs: float
-    holds: bool
 
 
 def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector) -> RobertsonCheck:
@@ -253,7 +252,7 @@ def robertson_check(A: np.ndarray, B: np.ndarray, state: FockVector) -> Robertso
     comm = A @ B - B @ A
     rhs = 0.5 * abs(np.vdot(v, comm @ v))
     lhs = float(sa * sb)
-    return RobertsonCheck(lhs=lhs, rhs=float(rhs), holds=lhs >= rhs - 1e-8)
+    return RobertsonCheck(lhs=lhs, rhs=float(rhs))
 
 
 def _quadrature_matrix(basis: TruncatedBasis, axis: int, momentum: bool) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, check_budget, check_coverage, moments
 from .io import write_grid_csv
-from .states import JointStateSpec
+from .states import GaugeChoice, JointStateSpec
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,18 @@ class PhaseGrid:
         return len(self.pairs)
 
     @property
+    def axes(self) -> tuple:
+        """Sample points of each phase axis, in value order (p1, x1, p2, x2, ...)."""
+        return tuple(points for p in self.pairs for points in (p.p_points(), p.x_points()))
+
+    @property
+    def bounds(self) -> tuple:
+        """(min, max) of each phase axis, in the order of `axes`."""
+        return tuple(b for p in self.pairs for b in ((p.p_min, p.p_max), (p.x_min, p.x_max)))
+
+    @property
     def shape(self) -> tuple:
-        out = []
-        for pair in self.pairs:
-            out += [pair.n_p, pair.n_x]
-        return tuple(out)
+        return tuple(len(points) for points in self.axes)
 
     @property
     def cell(self) -> float:
@@ -108,6 +115,7 @@ class PhaseGrid:
 class PhaseWavefunction:
     """Complex psi~ samples over a phase grid, tagged by the analyzing family."""
 
+    kind = "phasewave"
     grid: PhaseGrid
     values: np.ndarray
     family: JointStateSpec
@@ -123,6 +131,10 @@ class PhaseWavefunction:
     def hbar(self) -> float:
         return self.family.hbar
 
+    @property
+    def gauge(self) -> GaugeChoice:
+        return self.family.gauge
+
     def norm_squared(self) -> float:
         """Mass against the dq dy / h measure (1 for a normalized source)."""
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.measure(self.hbar))
@@ -130,12 +142,14 @@ class PhaseWavefunction:
 
 @dataclass(frozen=True, eq=False)
 class PhaseDistribution:
-    """Real phase-space density against the dq dy / h measure."""
+    """Real phase-space density against the dq dy / h measure; `gauge` is the
+    analyzing family's, None for a distribution no family analyzed."""
 
     grid: PhaseGrid
     values: np.ndarray
     kind: str
     hbar: float
+    gauge: GaugeChoice | None = None
 
     def __post_init__(self):
         if self.kind not in ("husimi_like", "wigner"):
@@ -155,11 +169,7 @@ class PhaseDistribution:
     def argmax_point(self) -> tuple:
         """(p, x, ...) coordinates of the largest sample."""
         idx = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
-        coords = []
-        for k, pair in enumerate(self.grid.pairs):
-            coords.append(float(pair.p_points()[idx[2 * k]]))
-            coords.append(float(pair.x_points()[idx[2 * k + 1]]))
-        return tuple(coords)
+        return tuple(float(points[i]) for points, i in zip(self.grid.axes, idx))
 
 
 class PhaseAnalyzer:
@@ -316,13 +326,12 @@ def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: fl
     """Reject an unnormalized state (through `moments`) and a phase grid that
     misses n_sigma of its spread."""
     stats = moments(state)
-    # one entry per phase-grid axis, in the order p1, x1, p2, x2, ...
+    # one entry per phase-grid axis, in the order of pgrid.bounds
     names = [f"phase grid pair {mu} {axis}" for mu in range(pgrid.npairs)
              for axis in ("momenta", "coordinates")]
-    bounds = [b for p in pgrid.pairs for b in ((p.p_min, p.p_max), (p.x_min, p.x_max))]
     centers = np.column_stack([stats.mean_p, stats.mean_x]).ravel()
     spreads = np.sqrt(np.column_stack([np.diag(stats.P), np.diag(stats.X)]).ravel())
-    check_coverage(names, bounds, centers, n_sigma * spreads)
+    check_coverage(names, pgrid.bounds, centers, n_sigma * spreads)
 
 
 def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
@@ -374,7 +383,7 @@ def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
     values = 0.0
     for w, psi in zip(weights, psis):
         values = values + w * np.abs(analyzer.transform(psi)) ** 2
-    return PhaseDistribution(pgrid, values, "husimi_like", family.hbar)
+    return PhaseDistribution(pgrid, values, "husimi_like", family.hbar, family.gauge)
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray):
@@ -481,7 +490,6 @@ def wigner_distribution(state: GridWavefunction, pgrid: PhaseGrid) -> PhaseDistr
 
 @dataclass(frozen=True, eq=False)
 class ClosureResult:
-    reconstruction: GridWavefunction
     l2_error: float
 
 
@@ -489,19 +497,16 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
                         pgrid: PhaseGrid) -> ClosureResult:
     """Resynthesize the state from its phase-space representation.
 
-    reconstruction = sum over phase cells of psi~(z) (family state at z)
-    dq dy / h; the L2 error gauges how well the (exact) closure relation is
-    resolved by the midpoint grid.
+    The reconstruction is the sum over phase cells of psi~(z) (family state
+    at z) dq dy / h; its L2 error gauges how well the (exact) closure
+    relation is resolved by the midpoint grid.
     """
     _check_phase_coverage(state, pgrid, 8.0)
     analyzer = _shared_analyzer(family, pgrid, state.grid)
     pw = analyzer.transform(state.values)
     rec = analyzer.synthesize(pw)
     err = np.sqrt(np.sum(np.abs(rec - state.values) ** 2) * state.grid.cell_volume)
-    return ClosureResult(
-        reconstruction=state.with_values(rec),
-        l2_error=float(err),
-    )
+    return ClosureResult(l2_error=float(err))
 
 
 def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
@@ -511,16 +516,18 @@ def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
     return _shared_analyzer(family, pgrid, state.grid).mass(state.values) * pgrid.cell
 
 
-def write_distribution(dist, csv_path, gauge_label: str | None = None):
-    """CSV export: columns p, x or p1, x1, ..., pD, xD, then value[, im], plus JSON metadata."""
+def write_distribution(dist, csv_path):
+    """CSV export of a PhaseDistribution or PhaseWavefunction: columns p, x or
+    p1, x1, ..., pD, xD, then value[, im], plus JSON metadata whose hbar,
+    kind and gauge (when the distribution has one) are read from `dist`."""
     pairs = dist.grid.pairs
-    axes = [points for p in pairs for points in (p.p_points(), p.x_points())]
     values = dist.values
     columns = [values.real, values.imag] if np.iscomplexobj(values) else [values]
     header = ["p", "x"] if len(pairs) == 1 else [
         f"{axis}{mu + 1}" for mu in range(len(pairs)) for axis in "px"]
-    meta = {"schema": 1, "hbar": dist.hbar, "kind": getattr(dist, "kind", "phasewave"),
+    meta = {"schema": 1, "hbar": dist.hbar, "kind": dist.kind,
             "pairs": [asdict(p) for p in pairs]}
-    if gauge_label is not None:
-        meta["gauge"] = gauge_label
-    write_grid_csv(csv_path, header + ["value", "im"][:len(columns)], axes, columns, meta)
+    if dist.gauge is not None:
+        meta["gauge"] = dist.gauge.label
+    write_grid_csv(csv_path, header + ["value", "im"][:len(columns)], dist.grid.axes,
+                   columns, meta)

@@ -41,11 +41,10 @@ def _apply_representative(pw: PhaseWavefunction, axis: int,
         raise InvalidInputError(f"axis {axis} out of range")
     hbar = pw.hbar
     s = pw.family.signature.signs[axis]
-    pair = pw.grid.pairs[axis]
     sign = 1.0 if momentum else -1.0
     d_axis, m_axis = (2 * axis + 1, 2 * axis) if momentum else (2 * axis, 2 * axis + 1)
-    d_points, m_points = ((pair.x_points(), pair.p_points()) if momentum
-                          else (pair.p_points(), pair.x_points()))
+    axes = pw.grid.axes
+    d_points, m_points = axes[d_axis], axes[m_axis]
     dmu = spectral_derivative(pw.values, d_points[1] - d_points[0], d_axis)
     out = sign * 1j * hbar * s * dmu
     if momentum:

@@ -54,7 +54,8 @@ class GaugeChoice:
     kind "zero":  K = 0
     kind "full":  K = (1/hbar)   sum_mu s_mu <p_mu> <x_mu>
     kind "half":  K = (1/2hbar)  sum_mu s_mu <p_mu> <x_mu>
-    kind "const": K = value, independent of the means.
+    kind "const": K = value, independent of the means; the only kind that
+                  takes a non-zero value.
 
     For an all-spatial system (s_mu = -1) "full" and "half" are
     -<p><x>/hbar and -<p><x>/(2 hbar).
@@ -68,6 +69,8 @@ class GaugeChoice:
             raise InvalidInputError(f"unknown gauge kind {self.kind!r}")
         if not np.isfinite(self.value):
             raise InvalidInputError("gauge constant must be finite")
+        if self.value != 0.0 and self.kind != "const":
+            raise InvalidInputError(f"gauge kind {self.kind!r} takes no value, got {self.value!r}")
 
     @classmethod
     def zero(cls):

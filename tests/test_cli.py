@@ -64,6 +64,15 @@ class TestStateSynth:
         norm = float(next(l.split()[1] for l in out.splitlines() if l.startswith("normalization")))
         assert abs(norm - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("kind", ["zero", "full", "half"])
+    def test_value_of_a_kind_that_ignores_it_exit_2(self, tmp_path, capsys, kind):
+        spec = write_spec(tmp_path, gauge={"kind": kind, "value": 0.3})
+        code = main(["state", "synth", spec, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"gauge kind '{kind}' takes no value" in err and "Traceback" not in err
+        assert not (tmp_path / "wavefunction.csv").exists()
+
     def test_non_saturating_spec_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, P=[[1.0]])
         code = main(["state", "synth", spec, "--out", str(tmp_path)])

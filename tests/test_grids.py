@@ -473,11 +473,13 @@ ORACLES = {
 
 
 def test_every_public_definition_is_reached():
-    """Each public top-level name and each public method (of any class) in
-    `src/qps` is referenced outside its own definition, in `src/qps` or
-    `scripts/`, or is a test oracle in ORACLES; a `verify.suite_<name>` is
-    reached through `SUITES`.  A top-level name counts by name or attribute
-    (`psops.consistency_check`), a method by attribute only.  Every ORACLES
+    """Each public top-level name, each public method (of any class) and
+    each annotated field of a public class in `src/qps` is referenced outside
+    its own definition, in `src/qps` or `scripts/`, or is a test oracle in
+    ORACLES; a `verify.suite_<name>` is reached through `SUITES`.  A
+    top-level name counts by name or attribute (`psops.consistency_check`),
+    a method by attribute only, a field by an attribute load only (so a
+    record field that is set but never read is flagged).  Every ORACLES
     entry names a definition that nothing else reaches."""
     from qps.suites import SUITES
 
@@ -485,13 +487,15 @@ def test_every_public_definition_is_reached():
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package.glob("*.py")) + sorted(scripts.glob("*.py"))}
-    by_name, by_attr = {}, {}  # name -> ids of the nodes that reference it
+    by_name, by_attr, by_load = {}, {}, {}  # name -> ids of the nodes that reference it
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 by_name.setdefault(node.id, set()).add(id(node))
             elif isinstance(node, ast.Attribute):
                 by_attr.setdefault(node.attr, set()).add(id(node))
+                if isinstance(node.ctx, ast.Load):
+                    by_load.setdefault(node.attr, set()).add(id(node))
 
     def public(name):
         return not name.startswith("_")
@@ -512,6 +516,11 @@ def test_every_public_definition_is_reached():
                     if isinstance(method, ast.FunctionDef) and public(method.name):
                         defs.append((f"{path.stem}.{node.name}.{method.name}",
                                      by_attr.get(method.name, set()), method, path))
+                    elif (isinstance(method, ast.AnnAssign) and isinstance(method.target, ast.Name)
+                          and public(node.name)):
+                        field = method.target.id
+                        defs.append((f"{path.stem}.{node.name}.{field}",
+                                     by_load.get(field, set()), method, path))
     reached, unreached = set(), []
     for qualname, refs, node, path in defs:
         own = {id(n) for n in ast.walk(node)}

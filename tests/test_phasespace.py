@@ -9,6 +9,7 @@ from qps import phasespace
 from qps import (
     CoordinateGrid,
     CoverageError,
+    GaugeChoice,
     GridWavefunction,
     InvalidInputError,
     JointStateSpec,
@@ -440,7 +441,7 @@ class TestExport:
         psi = coordinate_wavefunction(spec, grid)
         dist = husimi_distribution(psi, spec, pgrid)
         path = tmp_path / "dist.csv"
-        write_distribution(dist, path, gauge_label="zero")
+        write_distribution(dist, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "p,x,value"
         assert len(lines) == 1 + 128 * 128
@@ -449,6 +450,33 @@ class TestExport:
         meta = json.loads((tmp_path / "dist.csv.json").read_text())
         assert meta["kind"] == "husimi_like"
         assert meta["gauge"] == "zero"
+
+    @staticmethod
+    def sidecar(tmp_path, dist) -> dict:
+        import json
+
+        write_distribution(dist, tmp_path / "d.csv")
+        return json.loads((tmp_path / "d.csv.json").read_text())
+
+    def test_phasewave_gauge_read_from_family(self, tmp_path, grid):
+        family = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice.full())
+        psi = coordinate_wavefunction(family, grid)
+        pw = phase_wavefunction(psi, family, PhaseGrid.symmetric(10.0, 32))
+        meta = self.sidecar(tmp_path, pw)
+        assert (meta["kind"], meta["gauge"]) == ("phasewave", "full")
+        assert list(meta) == ["schema", "hbar", "kind", "pairs", "gauge"]
+
+    def test_husimi_gauge_read_from_family(self, tmp_path, spec, grid):
+        family = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice.half())
+        psi = coordinate_wavefunction(spec, grid)
+        hus = husimi_distribution(psi, family, PhaseGrid.symmetric(10.0, 32))
+        meta = self.sidecar(tmp_path, hus)
+        assert (meta["kind"], meta["gauge"]) == ("husimi_like", "half")
+
+    def test_wigner_has_no_gauge(self, tmp_path, spec, grid):
+        psi = coordinate_wavefunction(spec, grid)
+        meta = self.sidecar(tmp_path, wigner_distribution(psi, PhaseGrid.symmetric(10.0, 32)))
+        assert meta["kind"] == "wigner" and "gauge" not in meta
 
 
 DENSITY_CASES = {
