@@ -1,14 +1,14 @@
 """Truncated ladder algebra and number states anchored on a joint state.
 
-The lowering operator on the grid is built from the covariance factors, not
-from hard-coded oscillator formulas, so the construction works for every
-saturating covariance: with a = sqrt(eta X) (principal branch),
+The ladder is built from the covariance factors, not from hard-coded
+oscillator formulas: with a = sqrt(eta X) (principal branch),
 
     ladder_mu = (1/hbar) sum_nu a[mu,nu] (z_nu - <z_nu>)
 
-obeys [ladder_mu, ladder_nu^dagger] = delta_mu_nu and annihilates the
-anchoring joint state; repeated adjoints generate the orthonormal number
-family.
+annihilates the anchoring joint state and has [ladder_mu, ladder_nu^dagger]
+= (a eta X^-1 eta a^H)[mu,nu].  That is delta_mu_nu for a uniform signature
+or a diagonal X, and repeated adjoints then generate the orthonormal number
+family; a mixed signature with correlated X has no such family.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, along, check_budget, check_coverage
 from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
 from .metric import check_hermitian, decompose_covariance
-from .states import JointStateSpec, apply_z, coordinate_wavefunction
+from .states import JointStateSpec, coordinate_wavefunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,70 +106,21 @@ def build_ladder(basis: TruncatedBasis) -> LadderMatrices:
     return LadderMatrices(lowering=tuple(lowering), raising=tuple(raising), number=number)
 
 
-class _GridLadder:
-    """Cached grid realization of the lowering/raising operators of a basis.
-
-    Every state in the truncated family is band-limited to the classical
-    momentum reach of the top rung, far below the grid Nyquist.  Repeated
-    spectral derivative applications would otherwise amplify round-off noise
-    by the Nyquist wavenumber per rung, so each application is followed by a
-    dealiasing mask at that (generous) physical band edge.
-    """
-
-    def __init__(self, basis: TruncatedBasis, grid: CoordinateGrid):
-        self.basis = basis
-        spec = basis.reference
-        factors = decompose_covariance(spec.moments, spec.signature, spec.hbar)
-        self.a = factors.a
-        self.masks = []
-        for mu, ax in enumerate(grid.axes):
-            sigma_p = np.sqrt(spec.moments.P[mu, mu])
-            p_keep = np.sqrt(2.0 * (2 * basis.n_max[mu] + 3)) * sigma_p + 8.0 * sigma_p
-            p_keep += abs(spec.moments.mean_p[mu])
-            k = 2.0 * np.pi * np.fft.fftfreq(ax.n_points, d=ax.spacing)
-            self.masks.append(np.abs(spec.hbar * k) <= p_keep)
-
-    def _dealias(self, psi: GridWavefunction) -> GridWavefunction:
-        values = psi.values
-        for axis, mask in enumerate(self.masks):
-            ft = np.fft.fft(values, axis=axis)
-            values = np.fft.ifft(ft * along(mask, axis, values.ndim), axis=axis)
-        return psi.with_values(values)
-
-    def _step(self, psi: GridWavefunction, mu: int, adjoint: bool) -> GridWavefunction:
-        """ladder_mu, or its adjoint, applied to psi and dealiased."""
-        spec = self.basis.reference
-        out = np.zeros_like(psi.values)
-        for nu in range(spec.dim):
-            a, mean_z = self.a[mu, nu], spec.mean_z[nu]
-            if adjoint:
-                a, mean_z = np.conj(a), np.conj(mean_z)
-            coeff = a / spec.hbar
-            if coeff == 0.0:
-                continue
-            z = apply_z(spec, psi, nu, adjoint).values
-            out += coeff * (z - mean_z * psi.values)
-        return self._dealias(psi.with_values(out))
-
-    def raise_axis(self, psi: GridWavefunction, mu: int) -> GridWavefunction:
-        return self._step(psi, mu, adjoint=True)
-
-    def lower_axis(self, psi: GridWavefunction, mu: int) -> GridWavefunction:
-        return self._step(psi, mu, adjoint=False)
-
-
 def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
     """Number states m <= top per axis on the grid, in row-major order.
 
-    The one raising loop: each m is the raising operator along its first
-    nonzero axis mu applied to the state one rung below, divided by
-    sqrt(m_mu) (the sqrt(n!) factor, accumulated without overflow).  Its
-    round-off grows with the rung (Gram error 1e-14 at 16 rungs, 4e-10 at
-    21 and 0.53 at 31 for X = 1/2 on +-16 with 1024 points), so more than
-    16 rungs per axis are unsupported.
+    x - <x> is a fixed combination of each ladder and its adjoint (the
+    momentum parts of z and z^dagger cancel), so with mu the first nonzero
+    axis of m and b = m - e_mu each rung follows from those below by
+    multiplication alone:
+
+        sqrt(m_mu) psi_m = sum_nu (a* a^-1)[mu,nu] sqrt(b_nu) psi_(b - e_nu)
+                           - i (a* eta X^-1 (x - <x>))_mu psi_b
+
+    For one axis this is psi_n = He_n((x - <x>)/sqrt(X)) psi_0 / sqrt(n!), so
+    no rung loses more than round-off.  A ladder whose commutator is off the
+    identity is unsupported: the step would build no orthonormal family.
     """
-    if any(t >= 16 for t in top):
-        raise UnsupportedError("grid work is limited to n_max <= 16 per axis")
     count = math.prod(t + 1 for t in top)
     samples = count * math.prod(grid.shape)
     check_budget(f"{count} number states on the grid are {samples} samples", samples)
@@ -178,17 +129,29 @@ def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
     check_coverage([f"grid axis {mu} for n={n}" for mu, n in enumerate(top)], grid.bounds,
                    spec.moments.mean_x,
                    np.sqrt((2 * np.array(top) + 1) * 2.0 * X) + 6.0 * np.sqrt(X))
-    ladder = _GridLadder(basis, grid)
-    states = {}
-    for m in np.ndindex(*(t + 1 for t in top)):
-        mu = next((k for k, v in enumerate(m) if v > 0), None)
-        if mu is None:
-            states[m] = coordinate_wavefunction(spec, grid)
-            continue
-        below = m[:mu] + (m[mu] - 1,) + m[mu + 1:]
-        raised = ladder.raise_axis(states[below], mu)
-        states[m] = raised.with_values(raised.values / np.sqrt(m[mu]))
-    return list(states.values())
+    a = decompose_covariance(spec.moments, spec.signature, spec.hbar).a
+    eta = spec.signature.matrix()
+    defect = np.abs(a @ eta @ spec.moments.x_inv @ eta @ a.conj().T - np.eye(spec.dim)).max()
+    if defect > 1e-8:
+        raise UnsupportedError(f"the number ladder of this reference is not canonical: "
+                               f"[L, L^dagger] is off the identity by {defect:.3g}")
+    back = a.conj() @ np.linalg.inv(a)
+    shift = -1j * a.conj() @ eta @ spec.moments.x_inv
+    xi = [along(grid.axis_points(k) - spec.moments.mean_x[k], k, grid.ndim)
+          for k in range(spec.dim)]
+    step = [sum(shift[mu, k] * xi[k] for k in range(spec.dim)) for mu in range(spec.dim)]
+    psi0 = coordinate_wavefunction(spec, grid)
+    rungs = list(np.ndindex(*(t + 1 for t in top)))
+    states = {rungs[0]: psi0.values}
+    for m in rungs[1:]:
+        mu = next(k for k, v in enumerate(m) if v > 0)
+        b = m[:mu] + (m[mu] - 1,) + m[mu + 1:]
+        out = step[mu] * states[b]
+        for nu, b_nu in enumerate(b):
+            if b_nu:
+                out += back[mu, nu] * np.sqrt(b_nu) * states[b[:nu] + (b_nu - 1,) + b[nu + 1:]]
+        states[m] = out / np.sqrt(m[mu])
+    return [psi0.with_values(v) for v in states.values()]
 
 
 def number_state(n, basis: TruncatedBasis, grid: CoordinateGrid) -> GridWavefunction:

@@ -450,6 +450,32 @@ class TestEvolve:
         else:
             assert mass < 0.1
 
+    def test_husimi_above_16_rungs(self, tmp_path, capsys):
+        from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
+
+        spec = JointStateSpec.from_covariance(X=[[0.5]])
+        rho_path = tmp_path / "rho.csv"
+        write_density(from_pure(FockVector.unit(TruncatedBasis((20,), spec), 19)), rho_path)
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--husimi",
+                     "--out", str(tmp_path / "evo")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "husimi_normalization_min 0.997366828947" in out
+
+    def test_husimi_of_non_canonical_reference_exit_4(self, tmp_path, capsys):
+        from qps import (FockVector, JointStateSpec, Signature, TruncatedBasis, from_pure,
+                         write_density)
+
+        # [L, L^dagger] of a mixed signature with correlated X is not delta
+        spec = JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.8]], signature=Signature(1, 1))
+        rho_path = tmp_path / "rho.csv"
+        write_density(from_pure(FockVector.unit(TruncatedBasis((3, 3), spec), (1, 1))), rho_path)
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--husimi",
+                     "--out", str(tmp_path / "evo")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "ladder of this reference is not canonical" in err and "Traceback" not in err
+
     def test_no_husimi_line_without_husimi(self, tmp_path, capsys):
         assert main(["evolve", str(write_rho(tmp_path)),
                      "--t", "1.0", "--out", str(tmp_path / "evo")]) == 0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from qps import (
     FockVector,
     InvalidInputError,
     JointStateSpec,
+    Signature,
     TruncatedBasis,
+    UnsupportedError,
     apply_position,
     build_ladder,
     coordinate_wavefunction,
+    decompose_covariance,
     grid_number_states,
     inner_product,
     momentum_matrix,
@@ -23,6 +27,29 @@ from qps import (
     robertson_check,
 )
 from qps.fock import read_matrix, write_matrix
+from qps.states import apply_z
+
+
+def ladder(psi, basis, mu, adjoint=False):
+    """Grid ladder_mu = (1/hbar) sum_nu a[mu,nu] (z_nu - <z_nu>), or its
+    adjoint, by spectral derivatives: the oracle the number family's
+    recurrence is checked against."""
+    spec = basis.reference
+    a = decompose_covariance(spec.moments, spec.signature, spec.hbar).a
+    out = np.zeros_like(psi.values)
+    for nu in range(spec.dim):
+        coeff, mean_z = a[mu, nu] / spec.hbar, spec.mean_z[nu]
+        if adjoint:
+            coeff, mean_z = np.conj(coeff), np.conj(mean_z)
+        out += coeff * (apply_z(spec, psi, nu, adjoint).values - mean_z * psi.values)
+    return psi.with_values(out)
+
+
+def number_residual(psi, basis, n):
+    """||(N - n) psi|| with N = sum_mu ladder_mu^dagger ladder_mu on the grid."""
+    total = sum(ladder(ladder(psi, basis, mu), basis, mu, adjoint=True).values
+                for mu in range(basis.naxes))
+    return np.sqrt(np.sum(np.abs(total - n * psi.values) ** 2) * psi.grid.cell_volume)
 
 
 @pytest.fixture(scope="module")
@@ -135,18 +162,10 @@ class TestNumberState:
         assert nval == pytest.approx(2.0, abs=1e-7)
 
     def test_eigenvalue_of_grid_number_operator(self, basis, fine_grid):
-        # states built by raising are eigenvectors of the lowering-raising
-        # quadratic with eigenvalue n
-        from qps.fock import _GridLadder
-
-        lad = _GridLadder(basis, fine_grid)
+        # number states are eigenvectors of the lowering-raising quadratic
+        # with eigenvalue n
         for n in (1, 3):
-            psi = number_state(n, basis, fine_grid)
-            npsi = lad.raise_axis(lad.lower_axis(psi, 0), 0)
-            res = np.sqrt(
-                np.sum(np.abs(npsi.values - n * psi.values) ** 2) * fine_grid.cell_volume
-            )
-            assert res < 1e-7
+            assert number_residual(number_state(n, basis, fine_grid), basis, n) < 1e-7
 
     def test_cutoff_respected(self, basis, fine_grid):
         with pytest.raises(InvalidInputError):
@@ -168,39 +187,47 @@ class TestNumberState:
     def test_displaced_correlated_anchor(self, fine_grid):
         # raising from a displaced, momentum-correlated anchor still builds
         # an orthonormal family with the right number eigenvalues
-        from qps.fock import _GridLadder
-
         spec = JointStateSpec.from_covariance(
             X=[[0.7]], rho=[[0.35]], mean_p=[0.6], mean_x=[-0.8]
         )
         basis = TruncatedBasis((4,), spec)
         assert orthonormality_check(grid_number_states(basis, fine_grid)) < 1e-6
-        lad = _GridLadder(basis, fine_grid)
-        psi = number_state(2, basis, fine_grid)
-        npsi = lad.raise_axis(lad.lower_axis(psi, 0), 0)
-        res = np.sqrt(
-            np.sum(np.abs(npsi.values - 2.0 * psi.values) ** 2) * fine_grid.cell_volume
-        )
-        assert res < 1e-7
+        assert number_residual(number_state(2, basis, fine_grid), basis, 2) < 1e-7
 
     def test_two_axis_number_states(self):
-        from qps.fock import _GridLadder
-
         grid = CoordinateGrid.square(-12.0, 12.0, 256)
         spec = JointStateSpec.from_covariance(X=np.diag([0.5, 0.8]))
         basis = TruncatedBasis((3, 3), spec)
         assert orthonormality_check(grid_number_states(basis, grid)) < 1e-6
         # grid realization of the total number operator has eigenvalue n0+n1
-        lad = _GridLadder(basis, grid)
         psi = number_state((1, 2), basis, grid)
-        total = np.zeros_like(psi.values)
-        for mu in range(2):
-            total += lad.raise_axis(lad.lower_axis(psi, mu), mu).values
-        res = np.sqrt(np.sum(np.abs(total - 3.0 * psi.values) ** 2) * grid.cell_volume)
-        assert res < 1e-7
+        assert number_residual(psi, basis, 3) < 1e-7
         # number_state walks the same ladder as grid_number_states
         family = grid_number_states(basis, grid)[np.ravel_multi_index((1, 2), basis.n_max)]
         assert np.abs(psi.values - family.values).max() <= 1e-12 * np.abs(psi.values).max()
+
+    @pytest.mark.parametrize("kw, grid", [
+        (dict(X=[[0.5]]), CoordinateGrid.line(-12.0, 12.0, 1024)),
+        (dict(X=[[0.7]], rho=[[0.35]], mean_p=[0.6], mean_x=[-0.8]),
+         CoordinateGrid.line(-16.0, 16.0, 2048)),
+        (dict(X=[[0.5]], rho=[[0.3]]), CoordinateGrid.line(-16.0, 16.0, 2048)),
+    ], ids=["ground", "chirped-displaced", "chirped"])
+    def test_hermite_closed_form(self, kw, grid):
+        # psi_n = He_n((x - <x>)/sqrt(X)) psi_0 / sqrt(n!) for every rho and mean
+        from numpy.polynomial.hermite_e import hermeval
+
+        spec = JointStateSpec.from_covariance(**kw)
+        states = grid_number_states(TruncatedBasis((16,), spec), grid)
+        y = (grid.axis_points(0) - spec.moments.mean_x[0]) / np.sqrt(spec.moments.X[0, 0])
+        for n, psi in enumerate(states):
+            exact = hermeval(y, np.eye(n + 1)[n]) * states[0].values / np.sqrt(math.factorial(n))
+            assert np.abs(psi.values - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_top_rung_number_residual(self):
+        spec = JointStateSpec.from_covariance(X=[[0.5]], rho=[[0.3]])
+        basis = TruncatedBasis((16,), spec)
+        psi = number_state(15, basis, CoordinateGrid.line(-16.0, 16.0, 2048))
+        assert number_residual(psi, basis, 15) <= 1e-9
 
 
 class TestOrthonormality:
@@ -224,12 +251,11 @@ class TestOrthonormality:
         basis = TruncatedBasis((8,), ground_spec_module)
         assert orthonormality_check(grid_number_states(basis, grid)) < 1e-6
 
-    def test_grid_work_cutoff_guard(self, fine_grid, ground_spec_module):
-        from qps.errors import UnsupportedError
-
-        basis = TruncatedBasis((32,), ground_spec_module)
-        with pytest.raises(UnsupportedError):
-            grid_number_states(basis, fine_grid)
+    def test_gram_identity_64_rungs(self, ground_spec_module):
+        # no rung cap: the recurrence's round-off does not grow with the rung
+        basis = TruncatedBasis((64,), ground_spec_module)
+        grid = CoordinateGrid.line(-16.0, 16.0, 1024)
+        assert orthonormality_check(grid_number_states(basis, grid)) <= 1e-13
 
     def test_grid_budget_checked_before_building(self, ground_spec_module, monkeypatch):
         import qps.fock
@@ -239,15 +265,19 @@ class TestOrthonormality:
         with pytest.raises(InvalidInputError, match="budget is 16777216"):
             grid_number_states(basis, CoordinateGrid.line(-12.0, 12.0, 2**21))
 
-    def test_number_state_rung_cap(self, ground_spec_module):
-        # the 31-rung walk has norm 1.235 at n = 30 and Gram error 0.53
-        from qps.errors import UnsupportedError
-
+    def test_number_state_30_norm(self, ground_spec_module):
         basis = TruncatedBasis((31,), ground_spec_module)
         grid = CoordinateGrid.line(-16.0, 16.0, 1024)
-        with pytest.raises(UnsupportedError, match="n_max <= 16"):
-            number_state(30, basis, grid)
-        assert number_state(15, basis, grid).norm() == pytest.approx(1.0, abs=1e-8)
+        assert number_state(30, basis, grid).norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_canonical_ladder_unsupported(self):
+        # for a mixed signature with correlated X, [L, L^dagger] = a eta X^-1
+        # eta a^H is off the identity, so no number family exists to build
+        spec = JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.8]],
+                                              signature=Signature(1, 1))
+        basis = TruncatedBasis((3, 3), spec)
+        with pytest.raises(UnsupportedError, match="not canonical: .* by 0.363"):
+            grid_number_states(basis, CoordinateGrid.square(-12.0, 12.0, 128))
 
 
 class TestOperatorMatrix:
@@ -278,13 +308,10 @@ class TestOperatorMatrix:
         assert np.abs(mat - mat.conj().T).max() < 1e-8
 
     def test_number_operator_diagonal(self, fine_grid, ground_spec_module):
-        from qps.fock import _GridLadder
-
         basis = TruncatedBasis((4,), ground_spec_module)
-        lad = _GridLadder(basis, fine_grid)
 
         def num_op(s):
-            return lad.raise_axis(lad.lower_axis(s, 0), 0)
+            return ladder(ladder(s, basis, 0), basis, 0, adjoint=True)
 
         mat = operator_matrix(num_op, grid_number_states(basis, fine_grid))
         assert np.abs(mat - np.diag([0.0, 1.0, 2.0, 3.0])).max() < 1e-7

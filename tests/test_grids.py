@@ -346,11 +346,11 @@ def test_coverage_and_budget_decided_only_in_grids():
     `SAMPLE_BUDGET` is compared only in `grids.check_budget`; no other
     module names a `*_BUDGET`.  Likewise a Hermitian defect `M - M.conj().T`
     is compared only in `metric.check_hermitian`, a weight sum `w.sum() - 1.0`
-    only in `metric.check_weights`, and the 16-rung cap of a number family
-    only in `fock._raised_family`.  The budget is also the only size rule:
-    no comparison sets an integer literal above 1 against an axis or pair
-    count (`len(axes)`, `len(pairs)`, `ndim`, `npairs`) or a `PhasePair`
-    point count (`n_p`, `n_x`), except the CLI's documented default that
+    only in `metric.check_weights`, and nothing is compared with the literal
+    16, so no rung cap of a number family returns.  The budget is also the
+    only size rule: no comparison sets an integer literal above 1 against an
+    axis or pair count (`len(axes)`, `len(pairs)`, `ndim`, `npairs`) or a
+    `PhasePair` point count (`n_p`, `n_x`), except the CLI's documented default that
     duplicates a single `--grid` or `--pgrid` spec for two axes or pairs.
     The suite names `SUITES` and the tolerance table `TOLERANCES` are each
     assigned once, in `suites`, and the phase-grid coverage rule
@@ -414,10 +414,18 @@ def test_coverage_and_budget_decided_only_in_grids():
                      ("grids.py", "check_budget", "SAMPLE_BUDGET"),
                      ("metric.py", "check_hermitian", "hermitian defect"),
                      ("metric.py", "check_weights", "weight sum"),
-                     ("fock.py", "_raised_family", "16-rung cap"),
                      ("cli.py", "coordinate_grid", "size cap"),
                      ("cli.py", "phase_grid", "size cap")}
     assert sorted(assigned) == [("suites.py", "SUITES"), ("suites.py", "TOLERANCES")]
+
+
+def test_number_family_uses_no_spectral_derivative():
+    """`fock` raises number states by multiplication alone: it names no FFT,
+    `spectral_derivative`, `apply_momentum` or `apply_z`."""
+    tree = ast.parse((Path(qps.__file__).parent / "fock.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree)}
+    assert not names & {"fft", "ifft", "spectral_derivative", "apply_momentum", "apply_z"}
 
 
 def test_gauge_set_only_on_the_spec():
@@ -467,7 +475,6 @@ ORACLES = {
     "grids.inverse_momentum_transform": "its inverse, for the unitarity round trip",
     "states.momentum_wavefunction": "closed form the dual-grid transform is checked against",
     "states.z_eigencheck": "grid residual of the joint state's z eigenvalue equation",
-    "fock._GridLadder.lower_axis": "the raising walk's eigenvalue tests lower what it raised",
     "fock.FockVector.unit": "the basis vectors the density and Robertson tests start from",
 }
 
