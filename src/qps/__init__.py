@@ -37,9 +37,9 @@ _EXPORTS = {
              "grid_number_states", "momentum_matrix", "number_state", "operator_matrix",
              "orthonormality_check", "position_matrix", "robertson_check"),
     "phasespace": ("ClosureResult", "PhaseDistribution", "PhaseGrid", "PhasePair",
-                   "PhaseWavefunction", "closure_reconstruct", "husimi_distribution",
-                   "microstate_hypervolume", "phase_wavefunction", "wigner_distribution",
-                   "write_distribution"),
+                   "PhaseWavefunction", "closure_reconstruct", "density_husimi",
+                   "husimi_distribution", "microstate_hypervolume", "phase_wavefunction",
+                   "wigner_distribution", "write_distribution"),
     "density": ("DensityMatrix", "MicrostateCount", "MixtureSpec", "boltzmann_entropy",
                 "count_microstates", "evolve_lvn", "expectation", "from_mixture", "from_pure",
                 "number_hamiltonian", "purity", "read_density", "write_density"),

@@ -296,7 +296,7 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
                snapshots: int, with_husimi: bool) -> int:
     from . import density as density_mod
     from . import fock
-    from .phasespace import husimi_distribution, write_distribution
+    from .phasespace import density_husimi, write_distribution
 
     if not 1 <= snapshots <= _MAX_SNAPSHOTS:
         raise InvalidInputError(f"need 1 to {_MAX_SNAPSHOTS} snapshots, got {snapshots}")
@@ -309,19 +309,19 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
     purity0 = density_mod.purity(rho)
     drift = 0.0
     husimi_min = math.inf
-    family = rho.basis.reference
     if with_husimi:
-        # every snapshot expands rho_t in the same number states: build them once
-        grid = cfg.coordinate_grid(family.dim)
-        pgrid = cfg.phase_grid(family.dim)
-        states = fock.grid_number_states(rho.basis, grid)
+        # the closed form samples nothing on --grid, which still gates the
+        # number family as before: its budget, coverage and canonical ladder
+        grid = cfg.coordinate_grid(rho.basis.naxes)
+        pgrid = cfg.phase_grid(rho.basis.naxes)
+        fock.check_number_family(rho.basis, grid, tuple(n - 1 for n in rho.basis.n_max))
     for i, ti in enumerate(times):
         rho_t = density_mod.evolve_lvn(rho, H, ti)
         out = cfg.output(f"rho_{i:04d}.csv")
         density_mod.write_density(rho_t, out)
         drift = max(drift, abs(density_mod.purity(rho_t) - purity0))
         if with_husimi:
-            hus = husimi_distribution(rho_t, family, pgrid, states)
+            hus = density_husimi(rho_t, pgrid)
             write_distribution(hus, cfg.output(f"husimi_{i:04d}.csv"))
             husimi_min = min(husimi_min, hus.integral())
     print(f"snapshots {snapshots} -> {cfg.out}")

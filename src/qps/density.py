@@ -115,7 +115,13 @@ def evolve_lvn(rho: DensityMatrix, H: np.ndarray, t: float) -> DensityMatrix:
         raise InvalidInputError("Hamiltonian dimension does not match")
     check_hermitian("Hamiltonian", H)
     evals, vecs = np.linalg.eigh(H)
-    phases = np.exp(-1j * evals * t / rho.basis.reference.hbar)
+    hbar = rho.basis.reference.hbar
+    # the largest phase, in the order the phases are computed below
+    top = float(np.abs(evals).max()) * abs(float(t)) / hbar
+    if not math.isfinite(top):
+        raise InvalidInputError(f"the evolution phase max|E| t / hbar is {top}: "
+                                f"t = {float(t):.6g} is too long for this Hamiltonian")
+    phases = np.exp(-1j * evals * t / hbar)
     U = (vecs * phases[None, :]) @ vecs.conj().T
     out = U @ rho.matrix @ U.conj().T
     out = 0.5 * (out + out.conj().T)
@@ -142,8 +148,13 @@ def count_microstates(hypervolume: float, dim: int, hbar: float = 1.0) -> Micros
 def number_hamiltonian(basis: TruncatedBasis, omega: float) -> np.ndarray:
     """Oscillator generator hbar omega (N + 1/2) in the truncated basis, with
     the basis's hbar (`basis.reference.hbar`)."""
+    scale = basis.reference.hbar * omega
+    top = scale * (sum(n - 1 for n in basis.n_max) + 0.5)  # the largest |entry|
+    if not math.isfinite(top):
+        raise InvalidInputError(f"the Hamiltonian hbar omega (N + 1/2) reaches {top}: "
+                                f"omega = {omega:.6g} is too large for this basis")
     lad = build_ladder(basis)
-    return basis.reference.hbar * omega * (lad.number + 0.5 * np.eye(basis.dim))
+    return scale * (lad.number + 0.5 * np.eye(basis.dim))
 
 
 def write_density(rho: DensityMatrix, csv_path):

@@ -9,6 +9,12 @@ annihilates the anchoring joint state and has [ladder_mu, ladder_nu^dagger]
 = (a eta X^-1 eta a^H)[mu,nu].  That is delta_mu_nu for a uniform signature
 or a diagonal X, and repeated adjoints then generate the orthonormal number
 family; a mixed signature with correlated X has no such family.
+
+`check_number_family` is the one gate of a family on a grid (budget,
+coverage, canonical ladder) whether or not it is then built, and
+`ladder_eigenvalues` gives the eigenvalue beta of the ladder on the
+reference displaced to each phase point, from which the family's phase-space
+images follow in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, along, check_budget, check_coverage
 from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
 from .metric import check_hermitian, decompose_covariance
-from .states import JointStateSpec, coordinate_wavefunction
+from .states import JointStateSpec, check_momentum_range, coordinate_wavefunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +112,69 @@ def build_ladder(basis: TruncatedBasis) -> LadderMatrices:
     return LadderMatrices(lowering=tuple(lowering), raising=tuple(raising), number=number)
 
 
+def _canonical_ladder(spec: JointStateSpec) -> np.ndarray:
+    """The ladder factor a = sqrt(eta X) of the reference, after checking that
+    [L, L^dagger] is the identity; a ladder off it is unsupported, since
+    repeated adjoints would then build no orthonormal family."""
+    a = decompose_covariance(spec.moments, spec.signature, spec.hbar).a
+    eta = spec.signature.matrix()
+    defect = np.abs(a @ eta @ spec.moments.x_inv @ eta @ a.conj().T - np.eye(spec.dim)).max()
+    if defect > 1e-8:
+        raise UnsupportedError(f"the number ladder of this reference is not canonical: "
+                               f"[L, L^dagger] is off the identity by {defect:.3g}")
+    return a
+
+
+def check_number_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> np.ndarray:
+    """The number-family gate: reject the family m <= top per axis on the grid
+    before anything is sampled, and return the ladder factor a = sqrt(eta X).
+
+    In order: the samples of the family against the budget, each axis against
+    the classical turning point of its top rung plus 6 sigma, a canonical
+    ladder, and the grid's momentum range against the reference's spread.
+    """
+    count = math.prod(t + 1 for t in top)
+    samples = count * math.prod(grid.shape)
+    check_budget(f"{count} number states on the grid are {samples} samples", samples)
+    spec = basis.reference
+    X = np.diag(spec.moments.X)
+    check_coverage([f"grid axis {mu} for n={n}" for mu, n in enumerate(top)], grid.bounds,
+                   spec.moments.mean_x,
+                   np.sqrt((2 * np.array(top) + 1) * 2.0 * X) + 6.0 * np.sqrt(X))
+    a = _canonical_ladder(spec)
+    check_momentum_range(spec, grid)
+    return a
+
+
+def ladder_eigenvalues(spec: JointStateSpec, pairs) -> list:
+    """beta_mu(q, y) on each phase pair: L_mu |z> = beta_mu |z> for the
+    reference displaced to the phase point z = (q, y), so the number states
+    image as <z|m> = <z|0> prod_mu conj(beta_mu)^m_mu / sqrt(m_mu!) with
+    |<z|0>|^2 = exp(-|beta|^2).
+
+    beta = (1/hbar) a (mean_z(q, y) - <z>); for an axis-factorized reference
+    (diagonal a and B, the only kind accepted) it is, per pair,
+
+        beta_mu = (a[mu,mu]/hbar) ((q - <p_mu>) + (2i/hbar) s_mu B[mu,mu] (y - <x_mu>))
+
+    as an (n_p, n_x) array.  Overflowing phase points give non-finite values.
+    """
+    a = _canonical_ladder(spec)
+    if not spec.axis_factorized:
+        raise UnsupportedError("multi-pair analysis needs an axis-factorized analyzing family")
+    B = spec.shape.matrix
+    signs = spec.signature.signs
+    hbar = spec.hbar
+    betas = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu, pair in enumerate(pairs):
+            dq = pair.p_points() - spec.moments.mean_p[mu]
+            dy = pair.x_points() - spec.moments.mean_x[mu]
+            betas.append(a[mu, mu] / hbar * (dq[:, None] + (2j / hbar) * signs[mu] * B[mu, mu]
+                                              * dy[None, :]))
+    return betas
+
+
 def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
     """Number states m <= top per axis on the grid, in row-major order.
 
@@ -118,23 +187,11 @@ def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
                            - i (a* eta X^-1 (x - <x>))_mu psi_b
 
     For one axis this is psi_n = He_n((x - <x>)/sqrt(X)) psi_0 / sqrt(n!), so
-    no rung loses more than round-off.  A ladder whose commutator is off the
-    identity is unsupported: the step would build no orthonormal family.
+    no rung loses more than round-off.  `check_number_family` gates it.
     """
-    count = math.prod(t + 1 for t in top)
-    samples = count * math.prod(grid.shape)
-    check_budget(f"{count} number states on the grid are {samples} samples", samples)
+    a = check_number_family(basis, grid, top)
     spec = basis.reference
-    X = np.diag(spec.moments.X)  # reach: the classical turning point plus 6 sigma
-    check_coverage([f"grid axis {mu} for n={n}" for mu, n in enumerate(top)], grid.bounds,
-                   spec.moments.mean_x,
-                   np.sqrt((2 * np.array(top) + 1) * 2.0 * X) + 6.0 * np.sqrt(X))
-    a = decompose_covariance(spec.moments, spec.signature, spec.hbar).a
     eta = spec.signature.matrix()
-    defect = np.abs(a @ eta @ spec.moments.x_inv @ eta @ a.conj().T - np.eye(spec.dim)).max()
-    if defect > 1e-8:
-        raise UnsupportedError(f"the number ladder of this reference is not canonical: "
-                               f"[L, L^dagger] is off the identity by {defect:.3g}")
     back = a.conj() @ np.linalg.inv(a)
     shift = -1j * a.conj() @ eta @ spec.moments.x_inv
     xi = [along(grid.axis_points(k) - spec.moments.mean_x[k], k, grid.ndim)

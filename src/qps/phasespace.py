@@ -193,7 +193,7 @@ class PhaseAnalyzer:
         if family.dim != pgrid.npairs or grid.ndim != family.dim:
             raise InvalidInputError("family, phase grid and grid dimensions differ")
         expo = family.shape.exponent
-        if np.abs(expo - np.diag(np.diag(expo))).max() > 0.0:
+        if not family.axis_factorized:
             raise UnsupportedError(
                 "multi-pair analysis needs an axis-factorized analyzing family"
             )
@@ -231,15 +231,17 @@ class PhaseAnalyzer:
                 family.gauge.phase(q[:, None], y[None, :], signs[mu], hbar)
             )
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
+    def transform(self, values: np.ndarray, phased: bool = True) -> np.ndarray:
         """Grid samples -> psi~ samples, axis order (p1, x1, p2, x2, ...).
 
         Each pass contracts the leading grid axis m and appends (j, k).
+        `phased=False` leaves out the unit-modulus gauge phase, for a caller
+        that takes |psi~| or undoes the phase in `synthesize`.
         """
         out = values
         for E, W in zip(self.kernels, self.windows):
             out = _pass(out, E, W)
-        if not any(K.any() for K in self.kphases):  # out is a contraction's own array
+        if not (phased and any(K.any() for K in self.kphases)):  # out is a pass's own array
             return np.multiply(out, self.norm, out=out)
         phase = np.multiply(-1j, reduce(np.add.outer, self.kphases))
         np.exp(phase, out=phase)
@@ -277,14 +279,14 @@ class PhaseAnalyzer:
                 axis += 1
         return float(np.vdot(out, image).real)
 
-    def synthesize(self, pw_values: np.ndarray) -> np.ndarray:
+    def synthesize(self, pw_values: np.ndarray, phased: bool = True) -> np.ndarray:
         """Adjoint map: sum_z psi~(z) (family state at z) dq dy / h.
 
         Each pass contracts the leading (j, k) with the conjugated tables and
-        appends m.
+        appends m.  `phased=False` takes samples transformed without the phase.
         """
         out = pw_values
-        if any(K.any() for K in self.kphases):
+        if phased and any(K.any() for K in self.kphases):
             out = np.multiply(1j, reduce(np.add.outer, self.kphases))
             np.exp(out, out=out)
             out *= pw_values
@@ -317,8 +319,8 @@ def _pass(out: np.ndarray, E: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _shared_analyzer(family: JointStateSpec, pgrid: PhaseGrid,
                      grid: CoordinateGrid) -> PhaseAnalyzer:
     """The analyzer of the last (family, pgrid, grid), so that consecutive
-    analyses of one setup (the snapshots of one command, the states of one
-    verify row) share one build.  Specs hash by identity, grids by value."""
+    analyses of one setup (the states of one verify row) share one build.
+    Specs hash by identity, grids by value."""
     return PhaseAnalyzer(family, pgrid, grid)
 
 
@@ -342,48 +344,99 @@ def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
     return PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
 
 
-def husimi_distribution(source, family: JointStateSpec, pgrid: PhaseGrid,
-                        states: list | None = None) -> PhaseDistribution:
-    """Positive phase-space density of a pure state or a density matrix.
+def husimi_distribution(source: GridWavefunction, family: JointStateSpec,
+                        pgrid: PhaseGrid) -> PhaseDistribution:
+    """Positive phase-space density |psi~|^2 of a pure state, on a phase grid
+    that covers it.  The gauge phase has unit modulus, so the transform
+    leaves it out.  A density matrix goes to `density_husimi`; any other
+    source is rejected."""
+    if not isinstance(source, GridWavefunction):
+        raise InvalidInputError("unsupported husimi source: a pure state is a GridWavefunction, "
+                                "a density matrix goes to density_husimi")
+    _check_phase_coverage(source, pgrid, 6.0)
+    tilde = _shared_analyzer(family, pgrid, source.grid).transform(source.values, phased=False)
+    return PhaseDistribution(pgrid, np.abs(tilde) ** 2, "husimi_like", family.hbar, family.gauge)
 
-    Both sources are an eigenvalue-weighted sum of pure Husimi functions,
-    sum_k w_k |psi~_k|^2, transformed with one analyzer.  Pure state (a
-    GridWavefunction): one term of weight 1, on a phase grid that covers it.
-    Density matrix: the eigenvectors of rho realized as sums of its built
-    basis `states` (as from `fock.grid_number_states`, so many snapshots
-    share one build), keeping only eigenvalues above the resolution of a
-    ``%.12g`` density file, 1e-11 sqrt(dim) lam_max; that drops the
-    tolerated round-off negatives too, so the result is >= 0 by
-    construction and costs one transform per eigenvector the stored matrix
-    resolves.  Any other source is rejected.  Calls with the same family,
-    phase grid and coordinate grid (the snapshots of one command) share one
-    analyzer.
+
+_BLOCK = 1 << 20  # samples per array of one block of density_husimi's last pair
+
+
+def density_husimi(rho, pgrid: PhaseGrid) -> PhaseDistribution:
+    """Husimi function of a density matrix, analyzed by the reference of its
+    number basis, in closed form (Husimi 1940; Bargmann 1961):
+
+        Q(z) = exp(-|beta|^2) sum_k w_k |sum_m V_k[m] prod_mu conj(beta_mu)^m_mu / sqrt(m_mu!)|^2
+
+    over the eigenpairs (w_k, V_k) of rho, with beta from
+    `fock.ladder_eigenvalues`.  The family's gauge phase and the phase of
+    <z|0> are the same for every m, so |.|^2 drops them; nothing is sampled
+    on a coordinate grid, and the reference's hbar and gauge label the
+    result.  Only the eigenvalues a ``%.12g`` density file resolves are kept
+    (`_resolved_eigenpairs`); that drops the tolerated round-off negatives
+    too, so Q >= 0 by construction.
+
+    Each pair's factors T_n = exp(-|beta|^2/2) conj(beta)^n / sqrt(n!) follow
+    T_n = T_(n-1) conj(beta) / sqrt(n).  Each kept eigenvector contracts its
+    rung axes with them pair by pair; the last pair's factors are built in
+    blocks of its phase points, so no table of them outgrows the phase grid.
     """
-    if hasattr(source, "basis") and hasattr(source, "matrix"):
-        if states is None or len(states) != source.dim:
-            raise InvalidInputError(
-                f"a density source needs its {source.dim} grid number states")
-        lam, V = np.linalg.eigh(source.matrix)
-        # A stored field is rounded by at most 5e-12 relative, and re and im
-        # together add a factor sqrt(2); by Weyl's inequality the eigenvalues
-        # then move by |dlam| <= ||E||_F <= 1e-11 ||rho||_F <= 1e-11 sqrt(dim)
-        # lam_max, so nothing below that is resolved by the file.
-        keep = lam > 1e-11 * math.sqrt(lam.size) * lam.max()
-        weights = lam[keep]
-        grid = states[0].grid
-        psis = np.tensordot(V[:, keep].T, np.stack([s.values for s in states]), axes=1)
-    elif isinstance(source, GridWavefunction):
-        _check_phase_coverage(source, pgrid, 6.0)
-        weights = np.ones(1)
-        grid = source.grid
-        psis = [source.values]
-    else:
-        raise InvalidInputError("unsupported husimi source")
-    analyzer = _shared_analyzer(family, pgrid, grid)
-    values = 0.0
-    for w, psi in zip(weights, psis):
-        values = values + w * np.abs(analyzer.transform(psi)) ** 2
-    return PhaseDistribution(pgrid, values, "husimi_like", family.hbar, family.gauge)
+    from . import fock  # here, so that `dist` loads no number-state layer
+
+    family = rho.basis.reference
+    if family.dim != pgrid.npairs:
+        raise InvalidInputError("family and phase grid dimensions differ")
+    *firsts, last = [beta.reshape(-1) for beta in fock.ladder_eigenvalues(family, pgrid.pairs)]
+    *n_firsts, n_last = n_max = rho.basis.n_max
+    rows = math.prod(beta.size for beta in firsts)  # phase points before the last pair
+    block = max(1, _BLOCK // max(n_last, rows))
+    sizes, points = [max(n_last, rows) * block], 1  # a block's table and image
+    for mu, (n, beta) in enumerate(zip(n_firsts, firsts)):
+        points *= beta.size  # a first pair's table, an eigenvector after its pass
+        sizes += [n * beta.size, math.prod(n_max[mu + 1:]) * points]
+    check_budget(f"a density Husimi needs arrays of {max(sizes)} samples", max(sizes))
+    tables = [_rungs(beta, n) for beta, n in zip(firsts, n_firsts)]
+    weights, vectors = _resolved_eigenpairs(rho.matrix)
+    values = np.zeros((rows, last.size))
+    for start in range(0, last.size, block):
+        table = _rungs(last[start:start + block], n_last)
+        for w, v in zip(weights, vectors.T):
+            amp = v.reshape(n_max)
+            for first in tables:  # contract the leading rung axis, append the pair's points
+                amp = np.tensordot(amp, first, axes=(0, 0))
+            image = amp.reshape(n_last, rows).T @ table
+            values[:, start:start + block] += w * (image.real ** 2 + image.imag ** 2)
+    return PhaseDistribution(pgrid, values.reshape(pgrid.shape), "husimi_like", family.hbar,
+                             family.gauge)
+
+
+def _resolved_eigenpairs(matrix: np.ndarray) -> tuple:
+    """The eigenvalues of a density matrix above the resolution of a
+    ``%.12g`` density file, and their eigenvectors (as columns).
+
+    A stored field is rounded by at most 5e-12 relative, and re and im
+    together add a factor sqrt(2); by Weyl's inequality the eigenvalues then
+    move by |dlam| <= ||E||_F <= 1e-11 ||rho||_F <= 1e-11 sqrt(dim) lam_max,
+    so nothing below that is resolved by the file.
+    """
+    lam, V = np.linalg.eigh(matrix)
+    keep = lam > 1e-11 * math.sqrt(lam.size) * lam.max()
+    return lam[keep], V[:, keep]
+
+
+def _rungs(beta: np.ndarray, n: int) -> np.ndarray:
+    """Rows T_r = exp(-|beta|^2/2) conj(beta)^r / sqrt(r!), r < n, of flat beta
+    samples, each from the row below; conj(beta)^r is never formed, and where
+    the envelope underflows (or beta overflows) every row is 0, not 0 * inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-0.5 * (beta.real ** 2 + beta.imag ** 2))
+    live = envelope > 0.0  # False for 0 and NaN
+    step = np.where(live, beta.conj(), 0.0)
+    table = np.empty((n, beta.size), dtype=complex)
+    table[0] = np.where(live, envelope, 0.0)
+    for r in range(1, n):
+        np.multiply(table[r - 1], step, out=table[r])
+        table[r] /= math.sqrt(r)
+    return table
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray):
@@ -503,8 +556,8 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
     """
     _check_phase_coverage(state, pgrid, 8.0)
     analyzer = _shared_analyzer(family, pgrid, state.grid)
-    pw = analyzer.transform(state.values)
-    rec = analyzer.synthesize(pw)
+    # the gauge phase exp(-iK) of the transform and exp(+iK) of the synthesis cancel
+    rec = analyzer.synthesize(analyzer.transform(state.values, phased=False), phased=False)
     err = np.sqrt(np.sum(np.abs(rec - state.values) ** 2) * state.grid.cell_volume)
     return ClosureResult(l2_error=float(err))
 

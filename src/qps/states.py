@@ -136,6 +136,13 @@ class JointStateSpec:
     def shape(self):
         return build_shape(self.moments, self.signature, self.hbar)
 
+    @property
+    def axis_factorized(self) -> bool:
+        """Whether the Gaussian exponent is diagonal, so that the state is a
+        product over axes (then X, rho, B and a = sqrt(eta X) are diagonal)."""
+        expo = self.shape.exponent
+        return not np.abs(expo - np.diag(np.diag(expo))).max() > 0.0
+
     @cached_property
     def mean_z(self) -> np.ndarray:
         """Eigenvalue label <z_mu> = <p_mu> + (2i/hbar) s_nu B[mu,nu] <x_nu>."""
@@ -217,11 +224,16 @@ def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridW
         phase = -np.einsum("i,i...->...", signs * spec.moments.mean_p, mesh) / hbar
         values = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
     psi = GridWavefunction(grid, values, hbar, tuple(signs))
-    # a momentum beyond the grid's dual range would be sampled aliased
-    check_coverage([f"momentum range of grid axis {mu}" for mu in range(spec.dim)],
-                   grid.dual(hbar).bounds, spec.moments.mean_p,
-                   6.0 * np.sqrt(np.diag(spec.moments.P)))
+    check_momentum_range(spec, grid)
     return psi
+
+
+def check_momentum_range(spec: JointStateSpec, grid: CoordinateGrid):
+    """Reject a grid whose dual momentum range misses 6 sigma of the state's
+    momenta: a momentum beyond it would be sampled aliased."""
+    check_coverage([f"momentum range of grid axis {mu}" for mu in range(spec.dim)],
+                   grid.dual(spec.hbar).bounds, spec.moments.mean_p,
+                   6.0 * np.sqrt(np.diag(spec.moments.P)))
 
 
 def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWavefunction:

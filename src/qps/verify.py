@@ -325,7 +325,7 @@ def suite_density(hbar=1.0, tols=None):
     checks.append(_row("quarter_turn_p", density.expectation(rho_q, pm).real, 1e-6 * s, target=-1.0 * s))
 
     pg = PhaseGrid.symmetric(8.0 * s, 128)
-    hus = phasespace.husimi_distribution(rho_q, spec, pg, states_c)
+    hus = phasespace.density_husimi(rho_q, pg)
     peak = hus.argmax_point()
     cell = np.hypot(pg.pairs[0].dp, pg.pairs[0].dx)
     checks.append(_row("quarter_turn_husimi_peak", np.hypot(peak[0] + 1.0 * s, peak[1]), cell))

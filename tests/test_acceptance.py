@@ -25,6 +25,7 @@ from qps import (
     closure_reconstruct,
     coordinate_wavefunction,
     count_microstates,
+    density_husimi,
     evolve_lvn,
     expectation,
     from_pure,
@@ -275,7 +276,7 @@ def test_09_liouville_von_neumann(ground):
     x_q = expectation(rho_q, position_matrix(basis)).real
     p_q = expectation(rho_q, momentum_matrix(basis)).real
     pg = PhaseGrid.symmetric(8.0, 128)
-    peak = husimi_distribution(rho_q, ground, pg, states).argmax_point()
+    peak = density_husimi(rho_q, pg).argmax_point()
     cell = np.hypot(pg.pairs[0].dp, pg.pairs[0].dx)
     peak_dev = np.hypot(peak[0] - p_q, peak[1] - x_q)
     rho_T = evolve_lvn(rho0, Hmat, 2.0 * np.pi)

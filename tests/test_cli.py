@@ -408,31 +408,34 @@ class TestEvolve:
         final = read_density(tmp_path / "evo" / "rho_0001.csv")
         assert np.abs(final.matrix - rho.matrix).max() < 1e-8
 
-    def test_number_states_built_once(self, tmp_path, monkeypatch):
+    def test_husimi_builds_no_analyzer_and_no_number_states(self, tmp_path, monkeypatch):
+        # the closed form images every snapshot: no analyzer, no transform and
+        # no number state on the grid
         import qps.fock
-
-        calls = []
-        build = qps.fock.grid_number_states
-        monkeypatch.setattr(qps.fock, "grid_number_states",
-                            lambda *a: calls.append(1) or build(*a))
-        code = main(["evolve", str(write_rho(tmp_path)),
-                     "--t", "1.0", "--snapshots", "4", "--husimi", "--out", str(tmp_path / "evo")])
-        assert code == 0
-        assert len(calls) == 1
-        assert (tmp_path / "evo" / "husimi_0003.csv").exists()
-
-    def test_analyzer_built_once(self, tmp_path, monkeypatch):
         from qps.phasespace import PhaseAnalyzer
 
         calls = []
-        init = PhaseAnalyzer.__init__
-        monkeypatch.setattr(PhaseAnalyzer, "__init__",
-                            lambda self, *a: calls.append(1) or init(self, *a))
+        for owner, name in [(PhaseAnalyzer, "__init__"), (PhaseAnalyzer, "transform"),
+                            (qps.fock, "grid_number_states"), (qps.fock, "_raised_family")]:
+            monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
         code = main(["evolve", str(write_rho(tmp_path)),
                      "--t", "1.0", "--snapshots", "4", "--husimi", "--out", str(tmp_path / "evo")])
         assert code == 0
-        assert len(calls) == 1
+        assert calls == []
         assert (tmp_path / "evo" / "husimi_0003.csv").exists()
+
+    @pytest.mark.parametrize("pgrid", ["-1e300:1e300:64,-8:8:64", "-8:8:4096,-8:8:4096"])
+    def test_husimi_on_extreme_phase_grids(self, tmp_path, capsys, pgrid):
+        # far phase points underflow to 0 without 0 * inf; a 4096^2 grid is
+        # imaged in blocks, with no 16 x 4096^2 table of number-state factors
+        code = main(["evolve", str(write_rho(tmp_path, n_max=(16,))), "--t", "1.0", "--husimi",
+                     f"--pgrid={pgrid}", "--out", str(tmp_path / "evo")])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        mass = float(next(l.split()[1] for l in captured.out.splitlines()
+                          if l.startswith("husimi_normalization_min")))
+        assert np.isfinite(mass)
+        (tmp_path / "evo" / "husimi_0000.csv").unlink()  # 700 MB for the 4096^2 grid
 
     @pytest.mark.parametrize("pgrid", [None, "-1:1:32,-1:1:32"])
     def test_husimi_normalization_min(self, tmp_path, capsys, pgrid):
@@ -619,6 +622,7 @@ class TestDamagedInputs:
         ["--hamiltonian", "number_omega:abc"], ["--hamiltonian", "number_omega:nan"],
         ["--t", "nan"], ["--t", "inf"], ["--t=-inf"], ["--grid=-inf:12:1024"],
         ["--hamiltonian", "number_omega(1.0)"], ["--snapshots", "1001"],
+        ["--hamiltonian", "number_omega:1e308"], ["--t", "1e308"],
     ])
     def test_bad_evolve_parameters_exit_2(self, tmp_path, capsys, option):
         rho_path = write_rho(tmp_path)
@@ -628,6 +632,38 @@ class TestDamagedInputs:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "evo" / "rho_0000.csv").exists()
+
+    @pytest.mark.parametrize("option, cause", [
+        (["--hamiltonian", "number_omega:1e308"], "hbar omega (N + 1/2) reaches inf"),
+        (["--t", "1e308"], "max|E| t / hbar is inf"),
+    ])
+    def test_overflowing_evolution_names_its_cause(self, tmp_path, capsys, option, cause):
+        code = main(["evolve", str(write_rho(tmp_path)), "--t", "1.0", *option,
+                     "--out", str(tmp_path / "evo")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert cause in err and "non-finite" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("grid, message", [
+        ("-6:6:1024", "grid axis 0 for n=3"), ("-12:12:16", "momentum range of grid axis 0"),
+    ])
+    def test_husimi_grid_still_gates_the_family(self, tmp_path, capsys, grid, message):
+        # nothing is sampled on --grid, but the number family is checked on it
+        assert main(["evolve", str(write_rho(tmp_path)), "--t", "1.0", "--husimi",
+                     f"--grid={grid}", "--out", str(tmp_path / "evo")]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_husimi_of_non_factorized_reference_exit_4(self, tmp_path, capsys):
+        from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
+
+        spec = JointStateSpec.from_covariance(X=[[0.5, 0.2], [0.2, 0.5]])
+        rho_path = tmp_path / "rho.csv"
+        write_density(from_pure(FockVector.unit(TruncatedBasis((2, 2), spec), (1, 0))), rho_path)
+        code = main(["evolve", str(rho_path), "--t", "1.0", "--husimi",
+                     "--out", str(tmp_path / "evo")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "axis-factorized" in err and "Traceback" not in err
 
     def test_number_states_over_grid_budget_exit_2(self, tmp_path, capsys, monkeypatch):
         import qps.fock

@@ -280,6 +280,48 @@ class TestOrthonormality:
             grid_number_states(basis, CoordinateGrid.square(-12.0, 12.0, 128))
 
 
+class TestNumberFamilyGate:
+    def test_gate_builds_nothing_and_returns_the_ladder_factor(self, ground_spec_module,
+                                                               monkeypatch):
+        import qps.fock
+        from qps.fock import check_number_family
+
+        monkeypatch.setattr(qps.fock, "coordinate_wavefunction", None)  # nothing is built
+        basis = TruncatedBasis((16,), ground_spec_module)
+        a = check_number_family(basis, CoordinateGrid.line(), (15,))
+        spec = ground_spec_module
+        assert np.array_equal(a, decompose_covariance(spec.moments, spec.signature, spec.hbar).a)
+        with pytest.raises(CoverageError, match="momentum range of grid axis 0"):
+            check_number_family(basis, CoordinateGrid.line(-12.0, 12.0, 16), (15,))
+
+    def test_ladder_eigenvalues_are_coherent_labels(self):
+        # a spatial rho = 0 reference: |beta|^2 = X (q - <p>)^2 / hbar^2 + (y - <x>)^2 / (4 X)
+        from qps import PhaseGrid
+        from qps.fock import ladder_eigenvalues
+
+        hbar, X = 0.7, 0.45
+        spec = JointStateSpec.from_covariance(X=[[X]], mean_p=[0.3], mean_x=[-0.2], hbar=hbar)
+        pair = PhaseGrid.symmetric(4.0, 16).pairs[0]
+        (beta,) = ladder_eigenvalues(spec, [pair])
+        q, y = pair.p_points()[:, None], pair.x_points()[None, :]
+        expected = X * (q - 0.3) ** 2 / hbar**2 + (y + 0.2) ** 2 / (4.0 * X)
+        assert beta.shape == (16, 16)
+        assert np.allclose(np.abs(beta) ** 2, expected, rtol=1e-13, atol=0.0)
+
+    def test_ladder_eigenvalues_need_a_canonical_factorized_ladder(self):
+        from qps import PhaseGrid
+        from qps.fock import ladder_eigenvalues
+
+        pairs = PhaseGrid.symmetric(4.0, 8, npairs=2).pairs
+        mixed = JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.8]],
+                                               signature=Signature(1, 1))
+        correlated = JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.8]])
+        with pytest.raises(UnsupportedError, match="not canonical"):
+            ladder_eigenvalues(mixed, pairs)
+        with pytest.raises(UnsupportedError, match="axis-factorized"):
+            ladder_eigenvalues(correlated, pairs)
+
+
 class TestOperatorMatrix:
     def test_matches_inner_product_loop(self):
         # the stacked product S^H (A S) dV against the pairwise quadrature

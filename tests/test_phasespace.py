@@ -20,6 +20,7 @@ from qps import (
     analytic_overlap,
     closure_reconstruct,
     coordinate_wavefunction,
+    density_husimi,
     grid_number_states,
     husimi_distribution,
     microstate_hypervolume,
@@ -155,42 +156,38 @@ class TestHusimi:
 
         basis = TruncatedBasis((4,), spec)
         rho = from_pure(FockVector.unit(basis, 1))
-        dist = husimi_distribution(rho, spec, pgrid, grid_number_states(basis, grid))
+        dist = density_husimi(rho, pgrid)
         assert dist.minimum() >= -1e-12
         assert dist.integral() == pytest.approx(1.0, abs=1e-3)
         # agrees with the pure-state route
         direct = husimi_distribution(number_state(1, basis, grid), spec, pgrid)
         assert np.abs(dist.values - direct.values).max() < 1e-8
 
-    def test_density_source_needs_its_states(self, spec, grid, pgrid):
+    def test_density_source_goes_to_density_husimi(self, spec, pgrid):
         from qps import FockVector, from_pure
 
-        basis = TruncatedBasis((4,), spec)
-        rho = from_pure(FockVector.unit(basis, 1))
-        states = grid_number_states(TruncatedBasis((3,), spec), grid)
-        for wrong in (None, [], states):
-            with pytest.raises(InvalidInputError, match="needs its 4 grid number states"):
-                husimi_distribution(rho, spec, pgrid, wrong)
+        rho = from_pure(FockVector.unit(TruncatedBasis((4,), spec), 1))
+        with pytest.raises(InvalidInputError, match="density matrix goes to density_husimi"):
+            husimi_distribution(rho, spec, pgrid)
 
     @staticmethod
-    def mixture_source(spec, grid, pgrid, weights):
+    def mixture_source(spec, pgrid, weights):
         # a mixture reaches Husimi as a density source, its weights checked
         # where the mixture is built
         from qps import FockVector, MixtureSpec, from_mixture
 
         basis = TruncatedBasis((3,), spec)
         mix = MixtureSpec(tuple((w, FockVector.unit(basis, 0)) for w in weights))
-        return husimi_distribution(from_mixture(mix), spec, pgrid,
-                                   grid_number_states(basis, grid))
+        return density_husimi(from_mixture(mix), pgrid)
 
-    def test_bad_weights_rejected(self, spec, grid, pgrid):
+    def test_bad_weights_rejected(self, spec, pgrid):
         with pytest.raises(InvalidInputError):
-            self.mixture_source(spec, grid, pgrid, [0.7, 0.7])
+            self.mixture_source(spec, pgrid, [0.7, 0.7])
 
     @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 1.0], []])
-    def test_nan_or_no_weights_rejected(self, spec, grid, pgrid, weights):
+    def test_nan_or_no_weights_rejected(self, spec, pgrid, weights):
         with pytest.raises(InvalidInputError, match="must be >= 0 and sum to 1"):
-            self.mixture_source(spec, grid, pgrid, weights)
+            self.mixture_source(spec, pgrid, weights)
 
 
 class TestWigner:
@@ -331,6 +328,47 @@ class TestClosure:
         psi2 = coordinate_wavefunction(spec2.displaced([0.0, 0.0], [0.5, -0.5]), grid2)
         res = closure_reconstruct(psi2, spec2, PhaseGrid.symmetric(10.0, 48, npairs=2))
         assert res.l2_error <= 1e-3
+
+
+PHASE_FREE_CASES = {
+    1: (CoordinateGrid.line(-16.0, 16.0, 1024), PhaseGrid.symmetric(12.0, 128)),
+    2: (CoordinateGrid.square(-12.0, 12.0, 128), PhaseGrid.symmetric(10.0, 48, npairs=2)),
+}
+
+
+class TestPhaseFreeDensities:
+    """Husimi and closure leave out the unit-modulus gauge phase: the zero
+    gauge keeps every bit, the others move by round-off only."""
+
+    @staticmethod
+    def phased(gauge, npairs):
+        from qps.phasespace import PhaseAnalyzer
+
+        grid, pgrid = PHASE_FREE_CASES[npairs]
+        family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.6][:npairs]),
+                                                gauge=GaugeChoice(gauge))
+        psi = coordinate_wavefunction(family.displaced([0.3, -0.2][:npairs],
+                                                       [0.8, 0.4][:npairs]), grid)
+        analyzer = PhaseAnalyzer(family, pgrid, grid)
+        pw = analyzer.transform(psi.values)
+        rec = analyzer.synthesize(pw)
+        l2 = np.sqrt(np.sum(np.abs(rec - psi.values) ** 2) * grid.cell_volume)
+        return family, psi, pgrid, np.abs(pw) ** 2, l2
+
+    @pytest.mark.parametrize("npairs", [1, 2])
+    def test_zero_gauge_keeps_every_bit(self, npairs):
+        family, psi, pgrid, husimi, l2 = self.phased("zero", npairs)
+        assert np.array_equal(husimi_distribution(psi, family, pgrid).values, husimi)
+        assert closure_reconstruct(psi, family, pgrid).l2_error == l2
+
+    @pytest.mark.parametrize("npairs", [1, 2])
+    @pytest.mark.parametrize("gauge", ["full", "half"])
+    def test_other_gauges_move_by_round_off(self, gauge, npairs):
+        family, psi, pgrid, husimi, l2 = self.phased(gauge, npairs)
+        dist = husimi_distribution(psi, family, pgrid)
+        assert np.abs(dist.values - husimi).max() <= 1e-15 * husimi.max()
+        assert dist.gauge == family.gauge
+        assert closure_reconstruct(psi, family, pgrid).l2_error == pytest.approx(l2, rel=1e-9)
 
 
 class TestHypervolume:
@@ -487,18 +525,17 @@ DENSITY_CASES = {
 
 @pytest.fixture(scope="module", params=sorted(DENSITY_CASES))
 def density_case(request):
-    """Basis, family, grid number states, phase grid and the transformed
-    basis-state stack of the full quadratic form, which is the reference the
-    rank-streamed path must match."""
+    """Basis, family, phase grid and the grid oracle's number-state images
+    (every number state built on the grid and transformed), from which the
+    full quadratic form, the reference the closed form must match, is taken."""
     from qps.phasespace import PhaseAnalyzer
 
     n_max, grid, pgrid = DENSITY_CASES[request.param]
     family = JointStateSpec.from_covariance(X=np.diag([0.5] * len(n_max)))
     basis = TruncatedBasis(n_max, family)
-    states = grid_number_states(basis, grid)
     analyzer = PhaseAnalyzer(family, pgrid, grid)
-    tilde = np.stack([analyzer.transform(s.values) for s in states])
-    return basis, family, states, pgrid, tilde
+    tilde = np.stack([analyzer.transform(s.values) for s in grid_number_states(basis, grid)])
+    return basis, family, pgrid, tilde
 
 
 def random_density(basis, eigenvalues, seed):
@@ -518,40 +555,52 @@ def quadratic_form_husimi(tilde, rho):
     return np.real(np.einsum("n...,nm,m...->...", tilde, rho.matrix, np.conj(tilde)))
 
 
+def grid_oracle_husimi(rho, grid, pgrid):
+    """The density Husimi the grid way: each resolved eigenvector realized on
+    the grid from the number states and transformed, sum_k w_k |psi~_k|^2."""
+    from qps.phasespace import PhaseAnalyzer, _resolved_eigenpairs
+
+    weights, vectors = _resolved_eigenpairs(rho.matrix)
+    states = np.stack([s.values for s in grid_number_states(rho.basis, grid)])
+    analyzer = PhaseAnalyzer(rho.basis.reference, pgrid, grid)
+    values = 0.0
+    for w, v in zip(weights, vectors.T):
+        values = values + w * np.abs(analyzer.transform(np.tensordot(v, states, axes=1))) ** 2
+    return values
+
+
 class TestDensityHusimi:
     @pytest.mark.parametrize("rank", [1, 2, 3, "full"])
     def test_matches_quadratic_form(self, density_case, rank, monkeypatch):
         from qps.phasespace import PhaseAnalyzer
 
-        basis, family, states, pgrid, tilde = density_case
+        basis, family, pgrid, tilde = density_case
         r = basis.dim if rank == "full" else rank
         weights = np.random.default_rng(r).uniform(0.2, 1.0, r)
         rho = random_density(basis, weights / weights.sum(), seed=r)
         calls = []
-        transform = PhaseAnalyzer.transform
-        monkeypatch.setattr(PhaseAnalyzer, "transform",
-                            lambda self, v: calls.append(1) or transform(self, v))
-        dist = husimi_distribution(rho, family, pgrid, states)
+        monkeypatch.setattr(PhaseAnalyzer, "transform", lambda *a, **k: calls.append(1))
+        dist = density_husimi(rho, pgrid)
         expected = quadratic_form_husimi(tilde, rho)
-        assert len(calls) == r
+        assert calls == []  # the closed form transforms nothing
         assert np.abs(dist.values - expected).max() <= 1e-12 * np.abs(expected).max()
         assert dist.minimum() >= 0.0
+        assert (dist.kind, dist.hbar, dist.gauge) == ("husimi_like", family.hbar, family.gauge)
 
     def test_stored_density_costs_its_rank(self, density_case, tmp_path, monkeypatch):
         # %.12g rounding leaves null-space eigenvalues far above eps * lam_max
-        from qps import read_density, write_density
-        from qps.phasespace import PhaseAnalyzer
+        from qps import phasespace, read_density, write_density
 
-        basis, family, states, pgrid, tilde = density_case
+        basis, family, pgrid, tilde = density_case
         write_density(random_density(basis, [0.7, 0.3], seed=5), tmp_path / "rho.csv")
         rho = read_density(tmp_path / "rho.csv")
-        calls = []
-        transform = PhaseAnalyzer.transform
-        monkeypatch.setattr(PhaseAnalyzer, "transform",
-                            lambda self, v: calls.append(1) or transform(self, v))
-        dist = husimi_distribution(rho, family, pgrid, states)
+        kept = []
+        resolve = phasespace._resolved_eigenpairs
+        monkeypatch.setattr(phasespace, "_resolved_eigenpairs",
+                            lambda m: (lambda r: kept.append(len(r[0])) or r)(resolve(m)))
+        dist = density_husimi(rho, pgrid)
         expected = quadratic_form_husimi(tilde, rho)
-        assert len(calls) == 2
+        assert kept == [2]
         assert np.abs(dist.values - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_round_off_negative_eigenvalue_is_dropped(self, density_case):
@@ -559,14 +608,92 @@ class TestDensityHusimi:
         # full quadratic form dips below zero in the tails (to -1.4e-16 on (16,))
         from qps import DensityMatrix
 
-        basis, family, states, pgrid, tilde = density_case
+        basis, family, pgrid, tilde = density_case
         lam = np.zeros(basis.dim)
         lam[[0, 1, -1]] = [0.6, 0.4 + 5e-11, -5e-11]
         rho = DensityMatrix(basis, np.diag(lam))
-        dist = husimi_distribution(rho, family, pgrid, states)
+        dist = density_husimi(rho, pgrid)
         assert dist.minimum() >= 0.0
         expected = quadratic_form_husimi(tilde, rho)
         assert np.abs(dist.values - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def closed_form_case(hbar, gauge, shape):
+    """(density, coordinate grid, phase grid) of one closed-form sweep case:
+    a displaced reference with rho != 0 where the shape allows it, a random
+    rank-3 density, and grids scaled by sqrt(hbar)."""
+    from qps import Signature
+
+    s = np.sqrt(hbar)
+    gauge = GaugeChoice(gauge, 0.7 if gauge == "const" else 0.0)
+    if shape == "1pair-20":
+        n_max, signature, rho = (20,), None, [[0.2 * hbar]]
+        grid = CoordinateGrid.line(-16.0 * s, 16.0 * s, 1024)
+        pgrid = PhaseGrid.symmetric(10.0 * s, 64)
+    elif shape in ("2pair", "2pair-signature-1-1"):
+        n_max, rho = (4, 3), np.diag([0.1, -0.2]) * hbar
+        signature = Signature(1, 1) if shape == "2pair-signature-1-1" else None
+        grid = CoordinateGrid(((-12.0 * s, 12.0 * s, 128),) * 2)
+        pgrid = PhaseGrid.symmetric(8.0 * s, 24, npairs=2)
+    else:  # "3pair"
+        n_max, signature, rho = (2, 2, 2), None, None
+        grid = CoordinateGrid(((-9.0 * s, 9.0 * s, 64),) * 3)
+        pgrid = PhaseGrid.symmetric(6.0 * s, 8, npairs=3)
+    D = len(n_max)
+    rng = np.random.default_rng(len(shape))
+    family = JointStateSpec.from_covariance(
+        X=np.diag(rng.uniform(0.4, 0.7, D)) * hbar, rho=rho, signature=signature,
+        mean_p=rng.uniform(-0.5, 0.5, D) * s, mean_x=rng.uniform(-0.5, 0.5, D) * s,
+        gauge=gauge, hbar=hbar)
+    basis = TruncatedBasis(n_max, family)
+    weights = rng.uniform(0.2, 1.0, 3)
+    return random_density(basis, weights / weights.sum(), seed=D), grid, pgrid
+
+
+class TestClosedFormHusimi:
+    @pytest.mark.parametrize("shape", ["1pair-20", "2pair", "2pair-signature-1-1"])
+    @pytest.mark.parametrize("gauge", ["zero", "full", "half", "const"])
+    @pytest.mark.parametrize("hbar", [1e-6, 1.0, 2.5])
+    def test_matches_grid_oracle(self, hbar, gauge, shape):
+        rho, grid, pgrid = closed_form_case(hbar, gauge, shape)
+        expected = grid_oracle_husimi(rho, grid, pgrid)
+        dist = density_husimi(rho, pgrid)
+        assert np.abs(dist.values - expected).max() <= 1e-12 * expected.max()
+        assert dist.gauge == rho.basis.reference.gauge
+
+    def test_three_pairs_match_grid_oracle(self):
+        rho, grid, pgrid = closed_form_case(1.0, "full", "3pair")
+        expected = grid_oracle_husimi(rho, grid, pgrid)
+        assert np.abs(density_husimi(rho, pgrid).values - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("shape", ["1pair-20", "2pair"])
+    def test_blocks_of_the_last_pair_change_nothing(self, shape, monkeypatch):
+        from qps import phasespace
+
+        rho, _, pgrid = closed_form_case(1.0, "zero", shape)
+        whole = density_husimi(rho, pgrid).values
+        monkeypatch.setattr(phasespace, "_BLOCK", 100)  # 5 columns per (20,) block
+        blocked = density_husimi(rho, pgrid).values
+        assert np.abs(blocked - whole).max() <= 1e-14 * whole.max()
+
+    def test_underflowed_envelope_gives_zero(self):
+        from qps.phasespace import _rungs
+
+        beta = np.array([0.5 + 0.5j, 40.0, 1e200 + 1e200j, np.inf, 2e308 * 1j])
+        with np.errstate(over="raise", invalid="raise"):  # underflow to 0 is the point
+            table = _rungs(beta, 20)
+        assert np.isfinite(table).all()
+        assert np.array_equal(table[:, 2:], np.zeros((20, 3)))
+        n = np.arange(20)
+        log_t = -0.5 * 40.0**2 + n * np.log(40.0) - 0.5 * np.array(
+            [np.sum(np.log(np.arange(1, k + 1))) for k in n])
+        assert np.allclose(table[:, 1].real, np.exp(log_t), rtol=1e-12, atol=0.0)
+
+    def test_non_factorized_reference_unsupported(self):
+        family = JointStateSpec.from_covariance(X=[[0.5, 0.2], [0.2, 0.5]])
+        rho = random_density(TruncatedBasis((2, 2), family), [1.0], seed=1)
+        with pytest.raises(UnsupportedError, match="axis-factorized"):
+            density_husimi(rho, PhaseGrid.symmetric(8.0, 16, npairs=2))
 
 
 class TestMixtureHusimi:
@@ -577,9 +704,10 @@ class TestMixtureHusimi:
         basis = TruncatedBasis((3,), spec)
         states = grid_number_states(basis, grid)
         mix = MixtureSpec(((0.25, FockVector.unit(basis, 1)), (0.75, FockVector.unit(basis, 2))))
-        dist = husimi_distribution(from_mixture(mix), spec, pgrid, states)
+        dist = density_husimi(from_mixture(mix), pgrid)
         pure = [husimi_distribution(states[n], spec, pgrid).values for n in (1, 2)]
-        assert np.array_equal(dist.values, 0.25 * pure[0] + 0.75 * pure[1])
+        expected = 0.25 * pure[0] + 0.75 * pure[1]
+        assert np.abs(dist.values - expected).max() <= 1e-12 * expected.max()
 
     @pytest.mark.parametrize("other", ["list", "array", "empty"])
     def test_other_sources_rejected(self, spec, grid, pgrid, other):
