@@ -408,16 +408,32 @@ class TestEvolve:
         final = read_density(tmp_path / "evo" / "rho_0001.csv")
         assert np.abs(final.matrix - rho.matrix).max() < 1e-8
 
-    def test_husimi_builds_no_analyzer_and_no_number_states(self, tmp_path, monkeypatch):
-        # the closed form images every snapshot: no analyzer, no transform and
-        # no number state on the grid
+    def test_number_states_built_once(self, tmp_path, monkeypatch):
+        # the number family is gated once per run; the closed form images
+        # every snapshot without building a number state on the grid
         import qps.fock
+
+        calls = []
+        for name in ["grid_number_states", "_raised_family"]:
+            monkeypatch.setattr(qps.fock, name, lambda *a, name=name: calls.append(name))
+        gates = []
+        check = qps.fock.check_number_family
+        monkeypatch.setattr(qps.fock, "check_number_family",
+                            lambda *a: gates.append(1) or check(*a))
+        code = main(["evolve", str(write_rho(tmp_path)),
+                     "--t", "1.0", "--snapshots", "4", "--husimi", "--out", str(tmp_path / "evo")])
+        assert code == 0
+        assert calls == []
+        assert len(gates) == 1
+        assert (tmp_path / "evo" / "husimi_0003.csv").exists()
+
+    def test_analyzer_built_once(self, tmp_path, monkeypatch):
+        # at most once: the closed form needs no analyzer and no transform at all
         from qps.phasespace import PhaseAnalyzer
 
         calls = []
-        for owner, name in [(PhaseAnalyzer, "__init__"), (PhaseAnalyzer, "transform"),
-                            (qps.fock, "grid_number_states"), (qps.fock, "_raised_family")]:
-            monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
+        for name in ["__init__", "transform"]:
+            monkeypatch.setattr(PhaseAnalyzer, name, lambda *a, name=name: calls.append(name))
         code = main(["evolve", str(write_rho(tmp_path)),
                      "--t", "1.0", "--snapshots", "4", "--husimi", "--out", str(tmp_path / "evo")])
         assert code == 0
