@@ -10,11 +10,11 @@ annihilates the anchoring joint state and has [ladder_mu, ladder_nu^dagger]
 or a diagonal X, and repeated adjoints then generate the orthonormal number
 family; a mixed signature with correlated X has no such family.
 
-`check_number_family` is the one gate of a family on a grid (budget,
-coverage, canonical ladder) whether or not it is then built, and
+`_raised_family` is the one path that gates (budget, coverage, canonical
+ladder, momentum range) and builds a family on a grid, and
 `ladder_eigenvalues` gives the eigenvalue beta of the ladder on the
 reference displaced to each phase point, from which the family's phase-space
-images follow in closed form.
+images follow in closed form with no grid at all.
 """
 
 from __future__ import annotations
@@ -125,27 +125,6 @@ def _canonical_ladder(spec: JointStateSpec) -> np.ndarray:
     return a
 
 
-def check_number_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> np.ndarray:
-    """The number-family gate: reject the family m <= top per axis on the grid
-    before anything is sampled, and return the ladder factor a = sqrt(eta X).
-
-    In order: the samples of the family against the budget, each axis against
-    the classical turning point of its top rung plus 6 sigma, a canonical
-    ladder, and the grid's momentum range against the reference's spread.
-    """
-    count = math.prod(t + 1 for t in top)
-    samples = count * math.prod(grid.shape)
-    check_budget(f"{count} number states on the grid are {samples} samples", samples)
-    spec = basis.reference
-    X = np.diag(spec.moments.X)
-    check_coverage([f"grid axis {mu} for n={n}" for mu, n in enumerate(top)], grid.bounds,
-                   spec.moments.mean_x,
-                   np.sqrt((2 * np.array(top) + 1) * 2.0 * X) + 6.0 * np.sqrt(X))
-    a = _canonical_ladder(spec)
-    check_momentum_range(spec, grid)
-    return a
-
-
 def ladder_eigenvalues(spec: JointStateSpec, pairs) -> list:
     """beta_mu(q, y) on each phase pair: L_mu |z> = beta_mu |z> for the
     reference displaced to the phase point z = (q, y), so the number states
@@ -187,10 +166,21 @@ def _raised_family(basis: TruncatedBasis, grid: CoordinateGrid, top) -> list:
                            - i (a* eta X^-1 (x - <x>))_mu psi_b
 
     For one axis this is psi_n = He_n((x - <x>)/sqrt(X)) psi_0 / sqrt(n!), so
-    no rung loses more than round-off.  `check_number_family` gates it.
+    no rung loses more than round-off.  Before anything is sampled the family
+    is checked, in order: its samples against the budget, each axis against
+    the classical turning point of its top rung plus 6 sigma, a canonical
+    ladder, and the grid's momentum range against the reference's spread.
     """
-    a = check_number_family(basis, grid, top)
+    count = math.prod(t + 1 for t in top)
+    samples = count * math.prod(grid.shape)
+    check_budget(f"{count} number states on the grid are {samples} samples", samples)
     spec = basis.reference
+    X = np.diag(spec.moments.X)
+    check_coverage([f"grid axis {mu} for n={n}" for mu, n in enumerate(top)], grid.bounds,
+                   spec.moments.mean_x,
+                   np.sqrt((2 * np.array(top) + 1) * 2.0 * X) + 6.0 * np.sqrt(X))
+    a = _canonical_ladder(spec)
+    check_momentum_range(spec, grid)
     eta = spec.signature.matrix()
     back = a.conj() @ np.linalg.inv(a)
     shift = -1j * a.conj() @ eta @ spec.moments.x_inv

@@ -409,22 +409,17 @@ class TestEvolve:
         assert np.abs(final.matrix - rho.matrix).max() < 1e-8
 
     def test_number_states_built_once(self, tmp_path, monkeypatch):
-        # the number family is gated once per run; the closed form images
-        # every snapshot without building a number state on the grid
+        # at most once: the closed form images every snapshot without gating
+        # or building a number state on any grid
         import qps.fock
 
         calls = []
         for name in ["grid_number_states", "_raised_family"]:
             monkeypatch.setattr(qps.fock, name, lambda *a, name=name: calls.append(name))
-        gates = []
-        check = qps.fock.check_number_family
-        monkeypatch.setattr(qps.fock, "check_number_family",
-                            lambda *a: gates.append(1) or check(*a))
         code = main(["evolve", str(write_rho(tmp_path)),
                      "--t", "1.0", "--snapshots", "4", "--husimi", "--out", str(tmp_path / "evo")])
         assert code == 0
         assert calls == []
-        assert len(gates) == 1
         assert (tmp_path / "evo" / "husimi_0003.csv").exists()
 
     def test_analyzer_built_once(self, tmp_path, monkeypatch):
@@ -455,8 +450,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("pgrid", [None, "-1:1:32,-1:1:32"])
     def test_husimi_normalization_min(self, tmp_path, capsys, pgrid):
-        # only the coordinate grid is checked for coverage, so a phase grid
-        # that misses most of the density shows up here, not in the exit code
+        # no grid is checked for a density's coverage, so a phase grid that
+        # misses most of the density shows up here, not in the exit code
         code = main(["evolve", str(write_rho(tmp_path)),
                      "--t", "1.0", "--snapshots", "2", "--husimi", "--out", str(tmp_path / "evo")]
                     + ([f"--pgrid={pgrid}"] if pgrid else []))
@@ -494,6 +489,18 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert code == 4
         assert "ladder of this reference is not canonical" in err and "Traceback" not in err
+        assert not (tmp_path / "evo").exists()  # imaged before the first write
+
+    def test_wide_reference_images_on_a_wide_phase_grid(self, tmp_path, capsys):
+        # a number family wider than the default coordinate grid: the phase
+        # grid alone decides what is imaged
+        code = main(["evolve", str(write_rho(tmp_path, n_max=(16,), X=2.0)), "--t", "1.0",
+                     "--husimi", "--pgrid=-16:16:128,-16:16:128", "--out", str(tmp_path / "evo")])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        mass = float(next(l.split()[1] for l in captured.out.splitlines()
+                          if l.startswith("husimi_normalization_min")))
+        assert mass >= 0.9999
 
     def test_no_husimi_line_without_husimi(self, tmp_path, capsys):
         assert main(["evolve", str(write_rho(tmp_path)),
@@ -501,14 +508,14 @@ class TestEvolve:
         assert "husimi_normalization_min" not in capsys.readouterr().out
 
     def test_any_number_of_pairs_without_husimi(self, tmp_path, capsys):
-        # the coordinate grid is fitted to the density only for --husimi
+        # the phase grid is fitted to the density only for --husimi
         rho_path = write_rho(tmp_path, n_max=(2, 2, 2))
         assert main(["evolve", str(rho_path), "--t", "1.0", "--out", str(tmp_path / "evo")]) == 0
         assert (tmp_path / "evo" / "rho_0000.csv").exists()
         code = main(["evolve", str(rho_path), "--t", "1.0", "--husimi",
                      "--out", str(tmp_path / "hus")])
         assert code == 2
-        assert "--grid provides 1 axes, need 3" in capsys.readouterr().err
+        assert "--pgrid provides 1 pairs, need 3" in capsys.readouterr().err
 
     def test_unknown_hamiltonian_exit_2(self, tmp_path):
         from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
@@ -522,10 +529,10 @@ class TestEvolve:
         assert code == 2
 
 
-def write_rho(tmp_path, n_max=(4,)):
+def write_rho(tmp_path, n_max=(4,), X=0.5):
     from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
 
-    spec = JointStateSpec.from_covariance(X=np.diag([0.5] * len(n_max)))
+    spec = JointStateSpec.from_covariance(X=np.diag([X] * len(n_max)))
     basis = TruncatedBasis(n_max, spec)
     coeffs = np.arange(1.0, basis.dim + 1.0) * (1 - 0.5j)
     rho = from_pure(FockVector(basis, coeffs / np.linalg.norm(coeffs)))
@@ -539,7 +546,7 @@ READS = {
     "state synth": {"--grid", "--out"},
     "dist": {"--gauge", "--pgrid", "--out", "--family-x"},
     "verify": {"--hbar", "--tol", "--out"},
-    "evolve": {"--grid", "--pgrid", "--out"},
+    "evolve": {"--pgrid", "--out"},
 }
 VALUES = {"--hbar": "2", "--gauge": "full", "--grid": "-12:12:128",
           "--pgrid": "-8:8:32,-8:8:32", "--tol": "closure=1e-3", "--family-x": "0.5"}
@@ -625,7 +632,7 @@ class TestDamagedInputs:
     @pytest.mark.parametrize("option", [
         ["--grid", "a:b:c"], ["--grid=-12:12:1e3"],
         ["--pgrid=-8:8:x,-8:8:128"], ["--pgrid=-8:8:128,nan:8:128"],
-        ["--tol", "closure=abc"],
+        ["--tol", "closure=abc"], ["--grid=-inf:12:1024"],
     ])
     def test_malformed_grid_or_tol_exit_2(self, tmp_path, synth_state, capsys, option):
         code = main([*reader_of(option[0].split("=")[0], tmp_path, synth_state), *option,
@@ -636,7 +643,7 @@ class TestDamagedInputs:
 
     @pytest.mark.parametrize("option", [
         ["--hamiltonian", "number_omega:abc"], ["--hamiltonian", "number_omega:nan"],
-        ["--t", "nan"], ["--t", "inf"], ["--t=-inf"], ["--grid=-inf:12:1024"],
+        ["--t", "nan"], ["--t", "inf"], ["--t=-inf"],
         ["--hamiltonian", "number_omega(1.0)"], ["--snapshots", "1001"],
         ["--hamiltonian", "number_omega:1e308"], ["--t", "1e308"],
     ])
@@ -660,15 +667,6 @@ class TestDamagedInputs:
         assert code == 2
         assert cause in err and "non-finite" not in err and "Warning" not in err
 
-    @pytest.mark.parametrize("grid, message", [
-        ("-6:6:1024", "grid axis 0 for n=3"), ("-12:12:16", "momentum range of grid axis 0"),
-    ])
-    def test_husimi_grid_still_gates_the_family(self, tmp_path, capsys, grid, message):
-        # nothing is sampled on --grid, but the number family is checked on it
-        assert main(["evolve", str(write_rho(tmp_path)), "--t", "1.0", "--husimi",
-                     f"--grid={grid}", "--out", str(tmp_path / "evo")]) == 3
-        assert message in capsys.readouterr().err
-
     def test_husimi_of_non_factorized_reference_exit_4(self, tmp_path, capsys):
         from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
 
@@ -680,16 +678,7 @@ class TestDamagedInputs:
         err = capsys.readouterr().err
         assert code == 4
         assert "axis-factorized" in err and "Traceback" not in err
-
-    def test_number_states_over_grid_budget_exit_2(self, tmp_path, capsys, monkeypatch):
-        import qps.fock
-
-        rho_path = write_rho(tmp_path, n_max=(16,))
-        monkeypatch.setattr(qps.fock, "coordinate_wavefunction", None)  # nothing is built
-        code = main(["evolve", str(rho_path), "--t", "1.0", "--husimi",
-                     "--grid=-12:12:2097152", "--out", str(tmp_path / "evo")])
-        assert code == 2
-        assert "16 number states on the grid are 33554432 samples" in capsys.readouterr().err
+        assert not (tmp_path / "evo").exists()  # imaged before the first write
 
     @pytest.mark.parametrize("line, value", [(2, "nan"), (5, "nan"), (2, "inf")])
     def test_nonfinite_density_entry_exit_2(self, tmp_path, capsys, line, value):
@@ -1198,8 +1187,8 @@ DAMAGE_TARGETS = {
     "spec.json": ["state", "synth", "spec.json", GRID],
     "wavefunction.csv": ["dist", "wavefunction.csv", "--kind", "husimi", PGRID],
     "wavefunction.csv.json": ["dist", "wavefunction.csv", "--kind", "phasewave", PGRID],
-    "rho.csv": ["evolve", "rho.csv", "--t", "1.0", "--husimi", GRID, PGRID],
-    "rho.csv.json": ["evolve", "rho.csv", "--t", "1.0", "--husimi", GRID, PGRID],
+    "rho.csv": ["evolve", "rho.csv", "--t", "1.0", "--husimi", PGRID],
+    "rho.csv.json": ["evolve", "rho.csv", "--t", "1.0", "--husimi", PGRID],
 }
 
 

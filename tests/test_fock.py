@@ -283,16 +283,15 @@ class TestOrthonormality:
 class TestNumberFamilyGate:
     def test_gate_builds_nothing_and_returns_the_ladder_factor(self, ground_spec_module,
                                                                monkeypatch):
+        # every check of the family raises before its ground state is sampled
         import qps.fock
-        from qps.fock import check_number_family
 
         monkeypatch.setattr(qps.fock, "coordinate_wavefunction", None)  # nothing is built
         basis = TruncatedBasis((16,), ground_spec_module)
-        a = check_number_family(basis, CoordinateGrid.line(), (15,))
-        spec = ground_spec_module
-        assert np.array_equal(a, decompose_covariance(spec.moments, spec.signature, spec.hbar).a)
         with pytest.raises(CoverageError, match="momentum range of grid axis 0"):
-            check_number_family(basis, CoordinateGrid.line(-12.0, 12.0, 16), (15,))
+            grid_number_states(basis, CoordinateGrid.line(-12.0, 12.0, 16))
+        with pytest.raises(CoverageError, match="grid axis 0 for n=15"):
+            grid_number_states(basis, CoordinateGrid.line(-6.0, 6.0, 1024))
 
     def test_ladder_eigenvalues_are_coherent_labels(self):
         # a spatial rho = 0 reference: |beta|^2 = X (q - <p>)^2 / hbar^2 + (y - <x>)^2 / (4 X)
