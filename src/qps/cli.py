@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,8 +39,8 @@ class RunConfig:
 
     hbar: float = 1.0
     gauge: GaugeChoice = "zero"  # a kind name, made a GaugeChoice when built
-    grid: tuple = ((-12.0, 12.0, 1024),)
-    pgrid: tuple = ((-8.0, 8.0, 128, -8.0, 8.0, 128),)
+    grid: tuple = ()  # GridAxis per axis, absolute; none: the default of coordinate_grid
+    pgrid: tuple = ()  # PhasePair per pair, absolute; none: the default of phase_grid
     out: Path = Path(".")
     tols: dict = field(default_factory=dict)
     family_x: float | None = None
@@ -59,16 +59,12 @@ class RunConfig:
             if val is not None and not (math.isfinite(val) and val > 0.0):
                 raise InvalidInputError(f"{name} must be positive and finite")
 
-    def coordinate_grid(self, ndim: int) -> CoordinateGrid:
+    def coordinate_grid(self, ndim: int, hbar: float) -> CoordinateGrid:
         from .grids import CoordinateGrid, GridAxis
 
-        axes = self.grid
-        if len(axes) == 1 and ndim == 2:
-            lo, hi, _ = axes[0]
-            axes = ((lo, hi, 256), (lo, hi, 256))
-        if len(axes) != ndim:
-            raise InvalidInputError(f"--grid provides {len(axes)} axes, need {ndim}")
-        return CoordinateGrid(axes=tuple(GridAxis(*a) for a in axes))
+        s = math.sqrt(hbar)
+        axes = self.grid or (GridAxis(-12.0 * s, 12.0 * s, 1024),)
+        return CoordinateGrid(_per_axis(axes, ndim, "--grid", "axes", n_points=256))
 
     def output(self, name: str) -> Path:
         """Path of an output file in --out, creating the directory at the first
@@ -79,18 +75,21 @@ class RunConfig:
             raise InvalidInputError(f"output directory is not writable: {exc}") from exc
         return self.out / name
 
-    def phase_grid(self, npairs: int) -> PhaseGrid:
+    def phase_grid(self, npairs: int, hbar: float) -> PhaseGrid:
         from .phasespace import PhaseGrid, PhasePair
 
-        pairs = self.pgrid
-        if len(pairs) == 1 and npairs == 2:
-            # auto-duplicated two-pair grids use a coarser per-axis count to
-            # keep the four-dimensional sample array desk-sized
-            lo_p, hi_p, _, lo_x, hi_x, _ = pairs[0]
-            pairs = ((lo_p, hi_p, 32, lo_x, hi_x, 32),) * 2
-        if len(pairs) != npairs:
-            raise InvalidInputError(f"--pgrid provides {len(pairs)} pairs, need {npairs}")
-        return PhaseGrid(tuple(PhasePair(*p) for p in pairs))
+        s = math.sqrt(hbar)
+        pairs = self.pgrid or (PhasePair(-8.0 * s, 8.0 * s, 128, -8.0 * s, 8.0 * s, 128),)
+        return PhaseGrid(_per_axis(pairs, npairs, "--pgrid", "pairs", n_p=32, n_x=32))
+
+
+def _per_axis(axes: tuple, ndim: int, option: str, what: str, **counts) -> tuple:
+    """One spec per axis or pair; at D = 2 a single spec is copied to both with `counts`."""
+    if len(axes) == 1 and ndim == 2:
+        axes = (replace(axes[0], **counts),) * 2
+    if len(axes) != ndim:
+        raise InvalidInputError(f"{option} provides {len(axes)} {what}, need {ndim}")
+    return axes
 
 
 def _number(text: str, what: str, kind=float):
@@ -111,17 +110,21 @@ def _parse_range(text: str, option: str, what: str) -> tuple:
 
 
 def _parse_grid(text: str) -> tuple:
-    return tuple(_parse_range(part, "--grid", "axis") for part in text.split(";"))
+    from .grids import GridAxis
+
+    return tuple(GridAxis(*_parse_range(part, "--grid", "axis")) for part in text.split(";"))
 
 
 def _parse_pgrid(text: str) -> tuple:
+    from .phasespace import PhasePair
+
     pairs = []
     for part in text.split(";"):
         blocks = part.split(",")
         if len(blocks) != 2:
             raise InvalidInputError(f"--pgrid pair {part!r} is not pspec,xspec")
         pspec, xspec = (_parse_range(block, "--pgrid", "block") for block in blocks)
-        pairs.append(pspec + xspec)
+        pairs.append(PhasePair(*pspec, *xspec))
     return tuple(pairs)
 
 
@@ -178,9 +181,8 @@ def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
 
     sig = Signature(psi.signs.count(1.0), psi.signs.count(-1.0))
     width = cfg.family_x if cfg.family_x is not None else psi.hbar / 2.0
-    return JointStateSpec.from_covariance(
-        X=np.diag([width] * sig.dim), signature=sig, gauge=cfg.gauge, hbar=psi.hbar
-    )
+    return JointStateSpec.from_covariance(X=np.diag([width] * sig.dim), signature=sig,
+                                          gauge=cfg.gauge, hbar=psi.hbar)
 
 
 def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
@@ -192,8 +194,7 @@ def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:
     with reading("spec file"):
         payload = read_json(spec_file)
     spec = JointStateSpec.from_dict(payload)
-    grid = cfg.coordinate_grid(spec.dim)
-    psi = coordinate_wavefunction(spec, grid)
+    psi = coordinate_wavefunction(spec, cfg.coordinate_grid(spec.dim, spec.hbar))
     measured = moments(psi)
     residual = check_saturation(measured, spec.signature, spec.hbar)
 
@@ -221,7 +222,7 @@ def cmd_dist(cfg: RunConfig, state_file: str, kind: str) -> int:
 
     psi = read_wavefunction(state_file)
     family = _analyzing_family(cfg, psi)
-    pgrid = cfg.phase_grid(psi.grid.ndim)
+    pgrid = cfg.phase_grid(psi.grid.ndim, psi.hbar)
     if kind == "husimi":
         dist = husimi_distribution(psi, family, pgrid)
     elif kind == "wigner":
@@ -305,8 +306,7 @@ def cmd_evolve(cfg: RunConfig, density_file: str, hamiltonian: str, t: float,
     purity0 = density_mod.purity(rho)
     drift = 0.0
     husimi_min = math.inf
-    if with_husimi:
-        pgrid = cfg.phase_grid(rho.basis.naxes)
+    pgrid = cfg.phase_grid(rho.basis.naxes, rho.basis.reference.hbar) if with_husimi else None
     for i, ti in enumerate(times):
         rho_t = density_mod.evolve_lvn(rho, H, ti)
         # imaged before its files are written, so a rejected run leaves none

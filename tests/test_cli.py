@@ -529,6 +529,61 @@ class TestEvolve:
         assert code == 2
 
 
+def scaled_spec(hbar, D, X=None):
+    """Spec fields of a saturating state with X = hbar/2 (or `X`) per axis and
+    means of a few tenths of sqrt(hbar)."""
+    X = hbar / 2 if X is None else X
+    s = np.sqrt(hbar)
+    return dict(hbar=hbar, signature={"d_plus": 0, "d_minus": D},
+                mean_p=[0.3 * s, -0.2 * s][:D], mean_x=[-0.4 * s, 0.25 * s][:D],
+                P=np.diag([hbar**2 / 4 / X] * D).tolist(), X=np.diag([X] * D).tolist(),
+                rho=np.zeros((D, D)).tolist())
+
+
+class TestDefaultGridsInUnitsOfHbar:
+    """An omitted --grid or --pgrid is +-12 or +-8 in units of the sqrt(hbar)
+    of the input, so an input runs without grid options exactly when its
+    image at hbar = 1 does; a given spec is absolute."""
+
+    @pytest.mark.parametrize("D", [1, 2])
+    @pytest.mark.parametrize("hbar", [1e-150, 1e-6, 1e6, 1e150])
+    def test_every_command_without_grid_options(self, tmp_path, capsys, hbar, D):
+        from qps import DensityMatrix, JointStateSpec, TruncatedBasis, write_density
+
+        spec = write_spec(tmp_path, **scaled_spec(hbar, D))
+        basis = TruncatedBasis((16,) if D == 1 else (3, 3), JointStateSpec.from_dict(
+            ground_payload(**scaled_spec(hbar, D))))
+        rng = np.random.default_rng(D)
+        V, _ = np.linalg.qr(rng.normal(size=(basis.dim, 3)) + 1j * rng.normal(size=(basis.dim, 3)))
+        M = (V * [0.5, 0.3, 0.2]) @ V.conj().T
+        write_density(DensityMatrix(basis, 0.5 * (M + M.conj().T)), tmp_path / "rho.csv")
+        kinds = ["husimi", "phasewave"] + (["wigner"] if D == 1 else [])
+        runs = [["state", "synth", spec]]
+        runs += [["dist", str(tmp_path / "wavefunction.csv"), "--kind", kind] for kind in kinds]
+        runs += [["evolve", str(tmp_path / "rho.csv"), "--t", "1.0", "--snapshots", "2",
+                  "--husimi"]]
+        for argv in runs:
+            code = main([*argv, "--out", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, ""), argv
+            printed = dict(line.split() for line in captured.out.splitlines()
+                           if line.split()[0] in ("norm", "normalization",
+                                                  "husimi_normalization_min"))
+            assert len(printed) == 1, argv
+            for name, value in printed.items():
+                assert abs(float(value) - 1.0) <= (1e-3 if name.startswith("husimi") else 1e-6)
+
+    def test_given_grid_is_absolute(self, tmp_path, capsys):
+        # X = 1 at hbar = 1e-6 is 1e6 hbar wide: +-12 holds it and the default
+        # +-0.012 does not, just as X = 1e6 exits 3 at hbar = 1
+        spec = write_spec(tmp_path, **dict(scaled_spec(1e-6, 1, X=1.0), mean_p=[0.0]))
+        assert main(["state", "synth", spec, "--grid=-12:12:1024", "--out", str(tmp_path)]) == 0
+        sidecar = json.loads((tmp_path / "wavefunction.csv.json").read_text())
+        assert sidecar["axes"] == [{"x_min": -12.0, "x_max": 12.0, "n_points": 1024}]
+        assert main(["state", "synth", spec, "--out", str(tmp_path / "default")]) == 3
+        assert "grid axis 0 [-0.012, 0.012] does not cover" in capsys.readouterr().err
+
+
 def write_rho(tmp_path, n_max=(4,), X=0.5):
     from qps import FockVector, JointStateSpec, TruncatedBasis, from_pure, write_density
 
@@ -646,6 +701,7 @@ class TestDamagedInputs:
         ["--t", "nan"], ["--t", "inf"], ["--t=-inf"],
         ["--hamiltonian", "number_omega(1.0)"], ["--snapshots", "1001"],
         ["--hamiltonian", "number_omega:1e308"], ["--t", "1e308"],
+        ["--pgrid=-inf:8:128,-8:8:128"],  # checked where parsed, also without --husimi
     ])
     def test_bad_evolve_parameters_exit_2(self, tmp_path, capsys, option):
         rho_path = write_rho(tmp_path)

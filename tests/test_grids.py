@@ -350,8 +350,9 @@ def test_coverage_and_budget_decided_only_in_grids():
     16, so no rung cap of a number family returns.  The budget is also the
     only size rule: no comparison sets an integer literal above 1 against an
     axis or pair count (`len(axes)`, `len(pairs)`, `ndim`, `npairs`) or a
-    `PhasePair` point count (`n_p`, `n_x`), except the CLI's documented default that
-    duplicates a single `--grid` or `--pgrid` spec for two axes or pairs.
+    `PhasePair` point count (`n_p`, `n_x`), except the CLI's one copy rule,
+    `_per_axis`, that duplicates a single `--grid` or `--pgrid` spec for two
+    axes or pairs.
     The suite names `SUITES` and the tolerance table `TOLERANCES` are each
     assigned once, in `suites`, and the phase-grid coverage rule
     `_check_phase_coverage` is named (imported or called) only in `phasespace`."""
@@ -414,8 +415,7 @@ def test_coverage_and_budget_decided_only_in_grids():
                      ("grids.py", "check_budget", "SAMPLE_BUDGET"),
                      ("metric.py", "check_hermitian", "hermitian defect"),
                      ("metric.py", "check_weights", "weight sum"),
-                     ("cli.py", "coordinate_grid", "size cap"),
-                     ("cli.py", "phase_grid", "size cap")}
+                     ("cli.py", "_per_axis", "size cap")}
     assert sorted(assigned) == [("suites.py", "SUITES"), ("suites.py", "TOLERANCES")]
 
 
