@@ -25,9 +25,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CoverageError", "InvalidInputError", "QpsError", "SaturationError",
                "UnsupportedError"),
-    "metric": ("CovarianceFactors", "ShapeParams", "Signature", "StatMoments",
-               "block_covariance", "build_shape", "check_saturation", "decompose_covariance",
-               "reconstruct_covariance", "saturating_moments"),
+    "metric": ("ShapeParams", "Signature", "StatMoments", "build_shape", "check_saturation",
+               "saturating_moments"),
     "grids": ("CoordinateGrid", "GridAxis", "GridWavefunction", "apply_momentum",
               "apply_position", "inner_product", "inverse_momentum_transform", "moments",
               "momentum_transform", "read_wavefunction", "write_wavefunction"),

@@ -1,7 +1,7 @@
 """Truncated ladder algebra and number states anchored on a joint state.
 
-The ladder is built from the covariance factors, not from hard-coded
-oscillator formulas: with a = sqrt(eta X) (principal branch),
+The ladder is built from a = sqrt(eta X) (principal branch), not from
+hard-coded oscillator formulas:
 
     ladder_mu = (1/hbar) sum_nu a[mu,nu] (z_nu - <z_nu>)
 
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedError
 from .grids import CoordinateGrid, GridWavefunction, along, check_budget, check_coverage
 from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
-from .metric import check_hermitian, decompose_covariance
+from .metric import check_hermitian, ladder_root
 from .states import JointStateSpec, check_momentum_range, coordinate_wavefunction
 
 
@@ -116,7 +116,7 @@ def _canonical_ladder(spec: JointStateSpec) -> np.ndarray:
     """The ladder factor a = sqrt(eta X) of the reference, after checking that
     [L, L^dagger] is the identity; a ladder off it is unsupported, since
     repeated adjoints would then build no orthonormal family."""
-    a = decompose_covariance(spec.moments, spec.signature, spec.hbar).a
+    a = ladder_root(spec.moments.X, spec.signature)
     eta = spec.signature.matrix()
     defect = np.abs(a @ eta @ spec.moments.x_inv @ eta @ a.conj().T - np.eye(spec.dim)).max()
     if defect > 1e-8:

@@ -22,10 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, SaturationError
-
-# largest saturation residual decompose_covariance factors
-_FACTOR_SATURATION_TOL = 1e-6
+from .errors import InvalidInputError
 
 # hbar range: hbar^2, 1/hbar^2 and (2 pi hbar)^D must stay finite, normal floats
 _HBAR_MIN = 1e-150
@@ -275,63 +272,13 @@ def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) ->
     return float(max(terms)) if np.all(np.isfinite(terms)) else math.inf
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceFactors:
-    """Triangular factors (a, b, c) of the block covariance decomposition."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frozen(self.a, dtype=complex))
-        object.__setattr__(self, "b", _frozen(self.b, dtype=complex))
-        object.__setattr__(self, "c", _frozen(self.c, dtype=complex))
-
-
-def block_covariance(moments: StatMoments) -> np.ndarray:
-    """2D x 2D block matrix [[P, rho], [rho^T, X]]."""
-    return np.block([[moments.P, moments.rho], [moments.rho.T, moments.X]])
-
-
-def reconstruct_covariance(factors: CovarianceFactors, sig: Signature) -> np.ndarray:
-    """Rebuild the block covariance matrix from its factors.
-
-    M = [[b, 0], [2 a c b, a]];  block = M^T diag(eta, eta) M.
-    """
-    d = sig.dim
-    eta = sig.matrix()
-    lower = 2.0 * factors.a @ factors.c @ factors.b
-    M = np.block([[factors.b, np.zeros((d, d))], [lower, factors.a]])
-    eta2 = np.block([[eta, np.zeros((d, d))], [np.zeros((d, d)), eta]])
-    return M.T @ eta2 @ M
-
-
-def decompose_covariance(moments: StatMoments, sig: Signature,
-                         hbar: float = 1.0) -> CovarianceFactors:
-    """Factor a saturating block covariance into (a, b, c).
-
-    a is the principal square root of eta X, b = (hbar/2) a^-1 and
-    c = (1/hbar) X^-1 rho^T a; with these the reconstruction reproduces the
-    block matrix identically whenever the moments saturate.  Non-saturating
-    input is rejected.
+def ladder_root(X: np.ndarray, sig: Signature) -> np.ndarray:
+    """Principal square root a of eta X, the factor of the number ladder
+    (1/hbar) a (z - <z>).
 
     eta X is similar to the symmetric X^1/2 eta X^1/2, so it is diagonalizable
     with a real spectrum; rooting the real parts of its eigenvalues keeps
     round-off off the -i branch (Higham, Functions of Matrices, ch. 1 and 6).
     """
-    residual = check_saturation(moments, sig, hbar)
-    if residual > _FACTOR_SATURATION_TOL:
-        raise SaturationError(
-            f"moments do not saturate: residual {residual:.3e} > {_FACTOR_SATURATION_TOL:.1e}"
-        )
-    lam, V = np.linalg.eig(sig.matrix() @ moments.X)
-    a = (V * np.sqrt(lam.real.astype(complex))) @ np.linalg.inv(V)
-    b = (hbar / 2.0) * np.linalg.inv(a)
-    c = (1.0 / hbar) * moments.x_inv @ moments.rho.T @ a
-    factors = CovarianceFactors(a=a, b=b, c=c)
-    rebuilt = reconstruct_covariance(factors, sig)
-    target = block_covariance(moments)
-    if not np.allclose(rebuilt, target, atol=1e-10 * max(1.0, np.abs(target).max())):
-        raise InvalidInputError("covariance factor reconstruction failed")
-    return factors
+    lam, V = np.linalg.eig(sig.matrix() @ X)
+    return (V * np.sqrt(lam.real.astype(complex))) @ np.linalg.inv(V)

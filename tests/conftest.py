@@ -34,3 +34,13 @@ def random_correlated_spec(rng, hbar=1.0, mean_scale=2.0, gauge=None):
         gauge=gauge or GaugeChoice.zero(),
         hbar=hbar,
     )
+
+
+def gate_edge_spec():
+    """D = 2 spec with X = diag(0.5, 0.5), rho = 0 and a 3e-10 off-diagonal
+    in P: its saturation residual, 6e-10, is inside the spec's 1e-9 gate."""
+    return JointStateSpec.from_dict({
+        "schema": 1, "hbar": 1.0, "signature": {"d_plus": 0, "d_minus": 2},
+        "gauge": {"kind": "zero", "value": 0.0}, "mean_p": [0.0, 0.0], "mean_x": [0.0, 0.0],
+        "P": [[0.5, 3e-10], [3e-10, 0.5]], "X": [[0.5, 0.0], [0.0, 0.5]],
+        "rho": [[0.0, 0.0], [0.0, 0.0]]})

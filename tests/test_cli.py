@@ -17,6 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from qps.cli import main
 from qps.verify import TOLERANCES
+from conftest import gate_edge_spec
 
 
 def ground_payload(**overrides):
@@ -490,6 +491,22 @@ class TestEvolve:
         assert code == 4
         assert "ladder of this reference is not canonical" in err and "Traceback" not in err
         assert not (tmp_path / "evo").exists()  # imaged before the first write
+
+    def test_husimi_inside_the_saturation_gate(self, tmp_path, capsys):
+        # the reference passes the spec's 1e-9 gate, so its family images
+        from qps import FockVector, TruncatedBasis, from_pure, write_density
+
+        basis = TruncatedBasis((3, 3), gate_edge_spec())
+        coeffs = np.arange(1.0, basis.dim + 1.0) * (1 - 0.5j)
+        write_density(from_pure(FockVector(basis, coeffs / np.linalg.norm(coeffs))),
+                      tmp_path / "rho.csv")
+        code = main(["evolve", str(tmp_path / "rho.csv"), "--t", "1.0", "--husimi",
+                     "--out", str(tmp_path / "evo")])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        mass = float(next(l.split()[1] for l in captured.out.splitlines()
+                          if l.startswith("husimi_normalization_min")))
+        assert mass >= 0.999
 
     def test_wide_reference_images_on_a_wide_phase_grid(self, tmp_path, capsys):
         # a number family wider than the default coordinate grid: the phase

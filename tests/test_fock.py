@@ -16,7 +16,6 @@ from qps import (
     apply_position,
     build_ladder,
     coordinate_wavefunction,
-    decompose_covariance,
     grid_number_states,
     inner_product,
     momentum_matrix,
@@ -27,7 +26,9 @@ from qps import (
     robertson_check,
 )
 from qps.fock import read_matrix, write_matrix
+from qps.metric import ladder_root
 from qps.states import apply_z
+from conftest import gate_edge_spec
 
 
 def ladder(psi, basis, mu, adjoint=False):
@@ -35,7 +36,7 @@ def ladder(psi, basis, mu, adjoint=False):
     adjoint, by spectral derivatives: the oracle the number family's
     recurrence is checked against."""
     spec = basis.reference
-    a = decompose_covariance(spec.moments, spec.signature, spec.hbar).a
+    a = ladder_root(spec.moments.X, spec.signature)
     out = np.zeros_like(psi.values)
     for nu in range(spec.dim):
         coeff, mean_z = a[mu, nu] / spec.hbar, spec.mean_z[nu]
@@ -256,6 +257,11 @@ class TestOrthonormality:
         basis = TruncatedBasis((64,), ground_spec_module)
         grid = CoordinateGrid.line(-16.0, 16.0, 1024)
         assert orthonormality_check(grid_number_states(basis, grid)) <= 1e-13
+
+    def test_gram_identity_inside_the_saturation_gate(self):
+        # any spec the 1e-9 saturation gate accepts has a number family
+        basis = TruncatedBasis((3, 3), gate_edge_spec())
+        assert orthonormality_check(grid_number_states(basis, CoordinateGrid.square())) <= 1e-13
 
     def test_grid_budget_checked_before_building(self, ground_spec_module, monkeypatch):
         import qps.fock

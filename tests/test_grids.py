@@ -352,7 +352,9 @@ def test_coverage_and_budget_decided_only_in_grids():
     axis or pair count (`len(axes)`, `len(pairs)`, `ndim`, `npairs`) or a
     `PhasePair` point count (`n_p`, `n_x`), except the CLI's one copy rule,
     `_per_axis`, that duplicates a single `--grid` or `--pgrid` spec for two
-    axes or pairs.
+    axes or pairs.  A saturation residual is compared with a
+    `*_SATURATION_TOL` only in `JointStateSpec.__post_init__`, so a spec
+    has one saturation gate.
     The suite names `SUITES` and the tolerance table `TOLERANCES` are each
     assigned once, in `suites`, and the phase-grid coverage rule
     `_check_phase_coverage` is named (imported or called) only in `phasespace`."""
@@ -380,6 +382,8 @@ def test_coverage_and_budget_decided_only_in_grids():
                 if is_call_of(sub.left, "sum") and getattr(sub.right, "value", None) == 1.0:
                     return "weight sum"
         operands = [node.left, *node.comparators]
+        if any(str(name(op)).endswith("_SATURATION_TOL") for op in operands):
+            return "saturation"
         if "SAMPLE_BUDGET" in map(name, operands):
             return "SAMPLE_BUDGET"
         if any(is_size_cap(a, b) or is_size_cap(b, a) for a, b in zip(operands, operands[1:])):
@@ -415,6 +419,7 @@ def test_coverage_and_budget_decided_only_in_grids():
                      ("grids.py", "check_budget", "SAMPLE_BUDGET"),
                      ("metric.py", "check_hermitian", "hermitian defect"),
                      ("metric.py", "check_weights", "weight sum"),
+                     ("states.py", "__post_init__", "saturation"),
                      ("cli.py", "_per_axis", "size cap")}
     assert sorted(assigned) == [("suites.py", "SUITES"), ("suites.py", "TOLERANCES")]
 

@@ -5,16 +5,13 @@ import pytest
 
 from qps import (
     InvalidInputError,
-    SaturationError,
     Signature,
     StatMoments,
-    block_covariance,
     build_shape,
     check_saturation,
-    decompose_covariance,
-    reconstruct_covariance,
     saturating_moments,
 )
+from qps.metric import ladder_root
 
 
 class TestMetric:
@@ -110,66 +107,14 @@ class TestCheckSaturation:
 
 
 class TestDecomposeCovariance:
-    def test_uncorrelated_factors(self):
-        m = saturating_moments(X=[[0.5]])
-        f = decompose_covariance(m, Signature(0, 1))
-        assert f.a[0, 0] == pytest.approx(1j * np.sqrt(0.5), abs=1e-12)
-        assert f.b[0, 0] == pytest.approx(-1j / (2 * np.sqrt(0.5)), abs=1e-12)
-        assert abs(f.c[0, 0]) < 1e-12
-
-    def test_correlated_factor_magnitude(self):
-        # |c| = rho / sqrt(X); the sign is fixed by requiring exact
-        # reconstruction of the block matrix, giving c = -rho/a
-        m = saturating_moments(X=[[0.5]], rho=[[0.5]])
-        f = decompose_covariance(m, Signature(0, 1))
-        assert abs(f.c[0, 0]) == pytest.approx(0.5 / np.sqrt(0.5), abs=1e-12)
-        assert f.c[0, 0].real == pytest.approx(0.0, abs=1e-12)
-        assert f.c[0, 0] == pytest.approx(-m.rho[0, 0] / f.a[0, 0], abs=1e-12)
-
-    def test_reconstruction_is_defining_property(self, rng):
-        for _ in range(10):
-            m = saturating_moments(
-                X=[[rng.uniform(0.2, 2.0)]], rho=[[rng.uniform(-0.7, 0.7)]]
-            )
-            f = decompose_covariance(m, Signature(0, 1))
-            rebuilt = reconstruct_covariance(f, Signature(0, 1))
-            assert np.abs(rebuilt - block_covariance(m)).max() < 1e-10
-
-    def test_two_axis_reconstruction(self):
-        m = saturating_moments(X=np.diag([0.5, 1.1]), rho=np.diag([0.25, -0.3]))
-        f = decompose_covariance(m, Signature(0, 2))
-        rebuilt = reconstruct_covariance(f, Signature(0, 2))
-        assert np.abs(rebuilt - block_covariance(m)).max() < 1e-10
-
-    def test_factor_relations(self):
-        sig = Signature(0, 2)
-        eta = sig.matrix()
-        m = saturating_moments(X=np.diag([0.5, 1.1]), rho=np.diag([0.25, -0.3]))
-        f = decompose_covariance(m, sig)
-        assert np.abs(f.a @ f.b - 0.5 * np.eye(2)).max() < 1e-10
-        assert np.abs(f.b @ f.a - 0.5 * np.eye(2)).max() < 1e-10
-        assert np.abs(f.a.T - eta @ f.a @ eta).max() < 1e-10
-        assert np.abs(f.b.T - eta @ f.b @ eta).max() < 1e-10
-        assert np.abs(f.c.T - 2.0 * eta @ f.a @ f.c @ f.b @ eta).max() < 1e-10
-
-    def test_hbar_scaling(self):
-        hbar = 0.25
-        m = saturating_moments(X=[[0.5]], rho=[[0.2]], hbar=hbar)
-        f = decompose_covariance(m, Signature(0, 1), hbar)
-        assert np.abs(f.a @ f.b - (hbar / 2.0) * np.eye(1)).max() < 1e-12
-        rebuilt = reconstruct_covariance(f, Signature(0, 1))
-        assert np.abs(rebuilt - block_covariance(m)).max() < 1e-12
-
-    def test_rejects_non_saturating(self):
-        m = saturating_moments(X=[[0.5]])
-        bad = StatMoments(m.mean_p, m.mean_x, 3.0 * m.P, m.X, m.rho)
-        with pytest.raises(SaturationError):
-            decompose_covariance(bad, Signature(0, 1))
+    """`metric.ladder_root`: the principal root a = sqrt(eta X) of the
+    number ladder."""
 
     def test_principal_square_root_upper_half_plane(self):
-        m = saturating_moments(X=[[0.9]])
-        f = decompose_covariance(m, Signature(0, 1))
-        assert f.a[0, 0].imag > 0.0
+        # a -1 axis roots to +i sqrt(X), never -i sqrt(X)
+        for x in (0.5, 0.9):
+            assert ladder_root(np.array([[x]]), Signature(0, 1))[0, 0] == pytest.approx(
+                1j * np.sqrt(x), abs=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_root_matches_sqrtm_on_diagonal(self, rng, d):
@@ -179,9 +124,8 @@ class TestDecomposeCovariance:
             sig = Signature(d_plus, d - d_plus)
             for _ in range(20):
                 X = np.diag(rng.uniform(0.05, 5.0, d))
-                f = decompose_covariance(saturating_moments(X=X, sig=sig), sig)
                 reference = scipy.linalg.sqrtm(sig.matrix() @ X).astype(complex)
-                assert np.array_equal(f.a, reference)
+                assert np.array_equal(ladder_root(X, sig), reference)
 
     @pytest.mark.parametrize("X, sig", [
         ([[0.7, 0.2, -0.1], [0.2, 0.9, 0.3], [-0.1, 0.3, 1.1]], Signature(1, 2)),
@@ -196,17 +140,16 @@ class TestDecomposeCovariance:
         import scipy.linalg
 
         X = np.array(X)
-        f = decompose_covariance(saturating_moments(X=X, sig=sig), sig)
+        a = ladder_root(X, sig)
         reference = scipy.linalg.sqrtm(sig.matrix() @ X)
-        assert np.abs(f.a - reference).max() <= 1e-12 * np.abs(reference).max()
-        assert np.abs(f.a @ f.a - sig.matrix() @ X).max() <= 1e-12 * np.abs(X).max()
+        assert np.abs(a - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.abs(a @ a - sig.matrix() @ X).max() <= 1e-12 * np.abs(X).max()
 
     def test_mixed_signature_reconstruction(self):
         sig = Signature(1, 1)
-        m = saturating_moments(X=np.diag([0.6, 0.9]), rho=np.diag([0.2, -0.3]), sig=sig)
-        f = decompose_covariance(m, sig)
+        X = np.diag([0.6, 0.9])
+        a = ladder_root(X, sig)
         # the +1 axis factor is real, the -1 axis factor imaginary
-        assert abs(f.a[0, 0].imag) < 1e-12 and f.a[0, 0].real > 0.0
-        assert abs(f.a[1, 1].real) < 1e-12 and f.a[1, 1].imag > 0.0
-        rebuilt = reconstruct_covariance(f, sig)
-        assert np.abs(rebuilt - block_covariance(m)).max() < 1e-10
+        assert abs(a[0, 0].imag) < 1e-12 and a[0, 0].real > 0.0
+        assert abs(a[1, 1].real) < 1e-12 and a[1, 1].imag > 0.0
+        assert np.abs(a @ a - sig.matrix() @ X).max() < 1e-12
