@@ -110,6 +110,14 @@ class TestDecomposeCovariance:
     """`metric.ladder_root`: the principal root a = sqrt(eta X) of the
     number ladder."""
 
+    def test_uncorrelated_factors(self):
+        # the root reads only X, so an uncorrelated state's ladder factor
+        # on a -1 axis is i sqrt(X), purely imaginary
+        m = saturating_moments(X=[[0.5]])
+        a = ladder_root(m.X, Signature(0, 1))
+        assert a[0, 0] == pytest.approx(1j * np.sqrt(0.5), abs=1e-12)
+        assert a[0, 0].real == 0.0
+
     def test_principal_square_root_upper_half_plane(self):
         # a -1 axis roots to +i sqrt(X), never -i sqrt(X)
         for x in (0.5, 0.9):
