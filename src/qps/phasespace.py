@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -315,13 +315,26 @@ def _pass(out: np.ndarray, E: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.tensordot(out, E[:, None, :] * W.T[None, :, :], axes=([0], [2]))
 
 
-@lru_cache(maxsize=1)
+_analyzers: dict = {}   # at most one entry: (family, pgrid, grid) -> its analyzer
+
+
 def _shared_analyzer(family: JointStateSpec, pgrid: PhaseGrid,
                      grid: CoordinateGrid) -> PhaseAnalyzer:
     """The analyzer of the last (family, pgrid, grid), so that consecutive
     analyses of one setup (the states of one verify row) share one build.
-    Specs hash by identity, grids by value."""
-    return PhaseAnalyzer(family, pgrid, grid)
+    Specs hash by identity, grids by value.  A different setup drops the
+    held analyzer before its build, so at most one analyzer's tables are
+    alive; `_drop_shared_analyzer` drops it when the analyses are done."""
+    key = (family, pgrid, grid)
+    if key not in _analyzers:
+        _drop_shared_analyzer()
+        _analyzers[key] = PhaseAnalyzer(family, pgrid, grid)
+    return _analyzers[key]
+
+
+def _drop_shared_analyzer():
+    """Release the shared analyzer's tables."""
+    _analyzers.clear()
 
 
 def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: float):

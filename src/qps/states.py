@@ -297,8 +297,8 @@ def _require_overlap_domain(a: JointStateSpec, b: JointStateSpec):
             raise InvalidInputError("closed-form overlap holds for rho = 0 only")
         if np.abs(m.X - np.diag(np.diag(m.X))).max() > 0.0:
             raise InvalidInputError("closed-form overlap needs a diagonal covariance")
-    if not (np.allclose(a.moments.X, b.moments.X, rtol=1e-12, atol=0.0)
-            and np.allclose(a.moments.P, b.moments.P, rtol=1e-12, atol=0.0)):
+    if not all((np.abs(u - v) <= 1e-12 * np.abs(v)).all()
+               for u, v in ((a.moments.X, b.moments.X), (a.moments.P, b.moments.P))):
         raise InvalidInputError("overlap needs identical covariance blocks")
 
 

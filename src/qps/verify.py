@@ -342,8 +342,11 @@ def run_suite(name: str, hbar: float = 1.0, tols=None) -> dict:
         raise ValueError(f"unknown suite {name!r}")
     checks = []
     for key in SUITES if name == "all" else (name,):
-        # looked up by name when called, so a rebound suite_* attribute runs
-        rows = globals()[f"suite_{key}"](hbar, tols)
+        try:
+            # looked up by name when called, so a rebound suite_* attribute runs
+            rows = globals()[f"suite_{key}"](hbar, tols)
+        finally:
+            phasespace._drop_shared_analyzer()   # no suite's tables outlive it
         if name == "all":
             rows = [dict(row, name=f"{key}.{row['name']}") for row in rows]
         checks += rows

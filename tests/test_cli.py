@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import functools
+import gc
 import importlib.util
 import io
 import json
@@ -8,7 +9,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +368,41 @@ class TestVerify:
             "ptilde_modulus_gauge_invariance", "consistency_p", "consistency_x",
             "overlap_phase_zero_gauge"]
         assert all(row["pass"] for row in report["checks"])
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_no_analyzer_outlives_its_suite(self, monkeypatch, raises):
+        from qps import verify
+        from qps.phasespace import PhaseAnalyzer
+
+        built = []
+        init, suite_gauge = PhaseAnalyzer.__init__, verify.suite_gauge
+        monkeypatch.setattr(PhaseAnalyzer, "__init__",
+                            lambda self, *a: built.append(weakref.ref(self)) or init(self, *a))
+
+        def suite(hbar, tols):
+            rows = suite_gauge(hbar, tols)
+            if raises:
+                raise RuntimeError("suite failed")
+            return rows
+
+        monkeypatch.setattr(verify, "suite_gauge", suite)
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            verify.run_suite("gauge")
+        gc.collect()
+        assert len(built) == 3 and all(ref() is None for ref in built)
+
+    def test_gauge_suite_peak_memory(self):
+        # one gauge's 192 x 1024 window and kernel tables alive at a time
+        # (about 11.6 MiB); a build beside the last gauge's tables peaks at 16.4
+        from qps.verify import run_suite
+
+        tracemalloc.start()
+        try:
+            run_suite("gauge")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 2**20
 
     def test_all_suite_aggregates_and_passes(self, tmp_path):
         code = main(["verify", "all", "--out", str(tmp_path)])

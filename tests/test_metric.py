@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -32,6 +33,24 @@ class TestMetric:
             Signature(-1, 2)
 
 
+class TestMomentBlockSymmetry:
+    @pytest.mark.parametrize("block", ["P", "X"])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    @pytest.mark.parametrize("over", [False, True])
+    def test_asymmetry_bound_is_inclusive(self, block, scale, over):
+        # the bound is 1e-12 max(1, |a|max): exactly on it passes, one ulp over fails
+        tol = 1e-12 * max(1.0, scale)
+        blocks = {"P": scale * np.eye(2), "X": scale * np.eye(2)}
+        blocks[block][0, 1] = np.nextafter(tol, 1.0) if over else tol
+        make = functools.partial(StatMoments, np.zeros(2), np.zeros(2), blocks["P"],
+                                 blocks["X"], np.zeros((2, 2)))
+        if over:
+            with pytest.raises(InvalidInputError, match=f"{block} must be symmetric"):
+                make()
+        else:
+            assert make().dim == 2
+
+
 class TestBuildShape:
     def test_uncorrelated_real_value(self):
         m = saturating_moments(X=[[0.5]])
@@ -54,6 +73,12 @@ class TestBuildShape:
         m = saturating_moments(X=[[0.7, 0.2], [0.2, 0.9]])
         shape = build_shape(m, Signature(0, 2), 1.0)
         assert np.abs(m.X @ m.x_inv - np.eye(2)).max() < 1e-12
+
+    def test_nan_inverse_fails_the_identity_check(self, monkeypatch):
+        nan_inv = np.array([[np.nan, 0.0], [0.0, 2.0]])
+        monkeypatch.setattr(StatMoments, "x_inv", property(lambda self: nan_inv))
+        with pytest.raises(InvalidInputError, match="X inversion failed the 1e-12 identity"):
+            build_shape(saturating_moments(X=0.5 * np.eye(2)), Signature(0, 2), 1.0)
 
     def test_exponent_decays_for_plus_axis(self):
         m = saturating_moments(X=[[0.5]], sig=Signature(1, 0))

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -369,6 +371,29 @@ class TestPhaseFreeDensities:
         assert np.abs(dist.values - husimi).max() <= 1e-15 * husimi.max()
         assert dist.gauge == family.gauge
         assert closure_reconstruct(psi, family, pgrid).l2_error == pytest.approx(l2, rel=1e-9)
+
+
+class TestSharedAnalyzer:
+    def test_previous_analyzer_dead_before_the_next_build(self, monkeypatch, spec, grid, pgrid):
+        # one setup shares one analyzer (grids match by value); a new setup
+        # drops it before building, so two table sets are never alive at once
+        from qps.phasespace import PhaseAnalyzer, _shared_analyzer
+
+        first = weakref.ref(_shared_analyzer(spec, pgrid, grid))
+        shared = _shared_analyzer(spec, PhaseGrid.symmetric(10.0, 128),
+                                  CoordinateGrid.line(-16.0, 16.0, 1024)) is first()
+        assert shared
+        alive = []
+        init = PhaseAnalyzer.__init__
+
+        def build(self, *args):
+            gc.collect()
+            alive.append(first() is not None)
+            init(self, *args)
+
+        monkeypatch.setattr(PhaseAnalyzer, "__init__", build)
+        _shared_analyzer(spec, PhaseGrid.symmetric(10.0, 64), grid)
+        assert alive == [False]
 
 
 class TestHypervolume:

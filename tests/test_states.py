@@ -247,6 +247,16 @@ class TestAnalyticOverlap:
     def test_identical_specs(self, ground_spec):
         assert analytic_overlap(ground_spec, ground_spec) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("rel, ok", [(0.5e-12, True), (2e-12, False)])
+    def test_covariances_match_within_1e_12_relative(self, rel, ok):
+        a = JointStateSpec.from_covariance(X=[[0.5]])
+        b = JointStateSpec.from_covariance(X=[[0.5 * (1.0 + rel)]])
+        if ok:
+            assert abs(analytic_overlap(a, b)) == pytest.approx(1.0)
+        else:
+            with pytest.raises(InvalidInputError, match="identical covariance blocks"):
+                analytic_overlap(a, b)
+
     def test_displaced_pair_value(self, ground_spec):
         a = ground_spec.displaced([0.0], [1.0])
         b = ground_spec.displaced([0.0], [-1.0])
