@@ -168,7 +168,9 @@ def along(table: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 def spectral_derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
     """d/dx of periodic samples with spacing `step` along `axis`, by FFT."""
     k = along(_wavenumbers(values.shape[axis], step), axis, values.ndim)
-    return np.fft.ifft(1j * k * np.fft.fft(values, axis=axis), axis=axis)
+    f = np.fft.fft(values, axis=axis)
+    np.multiply(1j * k, f, out=f)
+    return np.fft.ifft(f, axis=axis)
 
 
 def apply_position(psi: GridWavefunction, axis: int = 0) -> GridWavefunction:

@@ -306,6 +306,18 @@ class TestDist:
         assert written[0] == written[1]
 
 
+def suite_peak_memory(name):
+    """tracemalloc peak of one verify suite, in bytes."""
+    from qps.verify import run_suite
+
+    tracemalloc.start()
+    try:
+        run_suite(name)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestVerify:
     def test_microstate_report(self, tmp_path, capsys):
         code = main(["verify", "microstate", "--out", str(tmp_path)])
@@ -392,17 +404,29 @@ class TestVerify:
         assert len(built) == 3 and all(ref() is None for ref in built)
 
     def test_gauge_suite_peak_memory(self):
-        # one gauge's 192 x 1024 window and kernel tables alive at a time
-        # (about 11.6 MiB); a build beside the last gauge's tables peaks at 16.4
+        # one gauge's tables alive at a time: a 192 x 1024 complex kernel
+        # (3 MiB) and real window (1.5 MiB), beside 1 MiB of window-weighted
+        # samples and the three phase wavefunctions (about 7.9 MiB); a complex
+        # window and unblocked weighting peaked at 11.7, a build beside the
+        # last gauge's tables at 16.4
+        assert suite_peak_memory("gauge") <= 9 * 2**20
+
+    def test_closure_suite_peak_memory(self):
+        # a 128 x 1024 complex kernel (2 MiB) and real window (1 MiB), beside
+        # 1 MiB of window-weighted samples (about 5.7 MiB; 8.4 with a complex
+        # window and unblocked weighting)
+        assert suite_peak_memory("closure") <= 7.5 * 2**20
+
+    def test_no_analyzer_alive_during_the_ccr_rows(self, monkeypatch):
+        # the CCR and modulus rows act on phase wavefunctions alone
+        from qps import phasespace, psops
         from qps.verify import run_suite
 
-        tracemalloc.start()
-        try:
-            run_suite("gauge")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 13 * 2**20
+        alive, ccr_residual = [], psops.ccr_residual
+        monkeypatch.setattr(psops, "ccr_residual",
+                            lambda pw: alive.append(len(phasespace._analyzers)) or ccr_residual(pw))
+        run_suite("gauge")
+        assert alive == [0, 0, 0]
 
     def test_all_suite_aggregates_and_passes(self, tmp_path):
         code = main(["verify", "all", "--out", str(tmp_path)])

@@ -985,6 +985,108 @@ class TestMass:
         assert max(sizes) <= SAMPLE_BUDGET
 
 
+# the seed's tables and contractions, written out: the in-place builds, real
+# windows, blocked weighting and in-place conjugation keep every bit of them.
+# The mass takes the pass on one pair and Gram matrices on 256^2 -> 32^4 and
+# 32 -> 512^2, where a real W @ W.T would sum its 512 terms in another order.
+BIT_CASES = {
+    "1024->128^2": (CoordinateGrid.line(), PhaseGrid.symmetric(8.0, 128)),
+    "1024->192^2": (CoordinateGrid.line(-16.0, 16.0, 1024), PhaseGrid.symmetric(12.0, 192)),
+    "256^2->32^4": (CoordinateGrid.square(), PhaseGrid.symmetric(8.0, 32, npairs=2)),
+    "32->512^2": (CoordinateGrid.line(-12.0, 12.0, 32), PhaseGrid.symmetric(8.0, 512)),
+}
+
+
+def seed_tables(a):
+    fam, hbar = a.family, a.family.hbar
+    kernels, windows = [], []
+    for mu, pair in enumerate(a.pgrid.pairs):
+        x, y, q = a.grid.axis_points(mu), pair.x_points(), pair.p_points()
+        bp = fam.shape.exponent[mu, mu]
+        windows.append(np.exp(-np.conj(bp) / hbar**2 * (x[:, None] - y[None, :]) ** 2))
+        kernels.append(np.exp(1j / hbar * fam.signature.signs[mu] * q[:, None] * x[None, :])
+                       * a.grid.axes[mu].spacing)
+    return kernels, windows
+
+
+def seed_pass(out, E, W):
+    if out.size // len(W) <= len(E):
+        weighted = out[..., None] * np.expand_dims(W, tuple(range(1, out.ndim)))
+        return np.moveaxis(np.tensordot(E, weighted, axes=1), 0, -2)
+    return np.tensordot(out, E[:, None, :] * W.T[None, :, :], axes=([0], [2]))
+
+
+def seed_transform(a, values, phased):
+    out = values
+    for E, W in zip(*seed_tables(a)):
+        out = seed_pass(out, E, W)
+    if not (phased and any(K.any() for K in a.kphases)):
+        return out * a.norm
+    return np.exp(np.multiply(-1j, reduce(np.add.outer, a.kphases))) * a.norm * out
+
+
+def seed_synthesize(a, pw_values, phased):
+    out = pw_values
+    if phased and any(K.any() for K in a.kphases):
+        out = np.exp(np.multiply(1j, reduce(np.add.outer, a.kphases))) * pw_values
+    for E, W in zip(*seed_tables(a)):
+        if out.size // (len(E) * W.shape[1]) <= len(E):
+            acc = np.tensordot(E.conj(), out, axes=([0], [0]))
+            out = np.moveaxis(np.einsum("mk...,mk->m...", acc, W.conj()), 0, -1)
+        else:
+            out = np.tensordot(out, np.conj(E[:, None, :] * W.T[None, :, :]),
+                               axes=([0, 1], [0, 1]))
+    return out * (a.norm / a.grid.cell_volume * a.pgrid.measure(a.family.hbar))
+
+
+def seed_mass(a, values):
+    out, grams = values, []
+    for E, W in zip(*seed_tables(a)):
+        n, n_p, n_x = len(W), len(E), W.shape[1]
+        if n * n * (n_p + n_x) + n * out.size < out.size * n_p * n_x:
+            grams.append((E.conj().T @ E) * (W.conj() @ W.T))
+            out = np.moveaxis(out, 0, -1)
+        else:
+            grams.append(None)
+            out = seed_pass(out, E, W)
+    out = out * a.norm
+    image, axis = out, 0
+    for G in grams:
+        if G is None:
+            axis += 2
+        else:
+            image = np.moveaxis(np.tensordot(G, image, axes=(1, axis)), 0, axis)
+            axis += 1
+    return float(np.vdot(out, image).real)
+
+
+class TestSeedBits:
+    @pytest.mark.parametrize("gauge", ["zero", "full"])
+    @pytest.mark.parametrize("rho", [0.0, 0.2])
+    @pytest.mark.parametrize("case", sorted(BIT_CASES))
+    def test_every_output_keeps_its_bits(self, case, rho, gauge):
+        from qps.phasespace import PhaseAnalyzer
+
+        grid, pgrid = BIT_CASES[case]
+        d = grid.ndim
+        family = JointStateSpec.from_covariance(
+            X=np.diag([0.5, 0.3][:d]), rho=np.diag([rho, -rho][:d]),
+            gauge={"zero": GaugeChoice.zero(), "full": GaugeChoice.full()}[gauge], hbar=0.9)
+        a = PhaseAnalyzer(family, pgrid, grid)
+        kernels, windows = seed_tables(a)
+        for E, W, E_seed, W_seed in zip(a.kernels, a.windows, kernels, windows):
+            assert np.array_equal(E, E_seed) and np.array_equal(W, W_seed)
+            # a window with every imaginary part 0 is stored real
+            assert W.dtype == (np.complex128 if W_seed.imag.any() else np.float64)
+            assert W.dtype == (np.float64 if rho == 0.0 else np.complex128)
+        v = random_complex(grid.shape, 1)
+        w = random_complex(pgrid.shape, 2)
+        for phased in (True, False):
+            assert np.array_equal(a.transform(v, phased), seed_transform(a, v, phased))
+            assert np.array_equal(a.synthesize(w, phased), seed_synthesize(a, w, phased))
+        assert a.mass(v) == seed_mass(a, v)
+
+
 class TestAnalyzerBudget:
     @pytest.mark.parametrize("axes, pairs, need", [
         # one pair: the window W (N x n_x), then the kernel E (n_p x N)
