@@ -153,7 +153,8 @@ class StatMoments:
     @cached_property
     def gaussian_norm(self) -> float:
         """Amplitude ((2 pi)^D |det X|)^(-1/4) of the normalized Gaussian."""
-        return ((2.0 * np.pi) ** self.dim * abs(np.linalg.det(self.X))) ** -0.25
+        with np.errstate(over="ignore", divide="ignore"):  # 0 or inf, rejected downstream
+            return ((2.0 * np.pi) ** self.dim * abs(np.linalg.det(self.X))) ** -0.25
 
     def to_dict(self) -> dict:
         return {

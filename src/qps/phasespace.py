@@ -178,11 +178,11 @@ class PhaseAnalyzer:
     For each pair the family state factorizes into a Gaussian window around
     y and a momentum phase in q, so psi~ is one windowed Fourier sum per
     pair: grid axis m maps to phase axes (j, k) through T[(j, k), m] =
-    E[j, m] W[m, k].  The transform applies that map pair by pair and then
-    the gauge phase exp(-i sum K), built once in place and skipped when
-    every K is zero; synthesis is its adjoint.  The mass sum |psi~|^2 needs
-    no psi~: the phase has unit modulus, and T^H T, the sampled frame
-    operator of the family, is the per-pair Gram matrix
+    E[j, m] W[m, k].  The tables read no gauge: the family's gauge K
+    multiplies psi~ by exp(-i sum K) (`_gauge_factor`), which `transform`
+    applies when given one, so one analyzer serves every gauge; synthesis
+    is the zero-gauge adjoint.  The mass sum |psi~|^2 needs no psi~: T^H T,
+    the sampled frame operator of the family, is the per-pair Gram matrix
     G[m, m'] = (E^H E)[m, m'] (conj(W) W^T)[m, m'], so each pair either
     takes the transform's pass or keeps its grid axis for G, whichever
     costs fewer multiply-adds.  Requires the family shape matrix to be
@@ -213,15 +213,13 @@ class PhaseAnalyzer:
                 need = max(need, n * pair.n_p, n * pair.n_x * min(rest, pair.n_p),
                            rest * max(n, n_cells[mu]))
         check_budget(f"phase analysis on grid {n_grid} needs arrays of {need} samples", need)
-        self.family = family
         self.pgrid = pgrid
         self.grid = grid
-        hbar = family.hbar
+        self.hbar = hbar = family.hbar
         signs = family.signature.signs
         self.norm = family.moments.gaussian_norm
         self.windows = []   # W[m, k] = exp(-conj(bp)(x_m - y_k)^2 / hbar^2)
         self.kernels = []   # E[j, m] = exp((i/hbar) s q_j x_m) dx
-        self.kphases = []   # K(q_j, y_k) per pair
         for mu, pair in enumerate(pgrid.pairs):
             x = grid.axis_points(mu)
             y = pair.x_points()
@@ -241,24 +239,19 @@ class PhaseAnalyzer:
             np.exp(E, out=E)
             E *= grid.axes[mu].spacing
             self.kernels.append(E)
-            self.kphases.append(
-                family.gauge.phase(q[:, None], y[None, :], signs[mu], hbar)
-            )
 
-    def transform(self, values: np.ndarray, phased: bool = True) -> np.ndarray:
+    def transform(self, values: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
         """Grid samples -> psi~ samples, axis order (p1, x1, p2, x2, ...).
 
         Each pass contracts the leading grid axis m and appends (j, k).
-        `phased=False` leaves out the unit-modulus gauge phase, for a caller
-        that takes |psi~| or undoes the phase in `synthesize`.
+        Without `phase`, psi~ in the zero gauge; with a family's
+        `_gauge_factor`, psi~ in its gauge, written into the factor's buffer.
         """
         out = values
         for E, W in zip(self.kernels, self.windows):
             out = _pass(out, E, W)
-        if not (phased and any(K.any() for K in self.kphases)):  # out is a pass's own array
+        if phase is None:  # out is a pass's own array
             return np.multiply(out, self.norm, out=out)
-        phase = np.multiply(-1j, reduce(np.add.outer, self.kphases))
-        np.exp(phase, out=phase)
         phase *= self.norm
         phase *= out
         return phase
@@ -283,7 +276,7 @@ class PhaseAnalyzer:
             else:
                 grams.append(None)
                 out = _pass(out, E, W)
-        # the unit-modulus gauge phase drops out; a pass makes out its own array
+        # a pass makes out its own array
         out = np.multiply(out, self.norm, out=out if any(G is None for G in grams) else None)
         image, axis = out, 0
         for G in grams:
@@ -294,17 +287,12 @@ class PhaseAnalyzer:
                 axis += 1
         return float(np.vdot(out, image).real)
 
-    def synthesize(self, pw_values: np.ndarray, phased: bool = True) -> np.ndarray:
-        """Adjoint map: sum_z psi~(z) (family state at z) dq dy / h.
+    def synthesize(self, pw_values: np.ndarray) -> np.ndarray:
+        """Zero-gauge adjoint map: sum_z psi~(z) (family state at z) dq dy / h.
 
-        Each pass contracts the leading (j, k) with the conjugated tables and
-        appends m.  `phased=False` takes samples transformed without the phase.
+        Each pass contracts the leading (j, k) with the conjugated tables and appends m.
         """
         out = pw_values
-        if phased and any(K.any() for K in self.kphases):
-            out = np.multiply(1j, reduce(np.add.outer, self.kphases))
-            np.exp(out, out=out)
-            out *= pw_values
         for E, W in zip(self.kernels, self.windows):
             if out.size // (len(E) * W.shape[1]) <= len(E):
                 # sum conj(E) v conj(W) = conj(sum E conj(v) W): the samples, not
@@ -315,7 +303,7 @@ class PhaseAnalyzer:
             else:
                 table = E[:, None, :] * W.T[None, :, :]        # (j, k, m)
                 out = np.tensordot(out, np.conj(table, out=table), axes=([0, 1], [0, 1]))
-        return out * (self.norm / self.grid.cell_volume * self.pgrid.measure(self.family.hbar))
+        return out * (self.norm / self.grid.cell_volume * self.pgrid.measure(self.hbar))
 
 
 def _pass(out: np.ndarray, E: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -347,17 +335,17 @@ def _pass(out: np.ndarray, E: np.ndarray, W: np.ndarray) -> np.ndarray:
 _WEIGHTED_BLOCK = 1 << 16
 
 
-_analyzers: dict = {}   # at most one entry: (family, pgrid, grid) -> its analyzer
+_analyzers: dict = {}   # at most one entry: what its tables read -> the analyzer
 
 
 def _shared_analyzer(family: JointStateSpec, pgrid: PhaseGrid,
                      grid: CoordinateGrid) -> PhaseAnalyzer:
-    """The analyzer of the last (family, pgrid, grid), so that consecutive
-    analyses of one setup (the states of one verify row) share one build.
-    Specs hash by identity, grids by value.  A different setup drops the
-    held analyzer before its build, so at most one analyzer's tables are
-    alive; `_drop_shared_analyzer` drops it when the analyses are done."""
-    key = (family, pgrid, grid)
+    """The analyzer of the last setup, shared by consecutive analyses.  A
+    setup is what the tables read: the family's moments (by identity, kept
+    by a regauging `dataclasses.replace`), signature and hbar, and the grids
+    (by value).  A new setup drops the held analyzer before its build, so at
+    most one table set is alive; `_drop_shared_analyzer` drops it when done."""
+    key = (family.moments, family.signature, family.hbar, pgrid, grid)
     if key not in _analyzers:
         _drop_shared_analyzer()
         _analyzers[key] = PhaseAnalyzer(family, pgrid, grid)
@@ -367,6 +355,28 @@ def _shared_analyzer(family: JointStateSpec, pgrid: PhaseGrid,
 def _drop_shared_analyzer():
     """Release the shared analyzer's tables."""
     _analyzers.clear()
+
+
+def _gauge_factor(family: JointStateSpec, pgrid: PhaseGrid) -> np.ndarray | None:
+    """exp(-i sum_mu K(q_mu, y_mu)) on the phase grid, the factor by which the
+    family's gauge multiplies psi~, in one buffer; None when every K is 0."""
+    K = [family.gauge.phase(pair.p_points()[:, None], pair.x_points()[None, :], s, family.hbar)
+         for pair, s in zip(pgrid.pairs, family.signature.signs)]
+    if not any(k.any() for k in K):
+        return None
+    phase = np.multiply(-1j, reduce(np.add.outer, K))
+    return np.exp(phase, out=phase)
+
+
+def _analyzer_for(state: GridWavefunction, family: JointStateSpec, pgrid: PhaseGrid,
+                  n_sigma: float) -> PhaseAnalyzer:
+    """The shared analyzer of `family` for `state`, once the family is known
+    to share the state's units (hbar and metric signs, exactly) and the phase
+    grid to cover n_sigma of the state's spread."""
+    if family.hbar != state.hbar or tuple(family.signature.signs.tolist()) != state.signs:
+        raise InvalidInputError("analyzing family and state differ in hbar or metric signs")
+    _check_phase_coverage(state, pgrid, n_sigma)
+    return _shared_analyzer(family, pgrid, state.grid)
 
 
 def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: float):
@@ -384,22 +394,20 @@ def _check_phase_coverage(state: GridWavefunction, pgrid: PhaseGrid, n_sigma: fl
 def phase_wavefunction(state: GridWavefunction, family: JointStateSpec,
                        pgrid: PhaseGrid) -> PhaseWavefunction:
     """psi~(q, y) = <family state at each phase point | state>."""
-    _check_phase_coverage(state, pgrid, 6.0)
-    analyzer = _shared_analyzer(family, pgrid, state.grid)
-    return PhaseWavefunction(pgrid, analyzer.transform(state.values), family)
+    analyzer = _analyzer_for(state, family, pgrid, 6.0)
+    return PhaseWavefunction(pgrid, analyzer.transform(state.values, _gauge_factor(family, pgrid)),
+                             family)
 
 
 def husimi_distribution(source: GridWavefunction, family: JointStateSpec,
                         pgrid: PhaseGrid) -> PhaseDistribution:
     """Positive phase-space density |psi~|^2 of a pure state, on a phase grid
-    that covers it.  The gauge phase has unit modulus, so the transform
-    leaves it out.  A density matrix goes to `density_husimi`; any other
-    source is rejected."""
+    that covers it, the same in every gauge.  A density matrix goes to
+    `density_husimi`; any other source is rejected."""
     if not isinstance(source, GridWavefunction):
         raise InvalidInputError("unsupported husimi source: a pure state is a GridWavefunction, "
                                 "a density matrix goes to density_husimi")
-    _check_phase_coverage(source, pgrid, 6.0)
-    tilde = _shared_analyzer(family, pgrid, source.grid).transform(source.values, phased=False)
+    tilde = _analyzer_for(source, family, pgrid, 6.0).transform(source.values)
     return PhaseDistribution(pgrid, np.abs(tilde) ** 2, "husimi_like", family.hbar, family.gauge)
 
 
@@ -599,10 +607,8 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
     at z) dq dy / h; its L2 error gauges how well the (exact) closure
     relation is resolved by the midpoint grid.
     """
-    _check_phase_coverage(state, pgrid, 8.0)
-    analyzer = _shared_analyzer(family, pgrid, state.grid)
-    # the gauge phase exp(-iK) of the transform and exp(+iK) of the synthesis cancel
-    rec = analyzer.synthesize(analyzer.transform(state.values, phased=False), phased=False)
+    analyzer = _analyzer_for(state, family, pgrid, 8.0)
+    rec = analyzer.synthesize(analyzer.transform(state.values))
     err = np.sqrt(np.sum(np.abs(rec - state.values) ** 2) * state.grid.cell_volume)
     return ClosureResult(l2_error=float(err))
 
@@ -610,8 +616,7 @@ def closure_reconstruct(state: GridWavefunction, family: JointStateSpec,
 def microstate_hypervolume(state: GridWavefunction, family: JointStateSpec,
                            pgrid: PhaseGrid) -> float:
     """integral of |psi~|^2 dq dy with no 1/h factors; equals h^D = (2 pi hbar)^D."""
-    _check_phase_coverage(state, pgrid, 6.0)
-    return _shared_analyzer(family, pgrid, state.grid).mass(state.values) * pgrid.cell
+    return _analyzer_for(state, family, pgrid, 6.0).mass(state.values) * pgrid.cell
 
 
 def write_distribution(dist, csv_path):

@@ -229,8 +229,8 @@ def suite_gauge(hbar=1.0, tols=None):
     grid = CoordinateGrid.line(-16 * s, 16 * s, 1024)
     psi = coordinate_wavefunction(spec_zero.displaced([0.4 * s], [0.6 * s]), grid)
     pg = PhaseGrid.symmetric(12.0 * s, 192)
-    # the same state analyzed in each gauge; the zero gauge is checked while
-    # its analyzer is the cached one, before the other gauges evict it
+    # one shared analyzer serves every gauge; checking the zero gauge before
+    # the other gauges' psi~ exist keeps the peak lower
     pws = [phasespace.phase_wavefunction(psi, spec_zero, pg)]
     rep = psops.consistency_check(psi, pws[0])
     pws += [phasespace.phase_wavefunction(psi, dataclasses.replace(spec_zero, gauge=g), pg)

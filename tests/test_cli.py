@@ -356,11 +356,11 @@ class TestVerify:
         low = read_matrix(tmp_path / "fock_lowering.csv")
         assert np.allclose(np.diag(low, k=1).real, np.sqrt(np.arange(1, 4)))
 
-    def test_gauge_suite_builds_one_analyzer_per_gauge(self, monkeypatch):
-        # spec_zero's analyzer serves its phase wavefunction, the consistency
-        # rows and the zero entry of the covariance rows; the consistency
-        # check takes that phase wavefunction, so the zero-gauge state is
-        # transformed once, plus once per consistency operator and gauge
+    def test_gauge_suite_builds_one_analyzer(self, monkeypatch):
+        # the tables read no gauge, so spec_zero's analyzer serves all three
+        # gauges.  The consistency check takes the zero-gauge phase
+        # wavefunction, so the state is transformed once per gauge, plus once
+        # per consistency operator; the full and half gauges pass a factor
         from qps.phasespace import PhaseAnalyzer
         from qps.verify import run_suite
 
@@ -370,11 +370,12 @@ class TestVerify:
                             lambda self, family, *a: built.append(family.gauge.kind)
                             or init(self, family, *a))
         monkeypatch.setattr(PhaseAnalyzer, "transform",
-                            lambda self, values: transformed.append(self.family.gauge.kind)
-                            or transform(self, values))
+                            lambda self, values, phase=None: transformed.append(
+                                (id(self), phase is not None)) or transform(self, values, phase))
         report = run_suite("gauge")
-        assert built == ["zero", "full", "half"]
-        assert transformed == ["zero"] * 3 + ["full", "half"]
+        assert built == ["zero"]
+        assert len({analyzer for analyzer, _ in transformed}) == 1
+        assert [phased for _, phased in transformed] == [False] * 3 + [True] * 2
         assert [row["name"] for row in report["checks"]] == [
             "ccr_zero", "ccr_full", "ccr_half", "ccr_pairwise_agreement",
             "ptilde_modulus_gauge_invariance", "consistency_p", "consistency_x",
@@ -401,7 +402,20 @@ class TestVerify:
         with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
             verify.run_suite("gauge")
         gc.collect()
-        assert len(built) == 3 and all(ref() is None for ref in built)
+        assert len(built) == 1 and all(ref() is None for ref in built)
+
+    def test_verify_all_builds_eight_analyzers(self, monkeypatch):
+        # closure 4 (one per phase grid), microstate 3 (one per dimension),
+        # gauge 1 (one for its three gauges); the other suites analyze nothing
+        from qps.phasespace import PhaseAnalyzer
+        from qps.verify import run_suite
+
+        built, init = [], PhaseAnalyzer.__init__
+        monkeypatch.setattr(PhaseAnalyzer, "__init__",
+                            lambda self, family, pgrid, grid: built.append(grid.ndim)
+                            or init(self, family, pgrid, grid))
+        assert all(row["pass"] for row in run_suite("all")["checks"])
+        assert built == [1] * 4 + [1, 2, 3] + [1]
 
     def test_gauge_suite_peak_memory(self):
         # one gauge's tables alive at a time: a 192 x 1024 complex kernel
@@ -427,6 +441,17 @@ class TestVerify:
                             lambda pw: alive.append(len(phasespace._analyzers)) or ccr_residual(pw))
         run_suite("gauge")
         assert alive == [0, 0, 0]
+
+    @pytest.mark.parametrize("hbar", ["1e150", "1e-150"])
+    def test_extreme_hbar_prints_only_its_error(self, tmp_path, hbar):
+        # det X of the D = 3 row leaves double range; the amplitude it gives
+        # (0 or inf) is rejected with no numpy warning before the error line
+        env = dict(os.environ, PYTHONPATH=qps_src())
+        run = subprocess.run([sys.executable, "-m", "qps.cli", "verify", "microstate",
+                              "--hbar", hbar, "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
 
     def test_all_suite_aggregates_and_passes(self, tmp_path):
         code = main(["verify", "all", "--out", str(tmp_path)])

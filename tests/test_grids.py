@@ -461,6 +461,21 @@ def test_gauge_set_only_on_the_spec():
     assert psops_names_gauge_choice == []
 
 
+def test_gauge_factor_built_in_one_place():
+    """exp(-i sum K) on a phase grid has one owner: in `src/qps` a gauge's
+    `phase` is called only by `phasespace._gauge_factor` and by
+    `JointStateSpec.gauge_phase` (the spec's own K), so no analyzer table
+    reads a gauge."""
+    callers = set()
+    for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef):
+                calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+                if any(getattr(call.func, "attr", None) == "phase" for call in calls):
+                    callers.add((path.name, func.name))
+    assert callers == {("phasespace.py", "_gauge_factor"), ("states.py", "gauge_phase")}
+
+
 def test_every_public_name_resolves_through_exports():
     """`qps.__all__` is the lazy `_EXPORTS` table, and each name it lists is
     defined in the module that table names, so no stale entry survives."""

@@ -31,6 +31,7 @@ from qps import (
     wigner_distribution,
     write_distribution,
 )
+from qps.phasespace import _gauge_factor
 
 H = 2.0 * np.pi
 
@@ -339,8 +340,9 @@ PHASE_FREE_CASES = {
 
 
 class TestPhaseFreeDensities:
-    """Husimi and closure leave out the unit-modulus gauge phase: the zero
-    gauge keeps every bit, the others move by round-off only."""
+    """Husimi and closure take the zero-gauge transform in every gauge: the
+    zero gauge keeps every bit of the phased route, the others move by
+    round-off only."""
 
     @staticmethod
     def phased(gauge, npairs):
@@ -352,8 +354,8 @@ class TestPhaseFreeDensities:
         psi = coordinate_wavefunction(family.displaced([0.3, -0.2][:npairs],
                                                        [0.8, 0.4][:npairs]), grid)
         analyzer = PhaseAnalyzer(family, pgrid, grid)
-        pw = analyzer.transform(psi.values)
-        rec = analyzer.synthesize(pw)
+        pw = analyzer.transform(psi.values, _gauge_factor(family, pgrid))
+        rec = analyzer.synthesize(synthesis_input(family, pgrid, pw))
         l2 = np.sqrt(np.sum(np.abs(rec - psi.values) ** 2) * grid.cell_volume)
         return family, psi, pgrid, np.abs(pw) ** 2, l2
 
@@ -394,6 +396,56 @@ class TestSharedAnalyzer:
         monkeypatch.setattr(PhaseAnalyzer, "__init__", build)
         _shared_analyzer(spec, PhaseGrid.symmetric(10.0, 64), grid)
         assert alive == [False]
+
+    def test_keyed_by_what_the_tables_read(self, monkeypatch, spec, grid, pgrid):
+        # a regauged spec keeps the moments object, so every gauge shares one
+        # build; the same moments under another metric sign build again
+        import dataclasses
+
+        from qps import Signature
+        from qps.phasespace import PhaseAnalyzer, _drop_shared_analyzer, _shared_analyzer
+
+        built, init = [], PhaseAnalyzer.__init__
+        monkeypatch.setattr(PhaseAnalyzer, "__init__",
+                            lambda self, *a: built.append(a[0].gauge.label) or init(self, *a))
+        _drop_shared_analyzer()
+        first = _shared_analyzer(spec, pgrid, grid)
+        for gauge in (GaugeChoice.full(), GaugeChoice.half(), GaugeChoice("const", 0.3)):
+            assert _shared_analyzer(dataclasses.replace(spec, gauge=gauge), pgrid, grid) is first
+        assert built == ["zero"]
+        flipped = dataclasses.replace(spec, signature=Signature(1, 0))
+        assert flipped.moments is spec.moments
+        assert _shared_analyzer(flipped, pgrid, grid) is not first
+        assert built == ["zero", "zero"]
+        _drop_shared_analyzer()
+
+
+class TestFamilyUnits:
+    """An analysis rejects a family in other units than its state: the image
+    of a state with <p> = 1.5 peaked at p = -1.56 under a +1 metric sign, and
+    at p = 3.06, labelled hbar 2, under a family at hbar 2."""
+
+    ENTRIES = [phase_wavefunction, husimi_distribution, closure_reconstruct,
+               microstate_hypervolume]
+
+    @staticmethod
+    def state(grid):
+        return coordinate_wavefunction(JointStateSpec.from_covariance(X=[[0.5]], mean_p=[1.5]),
+                                       grid)
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda f: f.__name__)
+    def test_metric_signs_must_match(self, entry, grid, pgrid):
+        from qps import Signature
+
+        family = JointStateSpec.from_covariance(X=[[0.5]], signature=Signature(1, 0))
+        with pytest.raises(InvalidInputError, match="hbar or metric signs"):
+            entry(self.state(grid), family, pgrid)
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda f: f.__name__)
+    def test_hbar_must_match(self, entry, grid, pgrid):
+        family = JointStateSpec.from_covariance(X=[[1.0]], hbar=2.0)
+        with pytest.raises(InvalidInputError, match="hbar or metric signs"):
+            entry(self.state(grid), family, pgrid)
 
 
 class TestHypervolume:
@@ -759,9 +811,9 @@ ANALYZER_CASES = {
 
 
 def build_analyzer(case, gauge="full"):
-    """An analyzer with a complex window (rho != 0) and, in the full, half and
-    const(0.3) gauges, a nonzero gauge phase; "zero" and "const(0)" make every
-    K table zero."""
+    """A family with a complex window (rho != 0) and, in the full, half and
+    const(0.3) gauges, a nonzero gauge phase ("zero" and "const(0)" make every
+    K table zero), and its analyzer."""
     from qps import GaugeChoice
     from qps.phasespace import PhaseAnalyzer
 
@@ -772,26 +824,36 @@ def build_analyzer(case, gauge="full"):
     family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.3, 0.4][:d]),
                                             rho=np.diag([0.2, -0.1, 0.05][:d]),
                                             gauge=gauge, hbar=0.9)
-    return PhaseAnalyzer(family, pgrid, grid)
+    return family, PhaseAnalyzer(family, pgrid, grid)
 
 
 @pytest.fixture(scope="module", params=sorted(ANALYZER_CASES))
-def analyzer(request):
+def family_analyzer(request):
     return build_analyzer(request.param)
 
 
-def gauge_tables(analyzer):
-    fam = analyzer.family
-    return [fam.gauge.phase(p.p_points()[:, None], p.x_points()[None, :], s, fam.hbar)
-            for p, s in zip(analyzer.pgrid.pairs, fam.signature.signs)]
+def gauge_tables(family, pgrid):
+    """K(q_j, y_k) of each pair, as the seed's analyzer tabulated it."""
+    return [family.gauge.phase(p.p_points()[:, None], p.x_points()[None, :], s, family.hbar)
+            for p, s in zip(pgrid.pairs, family.signature.signs)]
 
 
-def oracle_transform(a, values):
-    """The explicit one- and two-pair transform the separable contraction replaced."""
+def synthesis_input(family, pgrid, pw_values):
+    """The seed synthesis's phased samples: exp(+i sum K) pw, built as the
+    seed built it, or pw itself where every K is 0."""
+    K = gauge_tables(family, pgrid)
+    if not any(k.any() for k in K):
+        return pw_values
+    return np.exp(np.multiply(1j, reduce(np.add.outer, K))) * pw_values
+
+
+def oracle_transform(a, values, K):
+    """The explicit one- and two-pair transform the separable contraction
+    replaced, in the gauge of the K tables."""
     if len(a.kernels) == 1:
-        (E,), (W,), (K,) = a.kernels, a.windows, gauge_tables(a)
+        (E,), (W,), (K,) = a.kernels, a.windows, K
         return a.norm * np.exp(-1j * K) * (E @ (values[:, None] * W))
-    (E1, E2), (W1, W2), (K1, K2) = a.kernels, a.windows, gauge_tables(a)
+    (E1, E2), (W1, W2), (K1, K2) = a.kernels, a.windows, K
     A1 = E1[:, None, :] * W1.T[None, :, :]
     T = np.tensordot(A1, values, axes=([2], [0]))
     A2 = E2[:, None, :] * W2.T[None, :, :]
@@ -800,15 +862,16 @@ def oracle_transform(a, values):
     return a.norm * phase * out
 
 
-def oracle_synthesize(a, pw_values):
-    """The explicit one- and two-pair synthesis the separable contraction replaced."""
-    measure = a.pgrid.measure(a.family.hbar)
+def oracle_synthesize(a, pw_values, K):
+    """The explicit one- and two-pair synthesis the separable contraction
+    replaced, the adjoint of `oracle_transform` in the gauge of the K tables."""
+    measure = a.pgrid.measure(a.hbar)
     dx = a.grid.spacings
     if len(a.kernels) == 1:
-        (E,), (W,), (K,) = a.kernels, a.windows, gauge_tables(a)
+        (E,), (W,), (K,) = a.kernels, a.windows, K
         acc = np.conj(E.T) @ (np.exp(1j * K) * pw_values) / dx[0]
         return a.norm * np.sum(np.conj(W) * acc, axis=1) * measure
-    (E1, E2), (W1, W2), (K1, K2) = a.kernels, a.windows, gauge_tables(a)
+    (E1, E2), (W1, W2), (K1, K2) = a.kernels, a.windows, K
     weighted = np.exp(1j * (K1[:, :, None, None] + K2[None, None, :, :])) * pw_values
     B1 = np.conj(E1[:, None, :] * W1.T[None, :, :]) / dx[0]
     B2 = np.conj(E2[:, None, :] * W2.T[None, :, :]) / dx[1]
@@ -822,10 +885,11 @@ def random_complex(shape, seed):
 
 
 class TestSeparableAnalyzer:
-    def test_transform_matches_explicit_contraction(self, analyzer):
+    def test_transform_matches_explicit_contraction(self, family_analyzer):
+        family, analyzer = family_analyzer
         v = random_complex(analyzer.grid.shape, 1)
-        expected = oracle_transform(analyzer, v)
-        got = analyzer.transform(v)
+        expected = oracle_transform(analyzer, v, gauge_tables(family, analyzer.pgrid))
+        got = analyzer.transform(v, _gauge_factor(family, analyzer.pgrid))
         assert got.shape == analyzer.pgrid.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -833,27 +897,30 @@ class TestSeparableAnalyzer:
     def test_default_grids_keep_every_bit(self, case):
         # the explicit contractions' order on the default grids: every
         # exported %.12g digit, down to the round-off in the tails, stays
-        analyzer = build_analyzer(case)
+        family, analyzer = build_analyzer(case)
         v = random_complex(analyzer.grid.shape, 1)
-        assert np.array_equal(analyzer.transform(v), oracle_transform(analyzer, v))
+        assert np.array_equal(analyzer.transform(v, _gauge_factor(family, analyzer.pgrid)),
+                              oracle_transform(analyzer, v, gauge_tables(family, analyzer.pgrid)))
 
     @pytest.mark.parametrize("gauge", ["zero", "const(0)"])
     @pytest.mark.parametrize("case", ["1024->128^2", "256^2->32^4"])
     def test_zero_phase_keeps_every_bit(self, case, gauge):
         # every K is 0, so exp(-/+ i sum K) = 1 + 0j is skipped, not applied
-        analyzer = build_analyzer(case, gauge)
-        assert not any(K.any() for K in gauge_tables(analyzer))
+        family, analyzer = build_analyzer(case, gauge)
+        K = gauge_tables(family, analyzer.pgrid)
+        assert not any(k.any() for k in K)
+        assert _gauge_factor(family, analyzer.pgrid) is None
         v = random_complex(analyzer.grid.shape, 1)
-        assert np.array_equal(analyzer.transform(v), oracle_transform(analyzer, v))
+        assert np.array_equal(analyzer.transform(v), oracle_transform(analyzer, v, K))
         # the oracle synthesis sums in another order, so only its value is
         # compared; the bits are those of the passes behind the applied factor,
         # also for a real input such as a unit sample
         w = random_complex(analyzer.pgrid.shape, 2)
-        expected = oracle_synthesize(analyzer, w)
+        expected = oracle_synthesize(analyzer, w, K)
         assert np.abs(analyzer.synthesize(w) - expected).max() <= 1e-13 * np.abs(expected).max()
         unit = np.zeros(analyzer.pgrid.shape)
         unit[(3, 7) * analyzer.pgrid.npairs] = 1.0
-        phase = np.exp(1j * reduce(np.add.outer, gauge_tables(analyzer)))
+        phase = np.exp(1j * reduce(np.add.outer, K))
         for pw in (w, unit):
             assert np.array_equal(analyzer.synthesize(pw), analyzer.synthesize(phase * pw))
 
@@ -861,26 +928,31 @@ class TestSeparableAnalyzer:
     @pytest.mark.parametrize("case", sorted(ANALYZER_CASES))
     def test_inputs_are_not_written(self, case, gauge):
         # the zero-phase transform scales its last contraction in place
-        analyzer = build_analyzer(case, gauge)
+        family, analyzer = build_analyzer(case, gauge)
         v = random_complex(analyzer.grid.shape, 6)
         w = random_complex(analyzer.pgrid.shape, 7)
         v0, w0 = v.copy(), w.copy()
-        pw, rec = analyzer.transform(v), analyzer.synthesize(w)
+        pw = analyzer.transform(v, _gauge_factor(family, analyzer.pgrid))
+        rec = analyzer.synthesize(w)
         assert np.array_equal(v, v0) and np.array_equal(w, w0)
         assert not np.shares_memory(pw, v) and not np.shares_memory(rec, w)
 
-    def test_synthesize_matches_explicit_contraction(self, analyzer):
+    def test_synthesize_matches_explicit_contraction(self, family_analyzer):
+        family, analyzer = family_analyzer
         w = random_complex(analyzer.pgrid.shape, 2)
-        expected = oracle_synthesize(analyzer, w)
-        got = analyzer.synthesize(w)
+        expected = oracle_synthesize(analyzer, w, gauge_tables(family, analyzer.pgrid))
+        got = analyzer.synthesize(synthesis_input(family, analyzer.pgrid, w))
         assert got.shape == analyzer.grid.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_synthesis_is_the_adjoint(self, analyzer):
+    def test_synthesis_is_the_adjoint(self, family_analyzer):
+        family, analyzer = family_analyzer
         v = random_complex(analyzer.grid.shape, 3)
         w = random_complex(analyzer.pgrid.shape, 4)
-        lhs = np.vdot(analyzer.transform(v), w) * analyzer.pgrid.measure(analyzer.family.hbar)
-        rhs = np.vdot(v, analyzer.synthesize(w)) * analyzer.grid.cell_volume
+        lhs = (np.vdot(analyzer.transform(v, _gauge_factor(family, analyzer.pgrid)), w)
+               * analyzer.pgrid.measure(analyzer.hbar))
+        rhs = (np.vdot(v, analyzer.synthesize(synthesis_input(family, analyzer.pgrid, w)))
+               * analyzer.grid.cell_volume)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("case", sorted(ANALYZER_CASES))
@@ -897,7 +969,7 @@ class TestSeparableAnalyzer:
                                                 gauge=GaugeChoice.full(), hbar=0.9)
         analyzer = PhaseAnalyzer(family, pgrid, grid)
         v = random_complex(grid.shape, 5)
-        pw = analyzer.transform(v)
+        pw = analyzer.transform(v, _gauge_factor(family, pgrid))
         for q0, y0 in [(-0.3, -2.7), (0.8, 2.3)]:
             index = sum(((int(np.argmin(np.abs(p.p_points() - q0))),
                           int(np.argmin(np.abs(p.x_points() - y0)))) for p in pgrid.pairs), ())
@@ -929,7 +1001,8 @@ class TestSeparableAnalyzer:
         assert np.abs(product - expected).max() <= 1e-13 * np.abs(expected).max()
         unit = np.zeros(pgrid.shape)
         unit[index] = 1.0
-        got = PhaseAnalyzer(family, pgrid, grid).synthesize(unit) / pgrid.measure(family.hbar)
+        got = PhaseAnalyzer(family, pgrid, grid).synthesize(synthesis_input(family, pgrid, unit))
+        got /= pgrid.measure(family.hbar)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -949,9 +1022,9 @@ class TestMass:
     @pytest.mark.parametrize("gauge", ["zero", "const(0)", "const(0.3)", "full", "half"])
     @pytest.mark.parametrize("case", sorted(ANALYZER_CASES) + sorted(MASS_CASES))
     def test_matches_the_transform(self, case, gauge):
-        analyzer = build_analyzer(case, gauge)
+        family, analyzer = build_analyzer(case, gauge)
         v = random_complex(analyzer.grid.shape, 8)
-        t = analyzer.transform(v)
+        t = analyzer.transform(v, _gauge_factor(family, analyzer.pgrid))
         expected = np.vdot(t, t).real
         got = analyzer.mass(v)
         assert abs(got - expected) <= 1e-12 * expected
@@ -961,7 +1034,7 @@ class TestMass:
 
     def test_real_and_read_only_inputs(self):
         # a real state is scaled into a new array, never in place
-        analyzer = build_analyzer("256^2->32^4", "zero")
+        _, analyzer = build_analyzer("256^2->32^4", "zero")
         v = np.random.default_rng(9).normal(size=analyzer.grid.shape)
         v.setflags(write=False)
         t = analyzer.transform(v)
@@ -997,15 +1070,15 @@ BIT_CASES = {
 }
 
 
-def seed_tables(a):
-    fam, hbar = a.family, a.family.hbar
+def seed_tables(fam, pgrid, grid):
+    hbar = fam.hbar
     kernels, windows = [], []
-    for mu, pair in enumerate(a.pgrid.pairs):
-        x, y, q = a.grid.axis_points(mu), pair.x_points(), pair.p_points()
+    for mu, pair in enumerate(pgrid.pairs):
+        x, y, q = grid.axis_points(mu), pair.x_points(), pair.p_points()
         bp = fam.shape.exponent[mu, mu]
         windows.append(np.exp(-np.conj(bp) / hbar**2 * (x[:, None] - y[None, :]) ** 2))
         kernels.append(np.exp(1j / hbar * fam.signature.signs[mu] * q[:, None] * x[None, :])
-                       * a.grid.axes[mu].spacing)
+                       * grid.axes[mu].spacing)
     return kernels, windows
 
 
@@ -1016,32 +1089,32 @@ def seed_pass(out, E, W):
     return np.tensordot(out, E[:, None, :] * W.T[None, :, :], axes=([0], [2]))
 
 
-def seed_transform(a, values, phased):
+def seed_transform(fam, pgrid, grid, values, phased):
+    """(exp(-i sum K) norm) passes, or norm passes unphased or where every K is 0."""
     out = values
-    for E, W in zip(*seed_tables(a)):
+    for E, W in zip(*seed_tables(fam, pgrid, grid)):
         out = seed_pass(out, E, W)
-    if not (phased and any(K.any() for K in a.kphases)):
-        return out * a.norm
-    return np.exp(np.multiply(-1j, reduce(np.add.outer, a.kphases))) * a.norm * out
+    norm, K = fam.moments.gaussian_norm, gauge_tables(fam, pgrid)
+    if not (phased and any(k.any() for k in K)):
+        return out * norm
+    return np.exp(np.multiply(-1j, reduce(np.add.outer, K))) * norm * out
 
 
-def seed_synthesize(a, pw_values, phased):
-    out = pw_values
-    if phased and any(K.any() for K in a.kphases):
-        out = np.exp(np.multiply(1j, reduce(np.add.outer, a.kphases))) * pw_values
-    for E, W in zip(*seed_tables(a)):
+def seed_synthesize(fam, pgrid, grid, pw_values, phased):
+    out = synthesis_input(fam, pgrid, pw_values) if phased else pw_values
+    for E, W in zip(*seed_tables(fam, pgrid, grid)):
         if out.size // (len(E) * W.shape[1]) <= len(E):
             acc = np.tensordot(E.conj(), out, axes=([0], [0]))
             out = np.moveaxis(np.einsum("mk...,mk->m...", acc, W.conj()), 0, -1)
         else:
             out = np.tensordot(out, np.conj(E[:, None, :] * W.T[None, :, :]),
                                axes=([0, 1], [0, 1]))
-    return out * (a.norm / a.grid.cell_volume * a.pgrid.measure(a.family.hbar))
+    return out * (fam.moments.gaussian_norm / grid.cell_volume * pgrid.measure(fam.hbar))
 
 
-def seed_mass(a, values):
+def seed_mass(fam, pgrid, grid, values):
     out, grams = values, []
-    for E, W in zip(*seed_tables(a)):
+    for E, W in zip(*seed_tables(fam, pgrid, grid)):
         n, n_p, n_x = len(W), len(E), W.shape[1]
         if n * n * (n_p + n_x) + n * out.size < out.size * n_p * n_x:
             grams.append((E.conj().T @ E) * (W.conj() @ W.T))
@@ -1049,7 +1122,7 @@ def seed_mass(a, values):
         else:
             grams.append(None)
             out = seed_pass(out, E, W)
-    out = out * a.norm
+    out = out * fam.moments.gaussian_norm
     image, axis = out, 0
     for G in grams:
         if G is None:
@@ -1073,7 +1146,7 @@ class TestSeedBits:
             X=np.diag([0.5, 0.3][:d]), rho=np.diag([rho, -rho][:d]),
             gauge={"zero": GaugeChoice.zero(), "full": GaugeChoice.full()}[gauge], hbar=0.9)
         a = PhaseAnalyzer(family, pgrid, grid)
-        kernels, windows = seed_tables(a)
+        kernels, windows = seed_tables(family, pgrid, grid)
         for E, W, E_seed, W_seed in zip(a.kernels, a.windows, kernels, windows):
             assert np.array_equal(E, E_seed) and np.array_equal(W, W_seed)
             # a window with every imaginary part 0 is stored real
@@ -1081,10 +1154,30 @@ class TestSeedBits:
             assert W.dtype == (np.float64 if rho == 0.0 else np.complex128)
         v = random_complex(grid.shape, 1)
         w = random_complex(pgrid.shape, 2)
-        for phased in (True, False):
-            assert np.array_equal(a.transform(v, phased), seed_transform(a, v, phased))
-            assert np.array_equal(a.synthesize(w, phased), seed_synthesize(a, w, phased))
-        assert a.mass(v) == seed_mass(a, v)
+        # the seed's phased transform is the transform given the gauge factor,
+        # its phased synthesis the synthesis of exp(+i sum K) w
+        setup = family, pgrid, grid
+        assert np.array_equal(a.transform(v, _gauge_factor(family, pgrid)),
+                              seed_transform(*setup, v, True))
+        assert np.array_equal(a.transform(v), seed_transform(*setup, v, False))
+        assert np.array_equal(a.synthesize(synthesis_input(family, pgrid, w)),
+                              seed_synthesize(*setup, w, True))
+        assert np.array_equal(a.synthesize(w), seed_synthesize(*setup, w, False))
+        assert a.mass(v) == seed_mass(*setup, v)
+
+    @pytest.mark.parametrize("gauge", ["half", "const(0.3)"])
+    @pytest.mark.parametrize("npairs", [1, 2])
+    def test_phase_wavefunction_keeps_its_bits(self, npairs, gauge):
+        # in a nonzero gauge psi~ is (exp(-i sum K) norm) passes, as the
+        # seed's phased transform built it
+        grid, pgrid = PHASE_FREE_CASES[npairs]
+        family = JointStateSpec.from_covariance(
+            X=np.diag([0.5, 0.6][:npairs]), rho=np.diag([0.1, -0.2][:npairs]),
+            gauge={"half": GaugeChoice.half(), "const(0.3)": GaugeChoice("const", 0.3)}[gauge])
+        psi = coordinate_wavefunction(family.displaced([0.3, -0.2][:npairs],
+                                                       [0.8, 0.4][:npairs]), grid)
+        expected = seed_transform(family, pgrid, grid, psi.values, True)
+        assert np.array_equal(phase_wavefunction(psi, family, pgrid).values, expected)
 
 
 class TestAnalyzerBudget:
