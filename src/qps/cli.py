@@ -176,13 +176,11 @@ def _config_from_args(args) -> RunConfig:
 def _analyzing_family(cfg: RunConfig, psi) -> JointStateSpec:
     import numpy as np
 
-    from .metric import Signature
     from .states import JointStateSpec
 
-    sig = Signature(psi.signs.count(1.0), psi.signs.count(-1.0))
     width = cfg.family_x if cfg.family_x is not None else psi.hbar / 2.0
-    return JointStateSpec.from_covariance(X=np.diag([width] * sig.dim), signature=sig,
-                                          gauge=cfg.gauge, hbar=psi.hbar)
+    return JointStateSpec.from_covariance(X=np.diag([width] * psi.signature.dim), hbar=psi.hbar,
+                                          signature=psi.signature, gauge=cfg.gauge)
 
 
 def cmd_state_synth(cfg: RunConfig, spec_file: str) -> int:

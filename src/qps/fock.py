@@ -39,9 +39,7 @@ class TruncatedBasis:
     reference: JointStateSpec
 
     def __post_init__(self):
-        n_max = tuple(int(n) for n in (
-            (self.n_max,) if np.isscalar(self.n_max) else self.n_max
-        ))
+        n_max = tuple(int(n) for n in self.n_max)
         if len(n_max) != self.reference.dim:
             raise InvalidInputError("n_max needs one cutoff per axis")
         if any(n < 2 for n in n_max):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoverageError, InvalidInputError
 from .io import read_grid_csv, read_sidecar, reading, write_grid_csv
-from .metric import StatMoments, check_hbar
+from .metric import Signature, StatMoments, check_hbar
 
 # most samples one array of a grid, phase grid or number family may hold
 SAMPLE_BUDGET = 2**24
@@ -109,13 +109,13 @@ class CoordinateGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridWavefunction:
-    """Complex samples psi(x) on a grid, with hbar and per-axis metric signs
-    (+1 axes first)."""
+    """Complex samples psi(x) on a grid, with hbar and the metric signature
+    of its axes (all spatial by default)."""
 
     grid: CoordinateGrid
     values: np.ndarray
     hbar: float = 1.0
-    signs: tuple = None
+    signature: Signature = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -126,16 +126,12 @@ class GridWavefunction:
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("non-finite wavefunction samples")
         check_hbar(self.hbar)
-        signs = self.signs
-        if signs is None:
-            signs = (-1.0,) * self.grid.ndim
-        signs = tuple(float(s) for s in signs)
-        if (len(signs) != self.grid.ndim or any(s not in (-1.0, 1.0) for s in signs)
-                or signs != tuple(sorted(signs, reverse=True))):  # as a Signature orders them
-            raise InvalidInputError("signs must be +-1 per axis, the +1 axes first")
+        signature = self.signature or Signature.spatial(self.grid.ndim)
+        if signature.dim != self.grid.ndim:
+            raise InvalidInputError("signature dimension does not match the grid")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signature", signature)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
@@ -144,12 +140,12 @@ class GridWavefunction:
         return abs(self.norm() ** 2 - 1.0) <= 1e-9
 
     def with_values(self, values) -> "GridWavefunction":
-        return GridWavefunction(self.grid, values, self.hbar, self.signs)
+        return GridWavefunction(self.grid, values, self.hbar, self.signature)
 
 
 def inner_product(psi: GridWavefunction, phi: GridWavefunction) -> complex:
     """<psi|phi> by the grid Riemann sum; conjugate-linear in psi."""
-    if psi.grid != phi.grid or psi.signs != phi.signs or psi.hbar != phi.hbar:
+    if psi.grid != phi.grid or psi.signature != phi.signature or psi.hbar != phi.hbar:
         raise InvalidInputError("wavefunctions live on different grids")
     return complex(np.sum(np.conj(psi.values) * phi.values) * psi.grid.cell_volume)
 
@@ -185,7 +181,7 @@ def apply_momentum(psi: GridWavefunction, axis: int = 0) -> GridWavefunction:
     if not 0 <= axis < psi.grid.ndim:
         raise InvalidInputError(f"axis {axis} out of range")
     dpsi = spectral_derivative(psi.values, psi.grid.axes[axis].spacing, axis)
-    return psi.with_values(1j * psi.hbar * psi.signs[axis] * dpsi)
+    return psi.with_values(1j * psi.hbar * psi.signature.signs[axis] * dpsi)
 
 
 def momentum_transform(psi: GridWavefunction) -> GridWavefunction:
@@ -200,7 +196,7 @@ def momentum_transform(psi: GridWavefunction) -> GridWavefunction:
     hbar = psi.hbar
     for axis, ax in enumerate(psi.grid.axes):
         k = _wavenumbers(ax.n_points, ax.spacing)
-        if psi.signs[axis] < 0:
+        if psi.signature.signs[axis] < 0:
             ft = np.fft.fft(values, axis=axis)
             phase = np.exp(-1j * (k * ax.x_min))
         else:
@@ -208,7 +204,7 @@ def momentum_transform(psi: GridWavefunction) -> GridWavefunction:
             phase = np.exp(+1j * (k * ax.x_min))
         values = ft * along(phase, axis, values.ndim) * ax.spacing / np.sqrt(2.0 * np.pi * hbar)
         values = np.fft.fftshift(values, axes=axis)
-    out = GridWavefunction(psi.grid.dual(hbar), values, hbar, psi.signs)
+    out = GridWavefunction(psi.grid.dual(hbar), values, hbar, psi.signature)
     spreads = [_axis_mean_std(out.values, out.grid, axis) for axis in range(out.grid.ndim)]
     check_coverage([f"momentum axis {axis}" for axis in range(out.grid.ndim)],
                    out.grid.bounds, [m for m, _ in spreads], [6.0 * s for _, s in spreads])
@@ -227,14 +223,14 @@ def inverse_momentum_transform(phi: GridWavefunction, grid: CoordinateGrid) -> G
     for axis, ax in enumerate(grid.axes):
         k = _wavenumbers(ax.n_points, ax.spacing)
         v = np.fft.ifftshift(values, axes=axis)
-        if phi.signs[axis] < 0:
+        if phi.signature.signs[axis] < 0:
             v = v * along(np.exp(+1j * (k * ax.x_min)), axis, grid.ndim)
             v = np.fft.ifft(v, axis=axis)
         else:
             v = v * along(np.exp(-1j * (k * ax.x_min)), axis, grid.ndim)
             v = np.fft.fft(v, axis=axis) / ax.n_points
         values = v * np.sqrt(2.0 * np.pi * phi.hbar) / ax.spacing
-    return GridWavefunction(grid, values, phi.hbar, phi.signs)
+    return GridWavefunction(grid, values, phi.hbar, phi.signature)
 
 
 def _axis_mean_std(values: np.ndarray, grid: CoordinateGrid, axis: int):
@@ -306,7 +302,7 @@ def _wavefunction_header(ndim: int) -> list:
 def write_wavefunction(psi: GridWavefunction, csv_path):
     """Export samples as CSV (coordinates, re, im) plus a JSON grid header."""
     axes = [psi.grid.axis_points(mu) for mu in range(psi.grid.ndim)]
-    meta = {"schema": 1, "hbar": psi.hbar, "signs": list(psi.signs),
+    meta = {"schema": 1, "hbar": psi.hbar, "signs": psi.signature.signs.tolist(),
             "axes": [asdict(ax) for ax in psi.grid.axes]}
     write_grid_csv(csv_path, _wavefunction_header(psi.grid.ndim), axes,
                    [psi.values.real, psi.values.imag], meta)
@@ -323,4 +319,8 @@ def read_wavefunction(csv_path) -> GridWavefunction:
         re, im = read_grid_csv(csv_path, _wavefunction_header(grid.ndim),
                                [grid.axis_points(mu) for mu in range(grid.ndim)], 2)
         values = (re + 1j * im).reshape(grid.shape)
-        return GridWavefunction(grid, values, float(meta["hbar"]), tuple(meta["signs"]))
+        signs = [float(s) for s in meta["signs"]]
+        signature = Signature(signs.count(1.0), signs.count(-1.0))
+        if signature.signs.tolist() != signs:
+            raise InvalidInputError("signs must be +-1 per axis, the +1 axes first")
+        return GridWavefunction(grid, values, float(meta["hbar"]), signature)

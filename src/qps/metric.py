@@ -77,7 +77,7 @@ class Signature:
     def dim(self) -> int:
         return self.d_plus + self.d_minus
 
-    @property
+    @cached_property
     def signs(self) -> np.ndarray:
         """Diagonal of the metric as a length-D vector of +-1."""
         return _frozen([1.0] * self.d_plus + [-1.0] * self.d_minus)
@@ -179,6 +179,11 @@ class StatMoments:
             raise InvalidInputError(f"malformed moments object: {exc}") from exc
 
 
+def _saturating_P(x_inv, rho, eta, hbar):
+    """The saturating P block (hbar^2/4) eta X^-1 eta + rho X^-1 rho^T."""
+    return (hbar**2 / 4.0) * (eta @ x_inv @ eta) + rho @ x_inv @ rho.T
+
+
 def saturating_moments(X, rho=None, mean_p=None, mean_x=None,
                        sig: Signature | None = None, hbar: float = 1.0) -> StatMoments:
     """Moments whose P block is filled in so the uncertainty relation saturates.
@@ -193,9 +198,7 @@ def saturating_moments(X, rho=None, mean_p=None, mean_x=None,
     rho = np.zeros((d, d)) if rho is None else np.atleast_2d(np.asarray(rho, dtype=float))
     mean_p = np.zeros(d) if mean_p is None else np.atleast_1d(np.asarray(mean_p, dtype=float))
     mean_x = np.zeros(d) if mean_x is None else np.atleast_1d(np.asarray(mean_x, dtype=float))
-    eta = sig.matrix()
-    x_inv = np.linalg.inv(X)
-    P = (hbar**2 / 4.0) * (eta @ x_inv @ eta) + rho @ x_inv @ rho.T
+    P = _saturating_P(np.linalg.inv(X), rho, sig.matrix(), hbar)
     return StatMoments(mean_p=mean_p, mean_x=mean_x, P=0.5 * (P + P.T), X=X, rho=rho)
 
 
@@ -206,22 +209,16 @@ class ShapeParams:
     ``matrix`` stores the covariant shape parameters
     B[mu, nu] = (1/4) [hbar^2 eta + 2 i hbar rho] (eta X)^-1 evaluated
     elementwise; ``exponent`` is the symmetrized physical form eta B eta that
-    contracts against (x - <x>) components directly.
+    contracts against (x - <x>) components directly, and whose real part
+    controls Gaussian decay.  `build_shape` computes both once.
     """
 
     matrix: np.ndarray
-    signs: np.ndarray
+    exponent: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix, dtype=complex))
-        object.__setattr__(self, "signs", _frozen(self.signs))
-
-    @property
-    def exponent(self) -> np.ndarray:
-        """Symmetrized eta B eta; its real part controls Gaussian decay."""
-        s = self.signs
-        phys = s[:, None] * self.matrix * s[None, :]
-        return 0.5 * (phys + phys.T)
+        for name in ("matrix", "exponent"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype=complex))
 
 
 def build_shape(moments: StatMoments, sig: Signature, hbar: float = 1.0) -> ShapeParams:
@@ -241,7 +238,8 @@ def build_shape(moments: StatMoments, sig: Signature, hbar: float = 1.0) -> Shap
     # mixed-index inverse: (eta X)^-1 = X^-1 eta for the diagonal metric
     mixed_inv = moments.x_inv @ eta
     B = 0.25 * (hbar**2 * eta + 2j * hbar * moments.rho) @ mixed_inv
-    shape = ShapeParams(matrix=B, signs=sig.signs)
+    phys = sig.signs[:, None] * B * sig.signs[None, :]
+    shape = ShapeParams(matrix=B, exponent=0.5 * (phys + phys.T))
     decay = np.linalg.eigvalsh(shape.exponent.real)
     if decay.min() <= 0.0:
         axis = int(np.argmin(np.diag(shape.exponent.real)))
@@ -268,8 +266,7 @@ def check_saturation(moments: StatMoments, sig: Signature, hbar: float = 1.0) ->
     eta = sig.matrix()
     x_inv = moments.x_inv
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        target = (hbar**2 / 4.0) * (eta @ x_inv @ eta) + moments.rho @ x_inv @ moments.rho.T
-        res = moments.P - target
+        res = moments.P - _saturating_P(x_inv, moments.rho, eta, hbar)
         A = eta @ moments.rho @ x_inv
         skew = np.linalg.norm(A - A.T) / (hbar * np.linalg.norm(x_inv))
         terms = (np.linalg.norm(res) / np.linalg.norm(moments.P), skew)

@@ -373,7 +373,7 @@ def _analyzer_for(state: GridWavefunction, family: JointStateSpec, pgrid: PhaseG
     """The shared analyzer of `family` for `state`, once the family is known
     to share the state's units (hbar and metric signs, exactly) and the phase
     grid to cover n_sigma of the state's spread."""
-    if family.hbar != state.hbar or tuple(family.signature.signs.tolist()) != state.signs:
+    if family.hbar != state.hbar or family.signature != state.signature:
         raise InvalidInputError("analyzing family and state differ in hbar or metric signs")
     _check_phase_coverage(state, pgrid, n_sigma)
     return _shared_analyzer(family, pgrid, state.grid)

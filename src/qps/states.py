@@ -41,7 +41,8 @@ from .metric import (
     saturating_moments,
 )
 
-_GAUGE_KINDS = ("zero", "full", "half", "const")
+# the one map from gauge kind to K: the scale of K in GaugeChoice
+_GAUGE_SCALES = {"zero": 0.0, "full": 1.0, "half": 0.5, "const": 0.0}
 
 # largest saturation residual a spec may carry
 _SATURATION_TOL = 1e-9
@@ -49,13 +50,13 @@ _SATURATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GaugeChoice:
-    """The free real phase K of the joint-state wavefunction.
+    """The free real phase K of the joint-state wavefunction,
 
-    kind "zero":  K = 0
-    kind "full":  K = (1/hbar)   sum_mu s_mu <p_mu> <x_mu>
-    kind "half":  K = (1/2hbar)  sum_mu s_mu <p_mu> <x_mu>
-    kind "const": K = value, independent of the means; the only kind that
-                  takes a non-zero value.
+        K = (scale / hbar) sum_mu s_mu <p_mu> <x_mu>
+
+    with the scale of its kind in `_GAUGE_SCALES`: 1 for "full", 1/2 for
+    "half".  A kind of scale 0 has the constant K = value: 0 for "zero", any
+    finite value for "const", the only kind that takes one.
 
     For an all-spatial system (s_mu = -1) "full" and "half" are
     -<p><x>/hbar and -<p><x>/(2 hbar).
@@ -65,24 +66,12 @@ class GaugeChoice:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _GAUGE_KINDS:
+        if self.kind not in _GAUGE_SCALES:
             raise InvalidInputError(f"unknown gauge kind {self.kind!r}")
         if not np.isfinite(self.value):
             raise InvalidInputError("gauge constant must be finite")
         if self.value != 0.0 and self.kind != "const":
             raise InvalidInputError(f"gauge kind {self.kind!r} takes no value, got {self.value!r}")
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def full(cls):
-        return cls("full")
-
-    @classmethod
-    def half(cls):
-        return cls("half")
 
     @property
     def label(self) -> str:
@@ -92,20 +81,18 @@ class GaugeChoice:
         """K evaluated at the given phase-space point(s); broadcasting ok."""
         mean_p = np.asarray(mean_p, dtype=float)
         mean_x = np.asarray(mean_x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(np.broadcast(mean_p, mean_x).shape)
-        if self.kind == "const":
+        scale = _GAUGE_SCALES[self.kind]
+        if not scale:
             return np.full(np.broadcast(mean_p, mean_x).shape, self.value)
-        scale = 1.0 if self.kind == "full" else 0.5
         return (scale / hbar) * np.asarray(signs) * mean_p * mean_x
 
     def phase_slope(self, mean, signs, hbar: float):
         """Closed form dK/d<x_mu> as a function of <p_mu>, which is the same
         formula as dK/d<p_mu> as a function of <x_mu>."""
         mean = np.asarray(mean, dtype=float)
-        if self.kind in ("zero", "const"):
+        scale = _GAUGE_SCALES[self.kind]
+        if not scale:
             return np.zeros_like(mean)
-        scale = 1.0 if self.kind == "full" else 0.5
         return (scale / hbar) * np.asarray(signs) * mean
 
 
@@ -115,7 +102,7 @@ class JointStateSpec:
 
     moments: StatMoments
     signature: Signature
-    gauge: GaugeChoice = GaugeChoice("zero")
+    gauge: GaugeChoice = GaugeChoice()
     hbar: float = 1.0
 
     def __post_init__(self):
@@ -176,7 +163,7 @@ class JointStateSpec:
         signature = signature or Signature.spatial(X.shape[0])
         m = saturating_moments(X, rho, mean_p, mean_x, signature, hbar)
         return cls(moments=m, signature=signature,
-                   gauge=gauge or GaugeChoice.zero(), hbar=hbar)
+                   gauge=gauge or GaugeChoice(), hbar=hbar)
 
     def to_dict(self) -> dict:
         d = self.moments.to_dict()
@@ -223,7 +210,7 @@ def coordinate_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridW
     with np.errstate(over="ignore", invalid="ignore"):
         phase = -np.einsum("i,i...->...", signs * spec.moments.mean_p, mesh) / hbar
         values = norm * np.exp(-quad / hbar**2 + 1j * (phase + spec.gauge_phase()))
-    psi = GridWavefunction(grid, values, hbar, tuple(signs))
+    psi = GridWavefunction(grid, values, hbar, spec.signature)
     check_momentum_range(spec, grid)
     return psi
 
@@ -257,7 +244,7 @@ def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWav
     quad = np.einsum("i...,ij,j...->...", dp, M_inv, dp)
     phase = np.einsum("i,i...->...", spec.moments.mean_x, dp) / hbar
     values = pref * np.exp(-quad / (4.0 * hbar**2) + 1j * (phase + spec.gauge_phase()))
-    return GridWavefunction(grid, values, hbar, tuple(signs))
+    return GridWavefunction(grid, values, hbar, spec.signature)
 
 
 def apply_z(spec: JointStateSpec, psi: GridWavefunction, mu: int,
@@ -290,7 +277,7 @@ def z_eigencheck(spec: JointStateSpec, grid: CoordinateGrid) -> float:
 def _require_overlap_domain(a: JointStateSpec, b: JointStateSpec):
     if a.dim != b.dim or a.signature != b.signature:
         raise InvalidInputError("overlap needs matching dimensions and signature")
-    if abs(a.hbar - b.hbar) > 1e-12:
+    if a.hbar != b.hbar:
         raise InvalidInputError("overlap needs matching hbar")
     for m in (a.moments, b.moments):
         if np.abs(m.rho).max() > 0.0:

@@ -31,7 +31,7 @@ def random_correlated_spec(rng, hbar=1.0, mean_scale=2.0, gauge=None):
         rho=[[rng.uniform(-0.6, 0.6)]],
         mean_p=[rng.uniform(-mean_scale, mean_scale)],
         mean_x=[rng.uniform(-mean_scale, mean_scale)],
-        gauge=gauge or GaugeChoice.zero(),
+        gauge=gauge or GaugeChoice("zero"),
         hbar=hbar,
     )
 

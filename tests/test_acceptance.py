@@ -140,7 +140,7 @@ def test_03_overlap_oracle(grid):
     worst_full = 0.0
     for _ in range(100):
         X = rng.uniform(0.3, 1.0)
-        base = JointStateSpec.from_covariance(X=[[X]], gauge=GaugeChoice.zero())
+        base = JointStateSpec.from_covariance(X=[[X]], gauge=GaugeChoice("zero"))
         a = base.displaced([rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
         b = base.displaced([rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
         quad = inner_product(
@@ -237,7 +237,7 @@ def test_08_gauge_independence(grid, ground):
     pgrid = PhaseGrid.symmetric(12.0, 192)
     residuals = [
         ccr_residual(phase_wavefunction(psi, dataclasses.replace(ground, gauge=g), pgrid))
-        for g in (GaugeChoice.zero(), GaugeChoice.full(), GaugeChoice.half())
+        for g in (GaugeChoice("zero"), GaugeChoice("full"), GaugeChoice("half"))
     ]
     spread = max(residuals) - min(residuals)
     ok = max(residuals) <= 1e-8 and spread <= 1e-10

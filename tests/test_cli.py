@@ -442,10 +442,11 @@ class TestVerify:
         run_suite("gauge")
         assert alive == [0, 0, 0]
 
-    @pytest.mark.parametrize("hbar", ["1e150", "1e-150"])
+    @pytest.mark.parametrize("hbar", ["1e150", "1e-150", "9e101", "1.5e102"])
     def test_extreme_hbar_prints_only_its_error(self, tmp_path, hbar):
         # det X of the D = 3 row leaves double range; the amplitude it gives
-        # (0 or inf) is rejected with no numpy warning before the error line
+        # (0 or inf) is rejected with no numpy warning before the error line.
+        # From hbar ~ 9e101 the row's target h^3 overflows first.
         env = dict(os.environ, PYTHONPATH=qps_src())
         run = subprocess.run([sys.executable, "-m", "qps.cli", "verify", "microstate",
                               "--hbar", hbar, "--out", str(tmp_path)],
@@ -1200,8 +1201,7 @@ def run_python(probe, **env_vars):
     no inherited thread caps."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env.update(env_vars)
-    src = qps_src()
-    env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [qps_src(), env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr

@@ -476,6 +476,86 @@ def test_gauge_factor_built_in_one_place():
     assert callers == {("phasespace.py", "_gauge_factor"), ("states.py", "gauge_phase")}
 
 
+def _functions(path):
+    """(name, node) of each function defined in a source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(f.name, f) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+
+
+def test_saturating_P_written_once():
+    """The saturation identity P = (hbar^2/4) eta X^-1 eta + rho X^-1 rho^T
+    is written once: `rho @ x_inv @ rho.T` is computed only in
+    `metric._saturating_P`, which `saturating_moments` and `check_saturation`
+    both call."""
+    writers = set()
+    for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+        for fname, func in _functions(path):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                        and isinstance(node.left, ast.BinOp)
+                        and isinstance(node.left.op, ast.MatMult)
+                        and isinstance(node.right, ast.Attribute) and node.right.attr == "T"
+                        and ast.unparse(node.left.left) == ast.unparse(node.right.value)):
+                    writers.add((path.name, fname))
+    assert writers == {("metric.py", "_saturating_P")}
+
+
+def test_gauge_kind_is_one_scale():
+    """`GaugeChoice` keeps no alias constructor, and its `phase` and
+    `phase_slope` read the kind's scale from one table: they compare no kind
+    string and no `kind` attribute."""
+    from qps.states import GaugeChoice
+
+    assert [a for a in ("zero", "full", "half") if hasattr(GaugeChoice, a)] == []
+    methods = {name: func for name, func in _functions(Path(qps.__file__).parent / "states.py")
+               if name in ("phase", "phase_slope")}
+    assert sorted(methods) == ["phase", "phase_slope"]
+    kind_tests = [(name, node.lineno) for name, func in methods.items()
+                  for node in ast.walk(func) if isinstance(node, ast.Compare)
+                  and any(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                          or getattr(sub, "attr", None) == "kind" for sub in ast.walk(node))]
+    assert kind_tests == []
+
+
+def test_hbar_compared_exactly():
+    """Two hbars agree only when they are equal: no comparison in `src/qps`
+    puts a tolerance on a difference of hbars."""
+
+    def is_hbar(node):
+        return "hbar" in ast.unparse(node)
+
+    loose = []
+    for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                loose += [(path.name, node.lineno) for sub in ast.walk(node)
+                          if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                          and is_hbar(sub.left) and is_hbar(sub.right)]
+    assert loose == []
+
+
+def test_signs_list_read_in_one_place():
+    """`Signature` is the one representation of metric signs: a sampled state
+    carries one (no float tuple of signs), and only `grids.read_wavefunction`
+    turns a +-1 list, the sidecar's "signs", into a `Signature`."""
+    import dataclasses
+
+    assert "signs" not in {field.name for field in dataclasses.fields(GridWavefunction)}
+    readers = set()
+    for path in sorted(Path(qps.__file__).parent.glob("*.py")):
+        for fname, func in _functions(path):
+            for node in ast.walk(func):
+                counts_signs = (isinstance(node, ast.Call) and "Signature" in ast.unparse(node.func)
+                                and any(getattr(getattr(arg, "func", None), "attr", None) == "count"
+                                        for arg in node.args))
+                reads_signs = (isinstance(node, ast.Subscript)
+                               and getattr(node.slice, "value", None) == "signs")
+                if counts_signs or reads_signs:
+                    readers.add((path.name, fname))
+    assert readers == {("grids.py", "read_wavefunction")}
+
+
 def test_every_public_name_resolves_through_exports():
     """`qps.__all__` is the lazy `_EXPORTS` table, and each name it lists is
     defined in the module that table names, so no stale entry survives."""

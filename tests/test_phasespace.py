@@ -410,7 +410,7 @@ class TestSharedAnalyzer:
                             lambda self, *a: built.append(a[0].gauge.label) or init(self, *a))
         _drop_shared_analyzer()
         first = _shared_analyzer(spec, pgrid, grid)
-        for gauge in (GaugeChoice.full(), GaugeChoice.half(), GaugeChoice("const", 0.3)):
+        for gauge in (GaugeChoice("full"), GaugeChoice("half"), GaugeChoice("const", 0.3)):
             assert _shared_analyzer(dataclasses.replace(spec, gauge=gauge), pgrid, grid) is first
         assert built == ["zero"]
         flipped = dataclasses.replace(spec, signature=Signature(1, 0))
@@ -574,7 +574,7 @@ class TestExport:
         return json.loads((tmp_path / "d.csv.json").read_text())
 
     def test_phasewave_gauge_read_from_family(self, tmp_path, grid):
-        family = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice.full())
+        family = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice("full"))
         psi = coordinate_wavefunction(family, grid)
         pw = phase_wavefunction(psi, family, PhaseGrid.symmetric(10.0, 32))
         meta = self.sidecar(tmp_path, pw)
@@ -582,7 +582,7 @@ class TestExport:
         assert list(meta) == ["schema", "hbar", "kind", "pairs", "gauge"]
 
     def test_husimi_gauge_read_from_family(self, tmp_path, spec, grid):
-        family = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice.half())
+        family = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice("half"))
         psi = coordinate_wavefunction(spec, grid)
         hus = husimi_distribution(psi, family, PhaseGrid.symmetric(10.0, 32))
         meta = self.sidecar(tmp_path, hus)
@@ -819,7 +819,7 @@ def build_analyzer(case, gauge="full"):
 
     grid, pgrid = (ANALYZER_CASES | MASS_CASES)[case]
     d = grid.ndim
-    gauge = {"full": GaugeChoice.full(), "half": GaugeChoice.half(), "zero": GaugeChoice.zero(),
+    gauge = {"full": GaugeChoice("full"), "half": GaugeChoice("half"), "zero": GaugeChoice("zero"),
              "const(0)": GaugeChoice("const", 0.0), "const(0.3)": GaugeChoice("const", 0.3)}[gauge]
     family = JointStateSpec.from_covariance(X=np.diag([0.5, 0.3, 0.4][:d]),
                                             rho=np.diag([0.2, -0.1, 0.05][:d]),
@@ -966,7 +966,7 @@ class TestSeparableAnalyzer:
         d = grid.ndim
         family = JointStateSpec.from_covariance(X=np.diag([2.0, 1.5][:d]),
                                                 rho=np.diag([0.2, -0.1][:d]),
-                                                gauge=GaugeChoice.full(), hbar=0.9)
+                                                gauge=GaugeChoice("full"), hbar=0.9)
         analyzer = PhaseAnalyzer(family, pgrid, grid)
         v = random_complex(grid.shape, 5)
         pw = analyzer.transform(v, _gauge_factor(family, pgrid))
@@ -986,7 +986,7 @@ class TestSeparableAnalyzer:
         from qps.phasespace import PhaseAnalyzer
 
         grid, pgrid = ANALYZER_CASES["256^2->32^4"]
-        X, rho, gauge = [0.5, 0.3], [0.2, -0.1], GaugeChoice.full()
+        X, rho, gauge = [0.5, 0.3], [0.2, -0.1], GaugeChoice("full")
         family = JointStateSpec.from_covariance(X=np.diag(X), rho=np.diag(rho), gauge=gauge)
         index = (3, 17, 29, 8)
         q = [p.p_points()[j] for p, j in zip(pgrid.pairs, index[0::2])]
@@ -1144,7 +1144,7 @@ class TestSeedBits:
         d = grid.ndim
         family = JointStateSpec.from_covariance(
             X=np.diag([0.5, 0.3][:d]), rho=np.diag([rho, -rho][:d]),
-            gauge={"zero": GaugeChoice.zero(), "full": GaugeChoice.full()}[gauge], hbar=0.9)
+            gauge={"zero": GaugeChoice("zero"), "full": GaugeChoice("full")}[gauge], hbar=0.9)
         a = PhaseAnalyzer(family, pgrid, grid)
         kernels, windows = seed_tables(family, pgrid, grid)
         for E, W, E_seed, W_seed in zip(a.kernels, a.windows, kernels, windows):
@@ -1173,7 +1173,7 @@ class TestSeedBits:
         grid, pgrid = PHASE_FREE_CASES[npairs]
         family = JointStateSpec.from_covariance(
             X=np.diag([0.5, 0.6][:npairs]), rho=np.diag([0.1, -0.2][:npairs]),
-            gauge={"half": GaugeChoice.half(), "const(0.3)": GaugeChoice("const", 0.3)}[gauge])
+            gauge={"half": GaugeChoice("half"), "const(0.3)": GaugeChoice("const", 0.3)}[gauge])
         psi = coordinate_wavefunction(family.displaced([0.3, -0.2][:npairs],
                                                        [0.8, 0.4][:npairs]), grid)
         expected = seed_transform(family, pgrid, grid, psi.values, True)

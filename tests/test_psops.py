@@ -53,7 +53,7 @@ def analyzed(spec, psi, pgrid):
     return lambda gauge: phase_wavefunction(psi, dataclasses.replace(spec, gauge=gauge), pgrid)
 
 
-GAUGES = (GaugeChoice.zero(), GaugeChoice.full(), GaugeChoice.half())
+GAUGES = (GaugeChoice("zero"), GaugeChoice("full"), GaugeChoice("half"))
 
 
 class TestGaugeBlocks:
@@ -66,7 +66,7 @@ class TestGaugeBlocks:
 
     def test_full_gauge_ptilde_is_bare_derivative(self, analyzed):
         # spatial axis: ptilde = -i hbar d/dy with no additive term
-        pw_full = analyzed(GaugeChoice.full())
+        pw_full = analyzed(GaugeChoice("full"))
         out = apply_ptilde(pw_full, 0)
         y = pw_full.grid.pairs[0].x_points()
         bare = -1j * spectral_derivative(pw_full.values, y[1] - y[0], 1)
@@ -74,7 +74,7 @@ class TestGaugeBlocks:
 
     def test_half_gauge_carries_half_means(self, analyzed):
         # spatial axis: ptilde = -i hbar d/dy + q/2 and xtilde = +i hbar d/dq + y/2
-        pw_half = analyzed(GaugeChoice.half())
+        pw_half = analyzed(GaugeChoice("half"))
         q_points, y_points = pw_half.grid.pairs[0].p_points(), pw_half.grid.pairs[0].x_points()
         q, y = q_points[:, None], y_points[None, :]
         d_y = spectral_derivative(pw_half.values, y_points[1] - y_points[0], 1)
@@ -132,7 +132,7 @@ class TestCcr:
         spec2 = JointStateSpec.from_covariance(X=np.diag([0.5, 0.7]), mean_p=[0.3, -0.2],
                                                mean_x=[0.5, 0.1])
         psi2 = coordinate_wavefunction(spec2, CoordinateGrid.square(-12.0, 12.0, 64))
-        pw2 = phase_wavefunction(psi2, dataclasses.replace(spec2, gauge=GaugeChoice.half()),
+        pw2 = phase_wavefunction(psi2, dataclasses.replace(spec2, gauge=GaugeChoice("half")),
                                  PhaseGrid.symmetric(10.0, 32, npairs=2))
         # the formula before the single applications were shared
         eta = pw2.family.signature.matrix()
@@ -174,7 +174,7 @@ class TestConsistency:
 
     def test_all_gauges(self, spec, grid, pgrid):
         psi = coordinate_wavefunction(spec.displaced([0.2], [0.5]), grid)
-        for gauge in (GaugeChoice.full(), GaugeChoice.half()):
+        for gauge in (GaugeChoice("full"), GaugeChoice("half")):
             fam = dataclasses.replace(spec, gauge=gauge)
             rep = consistency_check(psi, phase_wavefunction(psi, fam, pgrid))
             assert rep.p_error <= 1e-3

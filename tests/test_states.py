@@ -38,7 +38,7 @@ class TestSpecValidation:
             JointStateSpec(moments=bad, signature=Signature(0, 1))
 
     def test_json_round_trip(self, rng):
-        spec = random_correlated_spec(rng, gauge=GaugeChoice.half())
+        spec = random_correlated_spec(rng, gauge=GaugeChoice("half"))
         back = JointStateSpec.from_dict(spec.to_dict())
         assert np.allclose(back.moments.X, spec.moments.X)
         assert np.allclose(back.moments.P, spec.moments.P)
@@ -112,7 +112,7 @@ class TestCoordinateWavefunction:
         with pytest.raises(CoverageError):
             coordinate_wavefunction(ground_spec.displaced([0.0], [1.5]), grid)
 
-    @pytest.mark.parametrize("gauge", [GaugeChoice.zero(), GaugeChoice.full()])
+    @pytest.mark.parametrize("gauge", [GaugeChoice("zero"), GaugeChoice("full")])
     def test_overflowing_momentum_mean_rejected(self, ground_spec, line_grid, gauge):
         # the phase <p> x / hbar overflows; no numpy warning precedes the error
         spec = dataclasses.replace(ground_spec.displaced([1e308], [1.5]), gauge=gauge)
@@ -121,7 +121,7 @@ class TestCoordinateWavefunction:
 
     def test_gauge_phase_is_global(self, line_grid):
         spec0 = JointStateSpec.from_covariance(X=[[0.5]], mean_p=[0.7], mean_x=[0.9])
-        spec_full = dataclasses.replace(spec0, gauge=GaugeChoice.full())
+        spec_full = dataclasses.replace(spec0, gauge=GaugeChoice("full"))
         a = coordinate_wavefunction(spec0, line_grid)
         b = coordinate_wavefunction(spec_full, line_grid)
         expected = np.exp(1j * (-0.7 * 0.9))  # K_full = -<p><x>/hbar on a spatial axis
@@ -131,7 +131,7 @@ class TestCoordinateWavefunction:
 class TestMomentumWavefunction:
     def test_matches_fast_transform(self, line_grid, rng):
         for _ in range(5):
-            spec = random_correlated_spec(rng, gauge=GaugeChoice.half())
+            spec = random_correlated_spec(rng, gauge=GaugeChoice("half"))
             psi = coordinate_wavefunction(spec, line_grid)
             via_fft = momentum_transform(psi)
             closed = momentum_wavefunction(spec, via_fft.grid)
@@ -283,7 +283,7 @@ class TestAnalyticOverlap:
 
     def test_nonzero_gauge_matches_when_included(self, line_grid):
         # gauges shift the overlap phase by K_b - K_a; the formula tracks it
-        base = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice.half())
+        base = JointStateSpec.from_covariance(X=[[0.5]], gauge=GaugeChoice("half"))
         a = base.displaced([0.7], [0.4])
         b = base.displaced([-0.5], [1.1])
         quad = inner_product(
@@ -294,7 +294,7 @@ class TestAnalyticOverlap:
     def test_zero_gauge_is_the_bare_formula(self, line_grid):
         # the bare closed form (no gauge factor) coincides with quadrature
         # only in the zero gauge; pin that empirically
-        for gauge, should_match in ((GaugeChoice.zero(), True), (GaugeChoice.full(), False)):
+        for gauge, should_match in ((GaugeChoice("zero"), True), (GaugeChoice("full"), False)):
             base = JointStateSpec.from_covariance(X=[[0.5]], gauge=gauge)
             a = base.displaced([0.7], [0.4])
             b = base.displaced([-0.5], [1.1])
@@ -324,7 +324,7 @@ class TestAnalyticOverlap:
 
     def test_every_gauge_pair_matches_quadrature(self, line_grid, rng):
         # each state carries its own exp(iK), so specs in different gauges overlap too
-        gauges = (GaugeChoice.zero(), GaugeChoice.full(), GaugeChoice.half())
+        gauges = (GaugeChoice("zero"), GaugeChoice("full"), GaugeChoice("half"))
         for ga in gauges:
             for gb in gauges:
                 for _ in range(5):
@@ -391,13 +391,13 @@ def loop_wavefunctions(spec, grid, dual):
 class TestQuadraticForms:
     @pytest.mark.parametrize("spec", [
         JointStateSpec.from_covariance(X=[[0.6]], rho=[[0.3]], mean_p=[0.4], mean_x=[-0.7],
-                                       gauge=GaugeChoice.full(), hbar=0.8),
+                                       gauge=GaugeChoice("full"), hbar=0.8),
         # rho = eta S X with S symmetric and eta = -1
         JointStateSpec.from_covariance(X=[[0.5, 0.1], [0.1, 0.4]],
                                        rho=-np.array([[0.3, 0.08], [0.08, -0.2]])
                                        @ [[0.5, 0.1], [0.1, 0.4]],
                                        mean_p=[0.4, -0.3], mean_x=[-0.7, 0.5],
-                                       gauge=GaugeChoice.half(), hbar=0.8),
+                                       gauge=GaugeChoice("half"), hbar=0.8),
     ], ids=["one-axis", "two-axis-correlated"])
     def test_match_the_double_loops(self, spec):
         grid = CoordinateGrid.line() if spec.dim == 1 else CoordinateGrid.square()
