@@ -43,10 +43,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
 
 @dataclass(frozen=True, eq=False)
 class MixtureSpec:

@@ -344,7 +344,9 @@ def _shared_analyzer(family: JointStateSpec, pgrid: PhaseGrid,
     setup is what the tables read: the family's moments (by identity, kept
     by a regauging `dataclasses.replace`), signature and hbar, and the grids
     (by value).  A new setup drops the held analyzer before its build, so at
-    most one table set is alive; `_drop_shared_analyzer` drops it when done."""
+    most one table set is alive.  It is held until a new setup replaces it or
+    `_drop_shared_analyzer` drops it, as `verify`'s gauge suite does before
+    its rows that need no tables."""
     key = (family.moments, family.signature, family.hbar, pgrid, grid)
     if key not in _analyzers:
         _drop_shared_analyzer()

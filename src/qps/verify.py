@@ -1,8 +1,10 @@
 """Named verification suites behind `qps verify`.
 
 Every check is deterministic (fixed seeds) and reports a row
-{name, value, bound, pass[, target]}; with no target the row passes iff
-value <= bound, with a target iff |value - target| <= bound.
+{name, value, bound, pass[, target][, draw]}; with no target the row passes
+iff value <= bound, with a target iff |value - target| <= bound.  A seeded
+row's value is the worst over its random draws, and `draw` is the index of
+the draw that reached it, so that draw can be rebuilt alone.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ def _row(name, value, bound, target=None):
     if target is not None:
         row["target"] = float(target)
     return row
+
+
+def _worst(name, values, bound):
+    """The row of a seeded check: the largest per-draw value, 0 when none is
+    positive, and the index of the draw that reached it.  A NaN draw is the
+    worst (argmax takes the first) and fails the row."""
+    draw = int(np.argmax(values))
+    value = values[draw]
+    return dict(_row(name, 0.0 if value <= 0 else value, bound), draw=draw)
 
 
 def _tol(tols, name):
@@ -81,30 +92,28 @@ def suite_uncertainty(hbar=1.0, tols=None):
     grid = CoordinateGrid.line(-16 * s, 16 * s, 1024)
     checks = []
 
-    worst = 0.0
+    rel = []
     for _ in range(50):
         m = moments(coordinate_wavefunction(_random_spec(rng, hbar, (0.25, 1.5), 0.6), grid))
         det = m.P[0, 0] * m.X[0, 0] - m.rho[0, 0] ** 2
-        worst = max(worst, abs(det - hbar**2 / 4.0) / (hbar**2 / 4.0))
-    checks.append(_row("saturation_grid_rel", worst, _tol(tols, "saturation")))
+        rel.append(abs(det - hbar**2 / 4.0) / (hbar**2 / 4.0))
+    checks.append(_worst("saturation_grid_rel", rel, _tol(tols, "saturation")))
 
-    margin = np.inf
-    for psi in _random_states(rng, grid, hbar, 100):
-        m = moments(psi)
-        margin = min(margin, np.sqrt(m.X[0, 0] * m.P[0, 0]) - hbar / 2.0)
-    checks.append(_row("kennard_violation", max(0.0, -margin), _tol(tols, "kennard")))
+    # per draw hbar/2 - sqrt(X P), positive where the Kennard bound fails
+    deficit = [hbar / 2.0 - np.sqrt(m.X[0, 0] * m.P[0, 0])
+               for m in map(moments, _random_states(rng, grid, hbar, 100))]
+    checks.append(_worst("kennard_violation", deficit, _tol(tols, "kennard")))
 
     spec = _ground_spec(hbar)
     basis = fock.TruncatedBasis((8,), spec)
-    viol = 0.0
+    viol = []
     for _ in range(50):
         A = _random_hermitian(rng, 8)
         B = _random_hermitian(rng, 8)
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = fock.FockVector(basis, v / np.linalg.norm(v))
-        rep = fock.robertson_check(A, B, state)
-        viol = max(viol, rep.rhs - rep.lhs)
-    checks.append(_row("robertson_violation", max(0.0, viol), _tol(tols, "kennard")))
+        rep = fock.robertson_check(A, B, fock.FockVector(basis, v / np.linalg.norm(v)))
+        viol.append(rep.rhs - rep.lhs)
+    checks.append(_worst("robertson_violation", viol, _tol(tols, "kennard")))
     return checks
 
 
@@ -262,13 +271,13 @@ def suite_gauge(hbar=1.0, tols=None):
 
     # complex overlap matches quadrature exactly in the zero gauge
     rng = np.random.default_rng(11)
-    worst = 0.0
+    err = []
     for _ in range(25):
         a = spec_zero.displaced([rng.uniform(-2, 2) * s], [rng.uniform(-2, 2) * s])
         b = spec_zero.displaced([rng.uniform(-2, 2) * s], [rng.uniform(-2, 2) * s])
         quad = inner_product(coordinate_wavefunction(a, grid), coordinate_wavefunction(b, grid))
-        worst = max(worst, abs(quad - analytic_overlap(a, b)))
-    checks.append(_row("overlap_phase_zero_gauge", worst, _tol(tols, "overlap")))
+        err.append(abs(quad - analytic_overlap(a, b)))
+    checks.append(_worst("overlap_phase_zero_gauge", err, _tol(tols, "overlap")))
     return checks
 
 
@@ -294,22 +303,16 @@ def suite_density(hbar=1.0, tols=None):
     pure = density.from_pure(fock.FockVector(basis, v / np.linalg.norm(v)))
     checks.append(_row("purity_pure", density.purity(pure), 1e-10, target=1.0))
 
-    drift = 0.0
+    drift = []
     for _ in range(100):
         H = _random_hermitian(rng, 8)
         rho = density.from_mixture(_random_mixture(rng, basis, 3))
         rho_t = density.evolve_lvn(rho, H, rng.uniform(0.1, 5.0))
-        drift = max(
-            drift,
-            abs(np.trace(rho_t.matrix).real - 1.0),
-            abs(density.purity(rho_t) - density.purity(rho)),
-            float(
-                np.abs(
-                    np.linalg.eigvalsh(rho_t.matrix) - np.linalg.eigvalsh(rho.matrix)
-                ).max()
-            ),
-        )
-    checks.append(_row("lvn_preservation", drift, tol))
+        spectrum = np.linalg.eigvalsh(rho_t.matrix) - np.linalg.eigvalsh(rho.matrix)
+        drift.append(max(abs(np.trace(rho_t.matrix).real - 1.0),
+                         abs(density.purity(rho_t) - density.purity(rho)),
+                         float(np.abs(spectrum).max())))
+    checks.append(_worst("lvn_preservation", drift, tol))
 
     A = _random_hermitian(rng, 8)
     mix = _random_mixture(rng, basis, 4)
@@ -349,11 +352,8 @@ def run_suite(name: str, hbar: float = 1.0, tols=None) -> dict:
         raise ValueError(f"unknown suite {name!r}")
     checks = []
     for key in SUITES if name == "all" else (name,):
-        try:
-            # looked up by name when called, so a rebound suite_* attribute runs
-            rows = globals()[f"suite_{key}"](hbar, tols)
-        finally:
-            phasespace._drop_shared_analyzer()   # no suite's tables outlive it
+        # looked up by name when called, so a rebound suite_* attribute runs
+        rows = globals()[f"suite_{key}"](hbar, tols)
         if name == "all":
             rows = [dict(row, name=f"{key}.{row['name']}") for row in rows]
         checks += rows

@@ -404,6 +404,42 @@ class TestVerify:
         gc.collect()
         assert len(built) == 1 and all(ref() is None for ref in built)
 
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    def test_overlap_draw_replays_alone(self, hbar):
+        # draw i of the overlap row is the uniforms 4i..4i+3 of its generator:
+        # <p> and <x> of a, then of b
+        from qps import (CoordinateGrid, JointStateSpec, analytic_overlap,
+                         coordinate_wavefunction, inner_product)
+        from qps.verify import run_suite
+
+        row = run_suite("gauge", hbar=hbar)["checks"][-1]
+        assert row["name"] == "overlap_phase_zero_gauge"
+        s = np.sqrt(hbar)
+        u = np.random.default_rng(11).uniform(-2, 2, size=(row["draw"] + 1, 4))[-1] * s
+        spec = JointStateSpec.from_covariance(X=[[hbar / 2.0]], hbar=hbar)
+        a, b = spec.displaced([u[0]], [u[1]]), spec.displaced([u[2]], [u[3]])
+        grid = CoordinateGrid.line(-16 * s, 16 * s, 1024)
+        quad = inner_product(coordinate_wavefunction(a, grid), coordinate_wavefunction(b, grid))
+        assert abs(quad - analytic_overlap(a, b)) == row["value"]
+
+    def test_seeded_rows_name_their_draw(self):
+        from qps.verify import run_suite
+
+        draws = {row["name"]: row["draw"] for row in run_suite("all")["checks"] if "draw" in row}
+        assert sorted(draws) == [
+            "density.lvn_preservation", "gauge.overlap_phase_zero_gauge",
+            "uncertainty.kennard_violation", "uncertainty.robertson_violation",
+            "uncertainty.saturation_grid_rel"]
+        assert all(type(draw) is int for draw in draws.values())
+
+    def test_nan_draw_fails_its_row(self):
+        from qps.verify import _worst
+
+        assert _worst("x", [-1.0, -0.5], 1.0) == {
+            "name": "x", "value": 0.0, "bound": 1.0, "pass": True, "draw": 1}
+        row = _worst("x", [0.1, float("nan"), 0.2], 1.0)
+        assert row["draw"] == 1 and not row["pass"]
+
     def test_verify_all_builds_eight_analyzers(self, monkeypatch):
         # closure 4 (one per phase grid), microstate 3 (one per dimension),
         # gauge 1 (one for its three gauges); the other suites analyze nothing
