@@ -561,7 +561,10 @@ def wigner_distribution(state: GridWavefunction, pgrid: PhaseGrid) -> PhaseDistr
     """Standard Wigner transform of a one-pair state, as a contrast fixture.
 
     Stored against the same dq dy / h measure as the positive distribution,
-    i.e. the samples are h times the textbook density.  Real within 1e-10 by
+    i.e. the samples are h times the textbook density.  The kernel is
+    exp(-2i s p u / hbar) with s the axis's metric sign, the plane wave of
+    momentum p in qps's convention, so the p-marginal mean is <p> on a +1
+    axis as on a spatial one.  Real within 1e-10 by
     the symmetry of the half-offset quadrature.  The wavefunction between
     grid points is the not-a-knot cubic spline of its real and imaginary
     parts, 0 off the grid.
@@ -586,7 +589,7 @@ def wigner_distribution(state: GridWavefunction, pgrid: PhaseGrid) -> PhaseDistr
     y = pair.x_points()
     plus = psi_at(y[:, None] + u[None, :])
     minus = psi_at(y[:, None] - u[None, :])
-    kernel = np.exp(2j / hbar * np.outer(pair.p_points(), u))
+    kernel = np.exp(-2j * state.signature.signs[0] / hbar * np.outer(pair.p_points(), u))
     integrand = np.conj(plus) * minus
     w = (kernel @ integrand.T) * du / (np.pi * hbar)
     imag_max = float(np.abs(w.imag).max())

@@ -238,7 +238,7 @@ def momentum_wavefunction(spec: JointStateSpec, grid: CoordinateGrid) -> GridWav
     M = spec.shape.exponent / hbar**2
     M_inv = np.linalg.inv(M)
     pref = spec.moments.gaussian_norm * (2.0 * np.pi * hbar) ** (-spec.dim / 2.0) \
-        * np.sqrt(np.pi**spec.dim / np.linalg.det(M))
+        * _gaussian_root(M)
     axes = (-1,) + (1,) * spec.dim
     dp = signs.reshape(axes) * (np.stack(grid.meshgrid()) - spec.moments.mean_p.reshape(axes))
     quad = np.einsum("i...,ij,j...->...", dp, M_inv, dp)
@@ -274,38 +274,45 @@ def z_eigencheck(spec: JointStateSpec, grid: CoordinateGrid) -> float:
     return worst
 
 
-def _require_overlap_domain(a: JointStateSpec, b: JointStateSpec):
-    if a.dim != b.dim or a.signature != b.signature:
-        raise InvalidInputError("overlap needs matching dimensions and signature")
-    if a.hbar != b.hbar:
-        raise InvalidInputError("overlap needs matching hbar")
-    for m in (a.moments, b.moments):
-        if np.abs(m.rho).max() > 0.0:
-            raise InvalidInputError("closed-form overlap holds for rho = 0 only")
-        if np.abs(m.X - np.diag(np.diag(m.X))).max() > 0.0:
-            raise InvalidInputError("closed-form overlap needs a diagonal covariance")
-    if not all((np.abs(u - v) <= 1e-12 * np.abs(v)).all()
-               for u, v in ((a.moments.X, b.moments.X), (a.moments.P, b.moments.P))):
-        raise InvalidInputError("overlap needs identical covariance blocks")
+def _gaussian_root(M: np.ndarray) -> complex:
+    """sqrt(pi^D / det M), the factor of the Gaussian integral of exp(-t^T M t)
+    over R^D, for a complex symmetric M with a positive definite real part.
+
+    It is the product over M's eigenvalues of the principal roots of pi/lambda
+    (each lambda has a positive real part): the branch reached continuously
+    from a real M.  The principal root of the whole product leaves that branch
+    once the eigenvalue phases sum past pi.
+    """
+    return complex(np.prod(np.sqrt(np.pi / np.linalg.eigvals(M))))
 
 
 def analytic_overlap(a: JointStateSpec, b: JointStateSpec) -> complex:
-    """Closed-form <a|b> for two states of the same diagonal covariance.
+    """Closed-form <a|b> of any two joint states of one dimension, signature
+    and hbar: one complex Gaussian integral about the midpoint m of the means.
 
-    Per axis: exp(-dp^2/(8P) - dx^2/(8X) + (i/2hbar) s dp (<x>+<x'>)), then a
-    factor exp(i (K_b - K_a)) with each state's own gauge phase, so a and b
-    may carry different gauges.  This is the quadrature overlap of the sampled
-    wavefunctions in any pair of gauges; the modulus is gauge-independent.
+    With E each state's symmetrized exponent, d = <x>_b - <x>_a,
+    M = (conj(E_a) + E_b) / hbar^2 and
+    v = (E_b - conj(E_a)) d / hbar^2 + i s (<p>_a - <p>_b) / hbar,
+
+        <a|b> = N_a N_b sqrt(pi^D / det M)
+                exp((v^T M^-1 v - d^T M d) / 4 + i (s (<p>_a - <p>_b) . m / hbar + K_b - K_a))
+
+    Only differences of the means enter the modulus.  Each state carries its
+    own gauge phase K, so a and b may carry different gauges; this is the
+    quadrature overlap of the sampled wavefunctions in any pair of gauges.
     """
-    _require_overlap_domain(a, b)
-    signs = a.signature.signs
+    if a.signature != b.signature:  # equal signatures have equal dimensions
+        raise InvalidInputError("overlap needs matching dimensions and signature")
+    if a.hbar != b.hbar:
+        raise InvalidInputError("overlap needs matching hbar")
     hbar = a.hbar
-    dp = a.moments.mean_p - b.moments.mean_p
-    dx = a.moments.mean_x - b.moments.mean_x
-    sx = a.moments.mean_x + b.moments.mean_x
-    Pd = np.diag(a.moments.P)
-    Xd = np.diag(a.moments.X)
-    log_mod = -np.sum(dp**2 / (8.0 * Pd) + dx**2 / (8.0 * Xd))
-    phase = np.sum(signs * dp * sx) / (2.0 * hbar)
-    phase += b.gauge_phase() - a.gauge_phase()
-    return complex(np.exp(log_mod) * np.exp(1j * phase))
+    s_dp = a.signature.signs * (a.moments.mean_p - b.moments.mean_p) / hbar
+    d = b.moments.mean_x - a.moments.mean_x
+    mid = 0.5 * (a.moments.mean_x + b.moments.mean_x)
+    Ea_bar, Eb = np.conj(a.shape.exponent), b.shape.exponent
+    M = (Ea_bar + Eb) / hbar**2
+    v = (Eb - Ea_bar) @ d / hbar**2 + 1j * s_dp
+    log = (v @ np.linalg.solve(M, v) - d @ M @ d) / 4.0 \
+        + 1j * (s_dp @ mid + b.gauge_phase() - a.gauge_phase())
+    return complex(a.moments.gaussian_norm * b.moments.gaussian_norm * _gaussian_root(M)
+                   * np.exp(log))

@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,3 +48,13 @@ def gate_edge_spec():
         "gauge": {"kind": "zero", "value": 0.0}, "mean_p": [0.0, 0.0], "mean_x": [0.0, 0.0],
         "P": [[0.5, 3e-10], [3e-10, 0.5]], "X": [[0.5, 0.0], [0.0, 0.5]],
         "rho": [[0.0, 0.0], [0.0, 0.0]]})
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark_inputs():
+    """The benchmark's seeded input pool, `perfbench/inputs.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,8 +1,6 @@
 import ast
 import contextlib
-import functools
 import gc
-import importlib.util
 import io
 import json
 import os
@@ -20,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from qps.cli import main
 from qps.verify import TOLERANCES
-from conftest import gate_edge_spec
+from conftest import benchmark_inputs, gate_edge_spec
 
 
 def ground_payload(**overrides):
@@ -154,16 +152,6 @@ class TestStateSynth:
         err = capsys.readouterr().err
         assert code == 2
         assert "cannot read spec file" in err and "Traceback" not in err
-
-
-@functools.lru_cache(maxsize=None)
-def benchmark_inputs():
-    """The benchmark's seeded input pool, `perfbench/inputs.py`."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture()
@@ -382,27 +370,51 @@ class TestVerify:
             "overlap_phase_zero_gauge"]
         assert all(row["pass"] for row in report["checks"])
 
-    @pytest.mark.parametrize("raises", [False, True])
-    def test_no_analyzer_outlives_its_suite(self, monkeypatch, raises):
-        from qps import verify
+    def test_no_analyzer_outlives_its_suite(self, monkeypatch):
         from qps.phasespace import PhaseAnalyzer
+        from qps.verify import run_suite
 
         built = []
-        init, suite_gauge = PhaseAnalyzer.__init__, verify.suite_gauge
+        init = PhaseAnalyzer.__init__
         monkeypatch.setattr(PhaseAnalyzer, "__init__",
                             lambda self, *a: built.append(weakref.ref(self)) or init(self, *a))
-
-        def suite(hbar, tols):
-            rows = suite_gauge(hbar, tols)
-            if raises:
-                raise RuntimeError("suite failed")
-            return rows
-
-        monkeypatch.setattr(verify, "suite_gauge", suite)
-        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
-            verify.run_suite("gauge")
+        run_suite("gauge")
         gc.collect()
         assert len(built) == 1 and all(ref() is None for ref in built)
+
+    def test_verify_all_holds_at_most_one_analyzer(self, monkeypatch):
+        # a new setup drops the shared analyzer before its build, so none is
+        # alive at any build; only the gauge suite drops it when done
+        from qps import phasespace, verify
+        from qps.phasespace import PhaseAnalyzer
+        from qps.suites import SUITES
+
+        built, alive, held = [], [], {}
+        init = PhaseAnalyzer.__init__
+
+        def counted_init(self, *args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            built.append(weakref.ref(self))
+            init(self, *args)
+
+        def counted(name, suite):
+            def run(hbar, tols):
+                rows = suite(hbar, tols)
+                gc.collect()
+                held[name] = (len(phasespace._analyzers), sum(ref() is not None for ref in built))
+                return rows
+            return run
+
+        phasespace._drop_shared_analyzer()
+        monkeypatch.setattr(PhaseAnalyzer, "__init__", counted_init)
+        for name in SUITES:
+            monkeypatch.setattr(verify, f"suite_{name}",
+                                counted(name, getattr(verify, f"suite_{name}")))
+        verify.run_suite("all")
+        assert alive == [0] * 8
+        assert held == {"uncertainty": (0, 0), "closure": (1, 1), "microstate": (1, 1),
+                        "fock": (1, 1), "gauge": (0, 0), "density": (0, 0)}
 
     @pytest.mark.parametrize("hbar", [1.0, 2.5])
     def test_overlap_draw_replays_alone(self, hbar):
@@ -1242,6 +1254,34 @@ def run_python(probe, **env_vars):
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     return run.stdout.strip()
+
+
+def test_workflow_command_steps_pass(tmp_path):
+    # every `run:` step of the CI workflow but the install and the pytest
+    # calls, in bash as the runner runs it, with a `qps` console-script shim
+    # and the runner's temp directory in tmp_path
+    import yaml
+
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    steps = [step for job in yaml.safe_load(workflow.read_text())["jobs"].values()
+             for step in job["steps"] if "run" in step]
+    commands = [step for step in steps
+                if "pip install" not in step["run"] and "pytest" not in step["run"]]
+    assert commands
+    shims = tmp_path / "bin"
+    shims.mkdir()
+    (shims / "qps").write_text('#!/bin/sh\nexec python -m qps.cli "$@"\n')
+    (shims / "qps").chmod(0o755)
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(RUNNER_TEMP=str(tmp_path),
+               PATH=os.pathsep.join([str(shims), str(Path(sys.executable).parent), env["PATH"]]),
+               PYTHONPATH=os.pathsep.join(filter(None, [qps_src(), env.get("PYTHONPATH")])))
+    for step in commands:
+        cwd = step.get("working-directory", ".").replace("${{ runner.temp }}", str(tmp_path))
+        run = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", step["run"]],
+                             cwd=Path(__file__).resolve().parents[1] / cwd, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, (step["name"], run.stdout[-2000:], run.stderr[-2000:])
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -17,6 +18,7 @@ from qps import (
     JointStateSpec,
     PhaseGrid,
     PhasePair,
+    Signature,
     TruncatedBasis,
     UnsupportedError,
     analytic_overlap,
@@ -26,12 +28,14 @@ from qps import (
     grid_number_states,
     husimi_distribution,
     microstate_hypervolume,
+    moments,
     number_state,
     phase_wavefunction,
     wigner_distribution,
     write_distribution,
 )
 from qps.phasespace import _gauge_factor
+from conftest import benchmark_inputs
 
 H = 2.0 * np.pi
 
@@ -99,17 +103,40 @@ class TestPhaseWavefunction:
         assert abs(pw.values[64, 80]) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_analytic_overlap_pointwise(self, spec, grid):
-        psi_spec = spec.displaced([0.4], [0.9])
-        psi = coordinate_wavefunction(psi_spec, grid)
-        pw = phase_wavefunction(psi, spec, PhaseGrid.symmetric(8.0, 64))
-        pair = pw.grid.pairs[0]
-        worst = 0.0
-        for j in range(0, 64, 7):
-            for k in range(0, 64, 7):
-                fam = spec.displaced([pair.p_points()[j]], [pair.x_points()[k]])
-                expect = analytic_overlap(fam, psi_spec)
-                worst = max(worst, abs(pw.values[j, k] - expect))
-        assert worst < 1e-8
+        # psi~ in each gauge and |psi~|^2 at random phase points against
+        # <family at (q, y)|state> in closed form, for a displaced copy of the
+        # family and for every pool spec (rho != 0, X != hbar/2) on the CLI's
+        # default grids; at most 1.5e-15 of the peak over 300 points per spec
+        # and gauge
+        inputs = benchmark_inputs()
+        cases = [(spec.displaced([0.4], [0.9]), grid, PhaseGrid.symmetric(8.0, 64))]
+        for npairs, count in inputs.GENERATOR["state_cases"].items():
+            npairs = int(npairs)
+            grids = (CoordinateGrid.line(), PhaseGrid.symmetric(8.0, 128)) if npairs == 1 else \
+                (CoordinateGrid.square(), PhaseGrid.symmetric(8.0, 32, npairs=2))
+            cases += [(JointStateSpec.from_dict(inputs.state_case(npairs, i)["spec"]), *grids)
+                      for i in range(count)]
+        rng = np.random.default_rng(5)
+        for psi_spec, coords, pg in cases:
+            psi = coordinate_wavefunction(psi_spec, coords)
+            family = JointStateSpec.from_covariance(
+                X=np.diag([psi_spec.hbar / 2.0] * psi_spec.dim), hbar=psi_spec.hbar,
+                signature=psi_spec.signature)
+            husimi = husimi_distribution(psi, family, pg).values
+            axes = [pts for pair in pg.pairs for pts in (pair.p_points(), pair.x_points())]
+            points = [tuple(rng.integers(len(a)) for a in axes) for _ in range(64)]
+            qy = [np.array([a[i] for a, i in zip(axes, idx)]) for idx in points]  # q1, y1, q2, ..
+            for kind in ("zero", "full", "half"):
+                # a regauged family keeps its moments, so the analyzer is reused
+                fam = dataclasses.replace(family, gauge=GaugeChoice(kind))
+                pw = phase_wavefunction(psi, fam, pg).values
+                expect = np.array([analytic_overlap(fam.displaced(z[0::2], z[1::2]), psi_spec)
+                                   for z in qy])
+                got = np.array([pw[idx] for idx in points])
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(pw).max(), (psi_spec, kind)
+            # |<family at (q, y)|state>| is the same in every gauge
+            got = np.array([husimi[idx] for idx in points])
+            assert np.abs(got - np.abs(expect) ** 2).max() <= 1e-13 * husimi.max(), psi_spec
 
     def test_normalization(self, spec, grid, pgrid):
         psi = coordinate_wavefunction(spec.displaced([0.5], [-0.7]), grid)
@@ -217,6 +244,17 @@ class TestWigner:
         r2 = pair.p_points()[j] ** 2 + pair.x_points()[k] ** 2
         expected = H * (4 * r2 / 2 - 1) / np.pi * np.exp(-r2)
         assert dist.values[j, k] == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("signature", [Signature(0, 1), Signature(1, 0)], ids=["-1", "+1"])
+    def test_p_marginal_mean_is_mean_p(self, grid, pgrid, signature):
+        # the kernel carries the axis's sign; exp(2i p u / hbar) on the +1
+        # axis put the Wigner peak at -<p>
+        spec = JointStateSpec.from_covariance(X=[[0.5]], mean_p=[1.5], mean_x=[0.3],
+                                              signature=signature)
+        psi = coordinate_wavefunction(spec, grid)
+        marginal = wigner_distribution(psi, pgrid).values.sum(axis=1)
+        mean_p = marginal @ pgrid.pairs[0].p_points() / marginal.sum()
+        assert mean_p == pytest.approx(moments(psi).mean_p[0], abs=1e-9)
 
     def test_two_pair_unsupported(self):
         spec2 = JointStateSpec.from_covariance(X=np.diag([0.5, 0.5]))
